@@ -4,7 +4,7 @@
 Thin alias for ``padicmult verify``; all of its flags apply, e.g.
 
     python scripts/run_verify.py --suite orders --max-p 7 --max-N 6
-    python scripts/run_verify.py --suite all --parallel --json
+    python scripts/run_verify.py --suite all --json
 """
 
 import sys

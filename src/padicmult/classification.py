@@ -33,9 +33,8 @@ from .padic import (
     multiplier_residue,
     multiplier_unit_residue,
     multiplier_valuation,
-    teichmuller,
 )
-from .unit_groups import DEFAULT_NR_CAP, find_nr, unit_order
+from .unit_groups import find_nr, unit_order
 
 INF = math.inf
 
@@ -70,28 +69,19 @@ class CaseIII:
 Classification = CaseI | CaseII | CaseIII
 
 
-def _order_mod_p(residue: int, p: int) -> int:
-    order = 1
-    current = residue % p
-    while current != 1:
-        current = current * residue % p
-        order += 1
-    return order
-
-
 def classify(
     p: int | Prime,
     r: int | MultiplierSpec,
     precision: int = 6,
-    cap: int = DEFAULT_NR_CAP,
+    cap: int | None = None,
 ) -> Classification:
     """Decide which case the multiplier falls into and compute its case data.
 
     The only rational integers that are p-adic roots of unity are +-1: all
     roots of unity have order dividing p - 1 and distinct residues mod p, and
     no integer of absolute value >= 2 has n^(p-1) = 1.  Digit-string inputs
-    are classified against the finitely many root-of-unity residues at the
-    known precision and flagged ``exact=False``.
+    are roots of unity when r^(p-1) = 1 at the known precision, and are
+    flagged ``exact=False``.  ``cap`` is the optional level bound of find_nr.
     """
     p = as_prime(p)
     spec = as_multiplier(r)
@@ -108,30 +98,25 @@ def classify(
         residue = multiplier_residue(spec, p, 1)
         if residue == 1:
             raise ExcludedMultiplierError("excluded multiplier: r resolves to 1")
-        return CaseII(_order_mod_p(residue, p))
+        return CaseII(unit_order(p, 1, residue))
     return _classify_digits(p, spec, cap)
 
 
-def _classify_digits(p: int, spec: Digits, cap: int) -> Classification:
+def _classify_digits(p: int, spec: Digits, cap: int | None) -> Classification:
     known = len(spec.digits)
     level = multiplier_valuation(spec, p)  # raises when every known digit is 0
     if level > 0:
         _, unit = multiplier_unit_residue(spec, p, known - level)
         return CaseIII(level, unit, known - level, exact=False)
     residue = multiplier_residue(spec, p, known)
-    modulus = p**known
-    for i in range(1, p):
-        lift = teichmuller(p, i, known)
-        for candidate in (lift, (-lift) % modulus):
-            if residue == candidate:
-                order = _order_mod_p(candidate, p)
-                if order == 1:
-                    raise ExcludedMultiplierError(
-                        "excluded multiplier: digits match 1 at every known digit"
-                    )
-                return CaseII(order, exact=False)
-    # find_nr raises InsufficientPrecisionError once the search passes the
-    # known digits, which is the honest verdict for a digit-string input
+    if pow(residue, p - 1, p**known) == 1:
+        order = unit_order(p, 1, residue)
+        if order == 1:
+            raise ExcludedMultiplierError(
+                "excluded multiplier: digits match 1 at every known digit"
+            )
+        return CaseII(order, exact=False)
+    # r^d != 1 at the known precision, so the known digits show the threshold
     threshold = find_nr(p, spec, cap)
     return CaseI(threshold, unit_order(p, threshold, spec), exact=False)
 
@@ -195,7 +180,7 @@ def supernatural_from_unit_order(order: int, p: int | Prime) -> SupernaturalNumb
 
 
 def supernatural_order(
-    p: int | Prime, r: int | MultiplierSpec, cap: int = DEFAULT_NR_CAP
+    p: int | Prime, r: int | MultiplierSpec, cap: int | None = None
 ) -> SupernaturalNumber:
     """lcm of the orders of r at every level, for a Case I multiplier."""
     verdict = classify(p, r, cap=cap)

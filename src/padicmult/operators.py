@@ -166,16 +166,6 @@ class TruncatedOp:
             raise BasisMismatchError(f"{label(index)} is not a domain index")
         return {row: s for (row, col), s in self.entries.items() if col == index}
 
-    def apply_vec(self, vec: Mapping[BasisIndex, Scalar]) -> Vector:
-        out: Vector = {}
-        by_col: dict[BasisIndex, list[tuple[BasisIndex, Scalar]]] = {}
-        for (row, col), s in self.entries.items():
-            by_col.setdefault(col, []).append((row, s))
-        for col, coeff in vec.items():
-            for row, s in by_col.get(col, ()):
-                out[row] = out.get(row, Scalar()) + s * coeff
-        return _clean(out)
-
     def compose(self, other: TruncatedOp) -> TruncatedOp:
         """self after other; requires other's codomain to equal self's domain."""
         if other.codomain != self.domain:

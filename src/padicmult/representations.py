@@ -33,7 +33,7 @@ from .padic import (
     valuation,
 )
 from .scalars import Scalar
-from .unit_groups import DEFAULT_NR_CAP, quotient_group
+from .unit_groups import quotient_group, unit_order
 
 
 # --- orbit decompositions -------------------------------------------------------
@@ -71,11 +71,7 @@ class OrbitDecomposition:
 def _roots_quotient(p: int, generator_residue: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
     """Cosets of <g> inside (Z/p)^x: smallest representatives (identity coset
     first) and a lookup residue -> (coset index, power of g)."""
-    powers = [1]
-    current = generator_residue % p
-    while current != 1:
-        powers.append(current)
-        current = current * generator_residue % p
+    powers = [pow(generator_residue, k, p) for k in range(unit_order(p, 1, generator_residue))]
     reps: list[int] = []
     lookup: dict[int, tuple[int, int]] = {}
     for i in range(1, p):
@@ -94,7 +90,7 @@ def orbit_decompose(
     r: int | MultiplierSpec,
     x: int,
     precision: int = 6,
-    cap: int = DEFAULT_NR_CAP,
+    cap: int | None = None,
 ) -> OrbitDecomposition:
     """Factor a nonzero integer along the orbits of multiplication by a unit r."""
     p = as_prime(p)
@@ -107,11 +103,11 @@ def orbit_decompose(
     modulus = p**precision
     unit %= modulus
     if isinstance(verdict, CaseI):
-        quotient = quotient_group(p, r, cap)
-        if precision < quotient.level:
+        if precision < verdict.threshold:
             raise InsufficientPrecisionError(
-                f"precision {precision} below the threshold level {quotient.level}"
+                f"precision {precision} below the threshold level {verdict.threshold}"
             )
+        quotient = quotient_group(p, r, cap)
         index = quotient.coset_index(unit)
         section = quotient.section(index)
         tail = unit * pow(section, -1, modulus) % modulus

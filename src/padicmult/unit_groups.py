@@ -4,6 +4,8 @@ U_N is cyclic of order p^(N-1)(p-1) (Gauss).  This module computes element
 orders, primitive roots, the cyclic subgroup generated by a multiplier, the
 threshold level at which orders start gaining factors of p, and the finite
 quotient of the full unit sphere by the closure of the multiplier's powers.
+All follow from the order tower of a unit r: with d its order mod p and
+v = v_p(r^d - 1), its order in U_N is d * p^max(0, N - v).
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from .padic import (
     as_prime,
     multiplier_precision,
     multiplier_residue,
+    valuation,
 )
 
-DEFAULT_NR_CAP = 64
+# QuotientGroup.table refuses larger quotients, as it has cosets^2 entries:
+# 4374 cosets (1 + 3^8) take 4 s and 150 MB, and its JSON 550 MB in all
+QUOTIENT_MAX_COSETS = 5000
 
 
 def group_size(p: int, level: int) -> int:
@@ -44,23 +49,30 @@ def _unit_residue(r: int | MultiplierSpec, p: int, level: int) -> int:
     return residue
 
 
-def unit_order(p: int | Prime, level: int, r: int | MultiplierSpec) -> int:
-    """Smallest d >= 1 with r^d = 1 mod p^level.
+def _tower(p: int, r: int, known: int | None) -> tuple[int, int]:
+    """The order tower (d, v) of a unit r: d is its order mod p, v = v_p(r^d - 1).
 
-    Starts from |U_N| and strips prime factors while the power stays 1; the
-    exhaustive multiply-until-one search is kept separately as an oracle.
+    r is a residue known mod p^known, and v is capped at ``known``.  When
+    ``known`` is None, r is an exact integer other than +-1, so r^d != 1 and
+    doubling the working precision until r^d - 1 shows a nonzero digit ends.
     """
+    d = p - 1
+    for q in factorint(p - 1):
+        while d % q == 0 and pow(r, d // q, p) == 1:
+            d //= q
+    digits = 64 if known is None else known
+    rest = pow(r, d, p**digits) - 1
+    while not rest and known is None:
+        digits *= 2
+        rest = pow(r, d, p**digits) - 1
+    return d, valuation(p, rest)[0] if rest else known
+
+
+def unit_order(p: int | Prime, level: int, r: int | MultiplierSpec) -> int:
+    """Smallest d >= 1 with r^d = 1 mod p^level; unit_order_naive is its oracle."""
     p = as_prime(p)
-    residue = _unit_residue(r, p, level)
-    modulus = p**level
-    order = group_size(p, level)
-    factors = dict(factorint(p - 1))
-    if level > 1:
-        factors[p] = factors.get(p, 0) + level - 1
-    for q in factors:
-        while order % q == 0 and pow(residue, order // q, modulus) == 1:
-            order //= q
-    return order
+    d, v = _tower(p, _unit_residue(r, p, level), level)
+    return d * p ** (level - v)
 
 
 def unit_order_naive(p: int | Prime, level: int, r: int | MultiplierSpec) -> int:
@@ -86,24 +98,30 @@ def find_primitive_root(p: int | Prime, level: int) -> int:
     raise RuntimeError("unreachable: U_N is cyclic, a generator exists")
 
 
-def find_nr(p: int | Prime, r: int | MultiplierSpec, cap: int = DEFAULT_NR_CAP) -> int:
-    """Smallest level M at which p divides the order of r in U_M.
+def find_nr(p: int | Prime, r: int | MultiplierSpec, cap: int | None = None) -> int:
+    """Smallest level M at which p divides the order of r in U_M: v + 1 in its tower.
 
-    Beyond this threshold orders multiply by exactly p per level, so the
-    value pins down all the asymptotic data of the multiplier.
+    Beyond this threshold orders multiply by exactly p per level.  A threshold
+    above the optional ``cap`` raises CapExceededError.  One that the known
+    digits of a digit string do not show raises InsufficientPrecisionError,
+    unless the cap is at most the number of known digits.
     """
     p = as_prime(p)
     spec = as_multiplier(r)
     if isinstance(spec, TeichProduct) or (isinstance(spec, ExactInt) and spec.n == -1):
         raise RootOfUnityError("no threshold exists: r is a root of unity")
     known = multiplier_precision(spec)
-    for level in range(1, cap + 1):
-        if known is not None and level > known:
-            raise InsufficientPrecisionError(
-                f"threshold not visible within {known} known digits"
-            )
-        if unit_order(p, level, spec) % p == 0:
-            return level
+    residue = spec.n if known is None else multiplier_residue(spec, p, known)
+    if residue % p == 0:
+        raise NotAUnitError(f"{residue % p} is not a unit mod {p}")
+    _, v = _tower(p, residue, known)
+    threshold = v + 1
+    if (known is None or v < known) and (cap is None or threshold <= cap):
+        return threshold
+    if known is not None and (cap is None or known < cap):
+        raise InsufficientPrecisionError(
+            f"threshold not visible within {known} known digits"
+        )
     raise CapExceededError(f"threshold not found below level cap {cap}")
 
 
@@ -139,53 +157,66 @@ def subgroup(p: int | Prime, level: int, r: int | MultiplierSpec) -> CyclicSubgr
 
 
 def is_in_subgroup(p: int | Prime, level: int, r: int | MultiplierSpec, k: int) -> bool:
-    """Whether k mod p^level lies in the subgroup generated by r."""
+    """Whether k mod p^level lies in <r>: as U_level is cyclic, whether k^ord(r) = 1."""
     p = as_prime(p)
     if k % p == 0:
         raise NotAUnitError(f"{k} is not a unit mod {p}")
-    return k in subgroup(p, level, r)
+    return pow(k, unit_order(p, level, r), p**level) == 1
 
 
 @dataclass(frozen=True)
 class QuotientGroup:
     """The quotient of U_level by a cyclic subgroup, with a fixed section.
 
-    Coset representatives are the smallest positive residue in each coset,
-    identity coset first; the multiplication table is indexed accordingly.
-    The section maps coset j to the integer coset_reps[j].
+    At the threshold level the subgroup is the full preimage of its image in
+    the cyclic group U_(level-1), of order d = |subgroup| / p, so two units
+    share a coset exactly when their d-th powers mod p^(level-1), the coset
+    keys, agree.  Coset representatives are the smallest positive residue in
+    each coset, in increasing order, so the identity coset comes first; the
+    multiplication table, built on first read, is indexed accordingly and
+    refused above QUOTIENT_MAX_COSETS cosets.  The section maps coset j to the
+    integer coset_reps[j].
     """
 
     p: int
     level: int
     subgroup: CyclicSubgroup
     coset_reps: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.coset_reps)
 
+    def _key(self, k: int) -> int:
+        return pow(k, self.subgroup.order // self.p, self.p ** (self.level - 1))
+
     @cached_property
-    def _membership(self) -> dict[int, int]:
-        modulus = self.p**self.level
-        out: dict[int, int] = {}
-        for index, rep in enumerate(self.coset_reps):
-            for g in self.subgroup.elements:
-                out[rep * g % modulus] = index
-        return out
+    def _index(self) -> dict[int, int]:
+        return {self._key(rep): index for index, rep in enumerate(self.coset_reps)}
 
     def coset_index(self, k: int) -> int:
         """Index of the coset containing the unit k."""
         if k % self.p == 0:
             raise NotAUnitError(f"{k} is not a unit mod {self.p}")
-        return self._membership[k % self.p**self.level]
+        return self._index[self._key(k)]
 
     def section(self, index: int) -> int:
         return self.coset_reps[index]
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        if self.order > QUOTIENT_MAX_COSETS:
+            raise CapExceededError(
+                f"the quotient has {self.order} cosets, above the table limit {QUOTIENT_MAX_COSETS}"
+            )
+        # keys are multiplicative: the key of a * b is key(a) * key(b)
+        modulus = self.p ** (self.level - 1)
+        index = self._index
+        return tuple(tuple(index[a * b % modulus] for b in index) for a in index)
+
 
 def quotient_group(
-    p: int | Prime, r: int | MultiplierSpec, cap: int = DEFAULT_NR_CAP
+    p: int | Prime, r: int | MultiplierSpec, cap: int | None = None
 ) -> QuotientGroup:
     """The finite quotient of the unit sphere by the closed group of powers of r.
 
@@ -195,17 +226,12 @@ def quotient_group(
     p = as_prime(p)
     level = find_nr(p, r, cap)
     sub = subgroup(p, level, r)
-    modulus = p**level
-    membership: dict[int, int] = {}
-    reps: list[int] = []
+    cosets = group_size(p, level) // sub.order
+    d, modulus = sub.order // p, p ** (level - 1)
+    least: dict[int, int] = {}  # coset key -> least unit with that key
     for k in range(1, modulus):
-        if k % p == 0 or k in membership:
-            continue
-        index = len(reps)
-        reps.append(k)
-        for g in sub.elements:
-            membership[k * g % modulus] = index
-    table = tuple(
-        tuple(membership[a * b % modulus] for b in reps) for a in reps
-    )
-    return QuotientGroup(p, level, sub, tuple(reps), table)
+        if len(least) == cosets:
+            break
+        if k % p:
+            least.setdefault(pow(k, d, modulus), k)
+    return QuotientGroup(p, level, sub, tuple(least.values()))

@@ -31,7 +31,6 @@ BOUNDS = Bounds(
     endo_samples=200,
     covariance_samples=100,
     symbol_samples=50,
-    nr_cap=10,
 )
 
 

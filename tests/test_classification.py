@@ -29,6 +29,13 @@ def test_classify_examples():
     assert classify(5, TeichProduct(2)) == CaseII(order=4)
     assert classify(3, 6) == CaseIII(valuation=1, unit_residue=2, precision=6)
     assert classify(5, -1) == CaseII(order=2)
+    # thresholds far past any fixed search depth
+    assert classify(3, 1 + 3**64) == CaseI(threshold=65, order=3)
+    assert classify(5, 1 - 2 * 5**70) == CaseI(threshold=71, order=5)
+    assert classify(43, 1 + 7 * 43**100) == CaseI(threshold=101, order=43)
+    # a large prime: the tower needs only modular powers, never r^(p-1) itself
+    big = 1_000_000_007
+    assert classify(big, 3) == CaseI(threshold=2, order=big * (big - 1) // 2)
 
 
 def test_classify_excludes_zero_and_one():

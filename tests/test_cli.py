@@ -95,6 +95,13 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3
     code, _, err = run(capsys, "classify", "-p", "5", "-r", "1")
     assert code == 3
+    # 39366 cosets: refused before any table is built
+    code, out, _ = run(capsys, "quotient", "-p", "3", "-r", "59050", "--json")
+    assert code == 3
+    assert json.loads(out)["code"] == "cap-exceeded"
+    code, out, _ = run(capsys, "verify", "--max-p", "2", "--json")
+    assert code == 3
+    assert json.loads(out)["code"] == "domain-error"
 
 
 def test_usage_errors_exit_two(capsys):
@@ -149,6 +156,18 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "ktheory", "--json")
     assert code == 1
     assert json.loads(out)["status"] == "fail"
+
+
+def test_verify_with_no_checks_fails(capsys):
+    # the pinned prime 7 lies above --max-p, so the digits suite checks nothing
+    argv = ["verify", "--suite", "digits", "-p", "7", "-r", "14", "--max-p", "5"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert all(entry["passed"] == 0 for entry in payload["results"])
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "no checks were made" in out
 
 
 def test_verify_accepts_function_file(capsys, tmp_path):

@@ -66,6 +66,12 @@ def test_orbit_decompose_examples():
     assert off_coset.coset_index != 0
     assert off_coset.section_value * off_coset.tail % 125 == 2
 
+    # large quotients: decompose reads no table, so its size limit does not apply
+    for r, precision in [(1 + 3**8, 9), (1 + 3**10, 11)]:
+        dec = orbit_decompose(3, r, 5 * 3**4, precision=precision)
+        assert (dec.case, dec.p_exponent, dec.section_value) == ("I", 4, 5)
+        assert dec.recompose(r) % 3 ** (4 + precision) == 5 * 3**4
+
 
 def test_orbit_decompose_case_two():
     dec = orbit_decompose(5, TeichProduct(2), 3, precision=4)
@@ -81,6 +87,9 @@ def test_orbit_decompose_errors():
         orbit_decompose(5, 10, 3)
     with pytest.raises(InsufficientPrecisionError):
         orbit_decompose(5, 7, 3, precision=2)  # threshold level is 3
+    # refused before any quotient work
+    with pytest.raises(InsufficientPrecisionError):
+        orbit_decompose(3, 1 + 3**10, 5, precision=3)
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,7 @@ from padicmult.errors import (
     NotAUnitError,
     RootOfUnityError,
 )
+from padicmult.unit_groups import QUOTIENT_MAX_COSETS
 from padicmult.verify import _is_group_table
 
 
@@ -57,6 +58,23 @@ def test_orders_divide_upward(p, level, r):
     assert unit_order(p, level + 1, r) % unit_order(p, level, r) == 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_order_tower_matches_exhaustion(p):
+    deep = [1 + c * p**k for c in (1, -1, p + 1) for k in (1, 2, 3)]
+    for r in [r for r in range(-p * p, p * p + 1) if r % p and r not in (1, -1)] + deep:
+        naive = [unit_order_naive(p, level, r) for level in range(1, 5)]
+        assert [unit_order(p, level, r) for level in range(1, 5)] == naive
+        first = next((level for level, order in enumerate(naive, 1) if order % p == 0), None)
+        assert first in (None, find_nr(p, r))
+        for level in (1, 2):
+            members = subgroup(p, level, r).element_set
+            assert all(
+                is_in_subgroup(p, level, r, k) == (k in members)
+                for k in range(1, p**level)
+                if k % p
+            )
+
+
 def test_primitive_roots():
     assert find_primitive_root(3, 1) == 2
     assert find_primitive_root(3, 2) == 2
@@ -71,6 +89,12 @@ def test_find_nr_examples():
     assert find_nr(3, 2) == 2
     assert find_nr(5, 7) == 3
     assert find_nr(5, 2) == 2
+    assert find_nr(7, 1 + 3 * 7**60) == 61
+    assert find_nr(7, 1 + 3 * 7**60, cap=61) == 61
+    big = 1_000_000_007
+    assert find_nr(big, 3) == 2
+    assert find_nr(big, 1 + 5 * big**200) == 201
+    assert unit_order(big, 3, 3) == big**2 * (big - 1) // 2
 
 
 def test_find_nr_errors():
@@ -80,8 +104,16 @@ def test_find_nr_errors():
         find_nr(5, TeichProduct(2))
     with pytest.raises(CapExceededError):
         find_nr(5, 7, cap=2)
+    # 7 mod 25: the threshold 3 lies past the two known digits, so the
+    # verdict is insufficient precision unless the cap is at most 2
     with pytest.raises(InsufficientPrecisionError):
         find_nr(5, Digits((2, 1)), cap=10)
+    with pytest.raises(InsufficientPrecisionError):
+        find_nr(5, Digits((2, 1)))
+    with pytest.raises(CapExceededError):
+        find_nr(5, Digits((2, 1)), cap=2)
+    with pytest.raises(CapExceededError):
+        find_nr(5, Digits((2, 1, 0)), cap=2)
 
 
 def test_find_nr_accepts_digit_multipliers_with_enough_digits():
@@ -131,24 +163,38 @@ def test_quotient_examples():
 
 
 def test_quotient_partitions_units():
-    q = quotient_group(5, 7)
-    seen = {}
-    for k in range(1, 5**q.level):
-        if k % 5 == 0:
-            continue
-        index = q.coset_index(k)
-        seen.setdefault(index, set()).add(k)
-    assert len(seen) == q.order
-    assert all(len(block) == q.subgroup.order for block in seen.values())
-    # the section lands in its own coset
-    for j, rep in enumerate(q.coset_reps):
-        assert q.coset_index(rep) == j
+    for p, r in [(5, 7), (3, 10), (7, 19), (7, 1 + 2 * 7**2), (5, 26)]:
+        q = quotient_group(p, r)
+        modulus = p**q.level
+        seen = {}
+        for k in range(1, modulus):
+            if k % p == 0:
+                continue
+            index = q.coset_index(k)
+            seen.setdefault(index, set()).add(k)
+        assert len(seen) == q.order
+        assert all(len(block) == q.subgroup.order for block in seen.values())
+        # each block is a coset, and the section is its least element
+        for j, rep in enumerate(q.coset_reps):
+            assert seen[j] == {rep * g % modulus for g in q.subgroup.elements}
+            assert rep == min(seen[j])
 
 
 def test_quotient_table_is_a_group():
-    for p, r in [(3, 2), (5, 7), (7, 8), (5, 24)]:
+    for p, r in [(3, 2), (5, 7), (7, 8), (5, 24), (5, 26), (7, 19)]:
         q = quotient_group(p, r)
         assert _is_group_table(q.table)
+
+
+def test_quotient_size_limit():
+    # the table has cosets^2 entries: 1 + 3^8 (4374 cosets, 4 s) passes and
+    # 1 + 3^10 (39366) is refused, while its cosets stay available
+    assert 4374 <= QUOTIENT_MAX_COSETS < 39366
+    assert len(quotient_group(3, 1 + 3**7).table) == 1458
+    q = quotient_group(3, 1 + 3**10)
+    assert q.order == 39366 and q.coset_index(q.section(7)) == 7
+    with pytest.raises(CapExceededError):
+        q.table
 
 
 def test_quotient_index_stability():

@@ -1,8 +1,8 @@
 import pytest
 
-from padicmult import ExactInt, TeichProduct
+from padicmult import ExactInt, LocallyConstantFn, TeichProduct
 from padicmult.errors import DomainError
-from padicmult.verify import Bounds, PropertyResult, SUITES, run_suites
+from padicmult.verify import Bounds, PropertyResult, SUITES, _coefficients_vanish, run_suites
 
 SMALL = Bounds(
     max_p=5,
@@ -23,18 +23,21 @@ def test_each_suite_is_clean_at_small_bounds(name):
         assert result.failed == 0, (result.name, result.failures)
 
 
+def test_symbol_membership_counts_cancelling_terms():
+    f = LocallyConstantFn(3, 1, (1, 2, 0))
+    g = LocallyConstantFn.constant(3, -1)
+    assert _coefficients_vanish([(3, f), (3, g)])
+    assert not _coefficients_vanish([(3, f), (2, g)])
+    # seed 11 draws two terms of frequency 3 whose values at 0 cancel
+    bounds = Bounds(seed=11, covariance_samples=0, symbol_samples=12)
+    results = {r.name: r for r in run_suites(["reps"], bounds)}
+    membership = results["symbol-vanishes-iff-coefficients-do"]
+    assert membership.failed == 0 and membership.passed > 12
+
+
 def test_run_suites_rejects_unknown_names():
     with pytest.raises(DomainError):
         run_suites(["orders", "nope"], SMALL)
-
-
-def test_parallel_matches_sequential():
-    names = ["teich", "ktheory"]
-    sequential = run_suites(names, SMALL)
-    parallel = run_suites(names, SMALL, parallel=True)
-    assert [(r.suite, r.name, r.passed, r.failed) for r in sequential] == [
-        (r.suite, r.name, r.passed, r.failed) for r in parallel
-    ]
 
 
 def test_property_result_collects_failures():

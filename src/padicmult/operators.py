@@ -11,6 +11,8 @@ Label grammar (stable): "W:k", "C:k/n", "N:l", "D:d0.d1.d2".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import BasisMismatchError, ParseError
@@ -97,17 +99,33 @@ def parse_label(text: str) -> BasisIndex:
 Vector = dict[BasisIndex, Scalar]
 
 
-def _clean(vec: Mapping[BasisIndex, Scalar]) -> Vector:
-    return {ix: s for ix, s in vec.items() if s}
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedOp:
-    """A sparse exact matrix from an ordered domain basis to a codomain basis."""
+    """A sparse exact matrix from an ordered domain basis to a codomain basis.
+
+    ``entries`` is a read-only view of a private copy of the nonzero entries
+    given, so a built operator never changes and its column index never goes
+    stale.
+    """
 
     domain: tuple[BasisIndex, ...]
     codomain: tuple[BasisIndex, ...]
-    entries: dict[tuple[BasisIndex, BasisIndex], Scalar]
+    entries: Mapping[tuple[BasisIndex, BasisIndex], Scalar]
+
+    def __post_init__(self) -> None:
+        nonzero = {key: s for key, s in self.entries.items() if s}
+        object.__setattr__(self, "entries", MappingProxyType(nonzero))
+
+    @cached_property
+    def _columns(self) -> dict[BasisIndex, dict[BasisIndex, Scalar]]:
+        """Domain index -> {row: entry}, with an empty map for a zero column."""
+        columns: dict[BasisIndex, dict[BasisIndex, Scalar]] = {col: {} for col in self.domain}
+        for (row, col), s in self.entries.items():
+            try:
+                columns[col][row] = s
+            except KeyError:
+                raise BasisMismatchError(f"entry in column {label(col)} off the domain") from None
+        return columns
 
     @classmethod
     def build(
@@ -161,24 +179,23 @@ class TruncatedOp:
         )
 
     def apply(self, index: BasisIndex) -> Vector:
-        """The image of a domain basis vector, as a sparse coefficient map."""
-        if index not in set(self.domain):
+        """The image of a domain basis vector, as a fresh sparse coefficient map."""
+        column = self._columns.get(index)
+        if column is None:
             raise BasisMismatchError(f"{label(index)} is not a domain index")
-        return {row: s for (row, col), s in self.entries.items() if col == index}
+        return dict(column)
 
     def compose(self, other: TruncatedOp) -> TruncatedOp:
         """self after other; requires other's codomain to equal self's domain."""
         if other.codomain != self.domain:
             raise BasisMismatchError("composition bases do not match")
-        by_col_self: dict[BasisIndex, list[tuple[BasisIndex, Scalar]]] = {}
-        for (row, col), s in self.entries.items():
-            by_col_self.setdefault(col, []).append((row, s))
+        columns = self._columns
         entries: dict[tuple[BasisIndex, BasisIndex], Scalar] = {}
         for (mid, col), s in other.entries.items():
-            for row, t in by_col_self.get(mid, ()):
+            for row, t in columns[mid].items():
                 key = (row, col)
-                entries[key] = entries.get(key, Scalar()) + t * s
-        return TruncatedOp(other.domain, self.codomain, _clean(entries))
+                entries[key] = entries[key] + t * s if key in entries else t * s
+        return TruncatedOp(other.domain, self.codomain, entries)
 
     def __matmul__(self, other: TruncatedOp) -> TruncatedOp:
         return self.compose(other)
@@ -195,8 +212,8 @@ class TruncatedOp:
         self._require_same_shape(other)
         entries = dict(self.entries)
         for key, s in other.entries.items():
-            entries[key] = entries.get(key, Scalar()) + s
-        return TruncatedOp(self.domain, self.codomain, _clean(entries))
+            entries[key] = entries[key] + s if key in entries else s
+        return TruncatedOp(self.domain, self.codomain, entries)
 
     def __sub__(self, other: TruncatedOp) -> TruncatedOp:
         return self + other.scale(-1)
@@ -204,7 +221,7 @@ class TruncatedOp:
     def scale(self, value: Scalar | int) -> TruncatedOp:
         value = Scalar.of(value)
         entries = {key: value * s for key, s in self.entries.items()}
-        return TruncatedOp(self.domain, self.codomain, _clean(entries))
+        return TruncatedOp(self.domain, self.codomain, entries)
 
     def power(self, exponent: int) -> TruncatedOp:
         """Iterated composition of a square operator."""

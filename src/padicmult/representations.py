@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .classification import CaseI, CaseII, classify
 from .errors import (
@@ -253,8 +254,12 @@ def word_from_key(key: int, s: int) -> Word:
     return Word(tuple(digits))
 
 
+@lru_cache(maxsize=32)
 def canonical_words(s: int, max_len: int) -> tuple[Word, ...]:
-    """All canonical words of length <= max_len, ordered by their base-s key."""
+    """All canonical words of length <= max_len, ordered by their base-s key.
+
+    Memoised: the result is a tuple of frozen words, safe to share.
+    """
     return tuple(word_from_key(k, s) for k in range(s**max_len))
 
 

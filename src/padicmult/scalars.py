@@ -20,7 +20,9 @@ _PATTERN = re.compile(r"^(-?\d+)/(\d+)(?:\+(-?\d+)/(\d+) i)?$")
 
 
 def _frac(value: RationalLike) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected int or Fraction, got {value!r}")
     return Fraction(value)
 
@@ -45,6 +47,8 @@ class Scalar:
 
     def __add__(self, other: Scalar | RationalLike) -> Scalar:
         other = Scalar.of(other)
+        if not (self.imag or other.imag):
+            return Scalar(self.real + other.real)
         return Scalar(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
@@ -60,6 +64,8 @@ class Scalar:
 
     def __mul__(self, other: Scalar | RationalLike) -> Scalar:
         other = Scalar.of(other)
+        if not (self.imag or other.imag):
+            return Scalar(self.real * other.real)
         return Scalar(
             self.real * other.real - self.imag * other.imag,
             self.real * other.imag + self.imag * other.real,

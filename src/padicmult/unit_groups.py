@@ -11,7 +11,7 @@ v = v_p(r^d - 1), its order in U_N is d * p^max(0, N - v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from sympy import factorint
 
@@ -49,6 +49,12 @@ def _unit_residue(r: int | MultiplierSpec, p: int, level: int) -> int:
     return residue
 
 
+@lru_cache(maxsize=256)
+def _order_primes(p: int) -> tuple[int, ...]:
+    """The primes dividing p - 1, the order of U_1; factored once per p."""
+    return tuple(factorint(p - 1))
+
+
 def _tower(p: int, r: int, known: int | None) -> tuple[int, int]:
     """The order tower (d, v) of a unit r: d is its order mod p, v = v_p(r^d - 1).
 
@@ -57,7 +63,7 @@ def _tower(p: int, r: int, known: int | None) -> tuple[int, int]:
     doubling the working precision until r^d - 1 shows a nonzero digit ends.
     """
     d = p - 1
-    for q in factorint(p - 1):
+    for q in _order_primes(p):
         while d % q == 0 and pow(r, d // q, p) == 1:
             d //= q
     digits = 64 if known is None else known

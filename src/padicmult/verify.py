@@ -741,4 +741,8 @@ def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:
         raise DomainError(f"unknown suites: {', '.join(unknown)}")
     if bounds.max_p < PRIMES[0]:
         raise DomainError(f"max_p must be at least {PRIMES[0]}, the smallest odd prime")
+    if bounds.max_level < 1:
+        raise DomainError("max_level must be at least 1")
+    if bounds.window < 1:
+        raise DomainError("window must be at least 1")
     return [result for n in SUITES if n in names for result in SUITES[n](bounds)]

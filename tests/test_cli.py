@@ -102,6 +102,11 @@ def test_domain_errors_exit_three(capsys):
     code, out, _ = run(capsys, "verify", "--max-p", "2", "--json")
     assert code == 3
     assert json.loads(out)["code"] == "domain-error"
+    # sizes that would make vacuous or false checks
+    for args in (("--suite", "reps", "--window", "-3"), ("--suite", "orders", "--max-N", "-1")):
+        code, out, _ = run(capsys, "verify", *args, "--json")
+        assert code == 3
+        assert json.loads(out)["code"] == "domain-error"
 
 
 def test_usage_errors_exit_two(capsys):

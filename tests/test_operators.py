@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import sc, scalars
 from padicmult import Cyc, NonNeg, TruncatedOp, WinZ, Word, label, parse_label
 from padicmult.errors import BasisMismatchError, ParseError
-from padicmult.scalars import ONE
+from padicmult.scalars import ONE, ZERO, Scalar
 
 
 LABELS = [WinZ(-3), WinZ(0), Cyc(2, 4), NonNeg(0), NonNeg(17), Word((0,)), Word((1, 0, 2))]
@@ -73,6 +76,9 @@ def test_apply_validates_index():
     shift, _ = shift_pair()
     with pytest.raises(BasisMismatchError):
         shift.apply(NonNeg(9))
+    off_domain = TruncatedOp((NonNeg(0),), (NonNeg(0),), {(NonNeg(0), NonNeg(7)): ONE})
+    with pytest.raises(BasisMismatchError):
+        off_domain.apply(NonNeg(0))
 
 
 def test_arithmetic_and_scaling():
@@ -126,3 +132,96 @@ def test_document_round_trip(values):
 def test_from_doc_rejects_malformed():
     with pytest.raises(ParseError):
         TruncatedOp.from_doc({"domain": ["N:0"]})
+
+
+def test_entries_are_read_only():
+    shift, diag = shift_pair()
+    with pytest.raises(TypeError):
+        shift.entries[(NonNeg(0), NonNeg(0))] = ONE
+    with pytest.raises(TypeError):
+        del diag.entries[(NonNeg(0), NonNeg(0))]
+    source = {(NonNeg(0), NonNeg(0)): ONE, (NonNeg(1), NonNeg(0)): ZERO}
+    op = TruncatedOp((NonNeg(0),), (NonNeg(0), NonNeg(1)), source)
+    source[(NonNeg(0), NonNeg(0))] = sc(5)
+    assert op.entries == {(NonNeg(0), NonNeg(0)): ONE}
+    assert op.apply(NonNeg(0)) == {NonNeg(0): ONE}
+
+
+def test_apply_returns_a_fresh_vector():
+    shift, _ = shift_pair()
+    image = shift.apply(NonNeg(1))
+    image[NonNeg(0)] = sc(7)
+    del image[NonNeg(2)]
+    assert shift.apply(NonNeg(1)) == {NonNeg(2): ONE}
+
+
+# --- the column index against brute force, on seeded random operators ----------
+
+DOMAIN = (NonNeg(0), Word((1, 2)), WinZ(-1), Cyc(0, 3), NonNeg(4))
+MIDDLE = (WinZ(0), WinZ(1), Word((0,)), Cyc(2, 3), NonNeg(2), NonNeg(3))
+CODOMAIN = (Word((2,)), WinZ(5), NonNeg(1))
+
+
+def random_scalar(rng: random.Random) -> Scalar:
+    real = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    imag = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.4 else 0
+    return Scalar(real, imag)
+
+
+def random_op(rng: random.Random, domain, codomain) -> TruncatedOp:
+    """Entries at about half the positions; the first domain column stays empty."""
+    entries = {
+        (row, col): random_scalar(rng)
+        for row in codomain
+        for col in domain[1:]
+        if rng.random() < 0.5
+    }
+    return TruncatedOp.build(domain, codomain, entries)
+
+
+def scanned(op: TruncatedOp, index) -> dict:
+    return {row: s for (row, col), s in op.entries.items() if col == index}
+
+
+def dense(op: TruncatedOp) -> list[list[Scalar]]:
+    return [[op.entries.get((row, col), ZERO) for col in op.domain] for row in op.codomain]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_apply_matches_a_scan_of_the_entries(seed):
+    rng = random.Random(seed)
+    a = random_op(rng, MIDDLE, CODOMAIN)
+    b = random_op(rng, DOMAIN, MIDDLE)
+    assert a.apply(MIDDLE[0]) == {}
+    ops = [
+        a,
+        b,
+        a @ b,
+        a.adjoint(),
+        b.adjoint() @ a.adjoint(),
+        b.restricted(DOMAIN[1:4]),
+        b.extended(domain=DOMAIN + (Word((3,)),), codomain=MIDDLE + (WinZ(9),)),
+        a.scale(random_scalar(rng)),
+        a + random_op(rng, MIDDLE, CODOMAIN),
+    ]
+    for op in ops:
+        for index in op.domain:
+            assert op.apply(index) == scanned(op, index)
+        with pytest.raises(BasisMismatchError):
+            op.apply(Word((8, 8)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_matches_the_dense_product(seed):
+    rng = random.Random(seed)
+    a = random_op(rng, MIDDLE, CODOMAIN)
+    b = random_op(rng, DOMAIN, MIDDLE)
+    left, right = dense(a), dense(b)
+    product = [
+        [sum((row[k] * right[k][j] for k in range(len(MIDDLE))), ZERO) for j in range(len(DOMAIN))]
+        for row in left
+    ]
+    composed = a @ b
+    assert (composed.domain, composed.codomain) == (DOMAIN, CODOMAIN)
+    assert dense(composed) == product
+    assert all(composed.entries.values())

@@ -24,6 +24,25 @@ def test_ring_laws(a, b, c):
 
 
 @given(scalars(), scalars())
+def test_real_and_complex_arithmetic_match_the_full_formula(a, b):
+    product = a * b
+    assert product == Scalar(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+    assert a + b == Scalar(a.real + b.real, a.imag + b.imag)
+    for value in (product, a + b):
+        assert type(value.real) is Fraction and type(value.imag) is Fraction
+
+
+def test_construction_keeps_fractions_and_rejects_other_types():
+    half = Fraction(1, 2)
+    assert Scalar(half).real is half
+    for bad in (True, 0.5, "1"):
+        with pytest.raises(TypeError):
+            Scalar(bad)
+        with pytest.raises(TypeError):
+            Scalar.of(bad)
+
+
+@given(scalars(), scalars())
 def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert a.conjugate().conjugate() == a

@@ -22,18 +22,7 @@ from fractions import Fraction
 from sympy import factorint
 
 from .errors import DomainError, ExcludedMultiplierError, InsufficientPrecisionError
-from .padic import (
-    Digits,
-    ExactInt,
-    MultiplierSpec,
-    Prime,
-    TeichProduct,
-    as_multiplier,
-    as_prime,
-    multiplier_residue,
-    multiplier_unit_residue,
-    multiplier_valuation,
-)
+from .padic import Multiplier, MultiplierSpec, Prime, as_prime
 from .unit_groups import find_nr, unit_order
 
 INF = math.inf
@@ -77,48 +66,32 @@ def classify(
 ) -> Classification:
     """Decide which case the multiplier falls into and compute its case data.
 
-    The only rational integers that are p-adic roots of unity are +-1: all
-    roots of unity have order dividing p - 1 and distinct residues mod p, and
-    no integer of absolute value >= 2 has n^(p-1) = 1.  Digit-string inputs
-    are roots of unity when r^(p-1) = 1 at the known precision, and are
-    flagged ``exact=False``.  ``cap`` is the optional level bound of find_nr.
+    Exact Case III data is given mod p^precision, and digit strings give it
+    to as many digits as they know past the valuation.  Digit strings are
+    roots of unity when r^(p-1) = 1 at the known precision, and every verdict
+    on them is flagged ``exact=False``.  ``cap`` is the optional level bound
+    of find_nr.
     """
-    p = as_prime(p)
-    spec = as_multiplier(r)
-    if isinstance(spec, ExactInt):
-        if spec.n % p == 0:
-            level = multiplier_valuation(spec, p)
-            _, unit = multiplier_unit_residue(spec, p, precision)
-            return CaseIII(level, unit, precision)
-        if spec.n == -1:
-            return CaseII(2)
-        threshold = find_nr(p, spec, cap)
-        return CaseI(threshold, unit_order(p, threshold, spec))
-    if isinstance(spec, TeichProduct):
-        residue = multiplier_residue(spec, p, 1)
-        if residue == 1:
-            raise ExcludedMultiplierError("excluded multiplier: r resolves to 1")
-        return CaseII(unit_order(p, 1, residue))
-    return _classify_digits(p, spec, cap)
-
-
-def _classify_digits(p: int, spec: Digits, cap: int | None) -> Classification:
-    known = len(spec.digits)
-    level = multiplier_valuation(spec, p)  # raises when every known digit is 0
-    if level > 0:
-        _, unit = multiplier_unit_residue(spec, p, known - level)
-        return CaseIII(level, unit, known - level, exact=False)
-    residue = multiplier_residue(spec, p, known)
-    if pow(residue, p - 1, p**known) == 1:
-        order = unit_order(p, 1, residue)
+    m = Multiplier.of(r, p)
+    if precision < 0:
+        raise InsufficientPrecisionError("precision must be non-negative")
+    exact, level = m.known is None, m.valuation
+    if level:
+        if not exact:
+            precision = m.known - level
+        return CaseIII(level, m.unit_residue(precision), precision, exact)
+    if m.root_of_unity:
+        order = unit_order(m.p, 1, m.residue(1))
         if order == 1:
             raise ExcludedMultiplierError(
-                "excluded multiplier: digits match 1 at every known digit"
+                "excluded multiplier: r resolves to 1"
+                if exact
+                else "excluded multiplier: digits match 1 at every known digit"
             )
-        return CaseII(order, exact=False)
-    # r^d != 1 at the known precision, so the known digits show the threshold
-    threshold = find_nr(p, spec, cap)
-    return CaseI(threshold, unit_order(p, threshold, spec), exact=False)
+        return CaseII(order, exact)
+    # not a root of unity at the known precision, so the known digits show the threshold
+    threshold = find_nr(m.p, m, cap)
+    return CaseI(threshold, unit_order(m.p, threshold, m), exact)
 
 
 @dataclass(frozen=True)

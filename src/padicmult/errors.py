@@ -20,7 +20,7 @@ class NotAUnitError(DomainError):
 
 
 class ExcludedMultiplierError(DomainError):
-    """Multipliers 0 and 1 are rejected everywhere."""
+    """Multipliers 0 and 1 are rejected wherever a multiplier is taken."""
 
     code = "excluded-multiplier"
 

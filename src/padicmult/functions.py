@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InsufficientPrecisionError, ParseError
-from .padic import (
-    MultiplierSpec,
-    PadicApprox,
-    Prime,
-    as_prime,
-    multiplier_residue,
-    multiplier_unit_residue,
-    multiplier_valuation,
-)
+from .padic import Multiplier, MultiplierSpec, PadicApprox, Prime, as_prime, multiplier_residue
 from .scalars import ZERO, RationalLike, Scalar
 
 
@@ -108,35 +100,32 @@ def same_function(f: LocallyConstantFn, g: LocallyConstantFn) -> bool:
     return f.reduced() == g.reduced()
 
 
-def beta_endo(f: LocallyConstantFn, r: int | MultiplierSpec) -> LocallyConstantFn:
-    """Precompose with multiplication: (beta_r f)(x) = f(r*x).  Same level."""
+def precompose(f: LocallyConstantFn, rho: int) -> LocallyConstantFn:
+    """f(rho*x) at the same level, for any integer rho (1 and non-units included)."""
     modulus = f.p**f.level
-    rho = multiplier_residue(r, f.p, f.level)
     values = tuple(f.values[rho * j % modulus] for j in range(modulus))
     return LocallyConstantFn(f.p, f.level, values)
+
+
+def beta_endo(f: LocallyConstantFn, r: int | MultiplierSpec) -> LocallyConstantFn:
+    """Precompose with multiplication: (beta_r f)(x) = f(r*x).  Same level."""
+    return precompose(f, multiplier_residue(r, f.p, f.level))
 
 
 def alpha_endo(f: LocallyConstantFn, r: int | MultiplierSpec) -> LocallyConstantFn:
     """Transfer along multiplication: (alpha_r f)(x) = f(x/r) where r divides x, else 0.
 
-    For a unit r the output keeps level m.  For r = r' * p^N with N >= 1 the
-    output has level m + N and is supported on the multiples of p^N.
+    For r = r' * p^N the output has level m + N and is supported on the
+    multiples of p^N; for a unit r (N = 0) it keeps level m.
     """
-    level_r = multiplier_valuation(r, f.p)
-    modulus = f.p**f.level
-    if level_r == 0:
-        rho = multiplier_residue(r, f.p, f.level)
-        inv = pow(rho, -1, modulus) if f.level else 0
-        values = tuple(f.values[inv * j % modulus] for j in range(modulus))
-        return LocallyConstantFn(f.p, f.level, values)
-    _, unit = multiplier_unit_residue(r, f.p, f.level)
-    inv = pow(unit, -1, modulus) if f.level else 0
-    out_level = f.level + level_r
+    m = Multiplier.of(r, f.p)
+    level_r, modulus = m.valuation, f.p**f.level
+    inv = pow(m.unit_residue(f.level), -1, modulus)
     block = f.p**level_r
-    values = [ZERO] * f.p**out_level
+    values = [ZERO] * (modulus * block)
     for j in range(modulus):
-        values[j * block] = f.values[inv * j % modulus] if f.level else f.values[0]
-    return LocallyConstantFn(f.p, out_level, tuple(values))
+        values[j * block] = f.values[inv * j % modulus]
+    return LocallyConstantFn(f.p, f.level + level_r, tuple(values))
 
 
 # --- text format ----------------------------------------------------------------

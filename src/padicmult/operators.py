@@ -118,13 +118,21 @@ class TruncatedOp:
 
     @cached_property
     def _columns(self) -> dict[BasisIndex, dict[BasisIndex, Scalar]]:
-        """Domain index -> {row: entry}, with an empty map for a zero column."""
+        """Domain index -> {row: entry}, with an empty map for a zero column.
+
+        Building it checks every entry against both bases, as ``build`` does.
+        """
         columns: dict[BasisIndex, dict[BasisIndex, Scalar]] = {col: {} for col in self.domain}
         for (row, col), s in self.entries.items():
             try:
                 columns[col][row] = s
             except KeyError:
                 raise BasisMismatchError(f"entry in column {label(col)} off the domain") from None
+        # one set difference reuses the row hashes the columns store; a
+        # membership test per entry hashes every row again
+        off = set().union(*columns.values()).difference(self.codomain)
+        if off:
+            raise BasisMismatchError(f"entry in row {label(off.pop())} off the codomain")
         return columns
 
     @classmethod

@@ -2,7 +2,9 @@
 
 A p-adic integer is modeled by its residue mod p^N for an explicit precision
 N; reducing precision is a ring homomorphism and reductions compose exactly.
-Only odd primes are supported.
+Only odd primes are supported.  A multiplier spec is checked against its
+prime once, by ``Multiplier.of``; the resolved ``Multiplier`` answers its
+valuation, residues and unit residues, and every other module reads those.
 """
 
 from __future__ import annotations
@@ -229,66 +231,107 @@ def as_multiplier(r: int | MultiplierSpec) -> MultiplierSpec:
     return ExactInt(r)
 
 
-def multiplier_precision(r: int | MultiplierSpec) -> int | None:
-    """Number of known base-p digits, or None when the value is exact."""
-    r = as_multiplier(r)
-    return len(r.digits) if isinstance(r, Digits) else None
+def _check_precision(n: int, known: int | None, part: str) -> None:
+    if n < 0:
+        raise InsufficientPrecisionError("precision must be non-negative")
+    if known is not None and n > known:
+        raise InsufficientPrecisionError(f"{part} known to {known} digits, {n} requested")
+
+
+@dataclass(frozen=True)
+class Multiplier:
+    """A multiplier checked against its prime p, in the form computations read.
+
+    ``value`` is r itself when r is exact, and the integer its known digits
+    spell when not; a Teichmuller product has none and resolves through its
+    lift ``teich``.  ``known`` is the number of known base-p digits, None when
+    r is exact.  Build one with ``Multiplier.of``.
+    """
+
+    p: int
+    value: int | None
+    known: int | None = None
+    teich: TeichProduct | None = None
+
+    @classmethod
+    def of(cls, r: int | MultiplierSpec | Multiplier, p: int | Prime) -> Multiplier:
+        """Resolve a multiplier against p; a resolved one passes through.
+
+        Checks the 0/1 exclusion, the Teichmuller index range and that every
+        digit is below p.  The valuation is left to ``valuation``, so its
+        errors come only from the computations that need it.
+        """
+        p = as_prime(p)
+        if isinstance(r, Multiplier):
+            if r.p != p:
+                raise ParseError(f"multiplier resolved for p={r.p}, used with p={p}")
+            return r
+        r = as_multiplier(r)
+        if isinstance(r, ExactInt):
+            return cls(p, r.n)
+        if isinstance(r, TeichProduct):
+            if not 2 <= r.i <= p - 1:
+                raise ExcludedMultiplierError(
+                    f"Teichmuller index must lie in [2, {p - 1}] for p={p}"
+                )
+            return cls(p, None, teich=r)
+        if any(d >= p for d in r.digits):
+            raise ParseError(f"digit out of range for base {p}")
+        return cls(p, sum(d * p**k for k, d in enumerate(r.digits)), len(r.digits))
+
+    def residue(self, n: int) -> int:
+        """r mod p^n, for 0 <= n <= known."""
+        _check_precision(n, self.known, "multiplier")
+        if self.teich is None:
+            return self.value % self.p**n
+        return self.teich.sign * teichmuller(self.p, self.teich.i, n) % self.p**n if n else 0
+
+    @property
+    def valuation(self) -> int:
+        """v_p(r); a digit string must show a nonzero digit."""
+        if self.teich is not None:
+            return 0
+        if self.value == 0:
+            raise InsufficientPrecisionError("all known digits are zero; valuation undetermined")
+        return valuation(self.p, self.value)[0]
+
+    def unit_residue(self, n: int) -> int:
+        """r' mod p^n, where r = p^valuation * r'."""
+        level = self.valuation
+        _check_precision(n, None if self.known is None else self.known - level, "unit part")
+        return self.residue(n + level) // self.p**level
+
+    @property
+    def root_of_unity(self) -> bool:
+        """Whether r is a root of unity; for a digit string, at its known digits.
+
+        Every Teichmuller product is one.  Among the integers only -1 is (1 is
+        excluded): roots of unity have order dividing p - 1 and distinct
+        residues mod p, and no integer n with |n| >= 2 has n^(p-1) = 1.
+        """
+        if self.teich is not None:
+            return True
+        if self.known is None:
+            return self.value == -1
+        return pow(self.value, self.p - 1, self.p**self.known) == 1
 
 
 def multiplier_residue(r: int | MultiplierSpec, p: int | Prime, precision: int) -> int:
     """Resolve a multiplier to its residue mod p^precision."""
-    p = as_prime(p)
-    r = as_multiplier(r)
-    if isinstance(r, ExactInt):
-        return r.n % p**precision
-    if isinstance(r, TeichProduct):
-        if not 2 <= r.i <= p - 1:
-            raise ExcludedMultiplierError(
-                f"Teichmuller index must lie in [2, {p - 1}] for p={p}"
-            )
-        if precision == 0:
-            return 0
-        return r.sign * teichmuller(p, r.i, precision) % p**precision
-    if any(d >= p for d in r.digits):
-        raise ParseError(f"digit out of range for base {p}")
-    if precision > len(r.digits):
-        raise InsufficientPrecisionError(
-            f"multiplier known to {len(r.digits)} digits, {precision} requested"
-        )
-    return sum(d * p**k for k, d in enumerate(r.digits[:precision]))
+    return Multiplier.of(r, p).residue(precision)
 
 
 def multiplier_valuation(r: int | MultiplierSpec, p: int | Prime) -> int:
     """p-adic valuation of a multiplier; digit strings must show a nonzero digit."""
-    p = as_prime(p)
-    r = as_multiplier(r)
-    if isinstance(r, ExactInt):
-        return valuation(p, r.n)[0]
-    if isinstance(r, TeichProduct):
-        return 0
-    for k, d in enumerate(r.digits):
-        if d:
-            return k
-    raise InsufficientPrecisionError("all known digits are zero; valuation undetermined")
+    return Multiplier.of(r, p).valuation
 
 
 def multiplier_unit_residue(
     r: int | MultiplierSpec, p: int | Prime, precision: int
 ) -> tuple[int, int]:
     """Split r = p^N * r' and return (N, r' mod p^precision)."""
-    p = as_prime(p)
-    r = as_multiplier(r)
-    level = multiplier_valuation(r, p)
-    if isinstance(r, ExactInt):
-        return level, (r.n // p**level) % p**precision
-    if isinstance(r, TeichProduct):
-        return 0, multiplier_residue(r, p, precision)
-    shifted = r.digits[level:]
-    if precision > len(shifted):
-        raise InsufficientPrecisionError(
-            f"unit part known to {len(shifted)} digits, {precision} requested"
-        )
-    return level, sum(d * p**k for k, d in enumerate(shifted[:precision]))
+    m = Multiplier.of(r, p)
+    return m.valuation, m.unit_residue(precision)
 
 
 _TEICH_RE = re.compile(r"^(-?)teich\((\d+)\)$")

@@ -21,9 +21,10 @@ from .errors import (
     NotAUnitError,
     ValuationMismatchError,
 )
-from .functions import LocallyConstantFn
-from .operators import Cyc, NonNeg, TruncatedOp, WinZ, Word
+from .functions import LocallyConstantFn, precompose
+from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word
 from .padic import (
+    Multiplier,
     MultiplierSpec,
     Prime,
     as_prime,
@@ -97,7 +98,8 @@ def orbit_decompose(
     p = as_prime(p)
     if x == 0:
         raise DomainError("zero admits no orbit decomposition")
-    verdict = classify(p, r, precision=precision, cap=cap)
+    m = Multiplier.of(r, p)
+    verdict = classify(p, m, precision=precision, cap=cap)
     if not isinstance(verdict, (CaseI, CaseII)):
         raise NotAUnitError("orbit decompositions need a unit multiplier")
     p_exponent, unit = valuation(p, x)
@@ -108,13 +110,12 @@ def orbit_decompose(
             raise InsufficientPrecisionError(
                 f"precision {precision} below the threshold level {verdict.threshold}"
             )
-        quotient = quotient_group(p, r, cap)
+        quotient = quotient_group(p, m, cap)
         index = quotient.coset_index(unit)
         section = quotient.section(index)
         tail = unit * pow(section, -1, modulus) % modulus
         return OrbitDecomposition("I", p, p_exponent, index, section, tail, precision)
-    generator = multiplier_residue(r, p, 1)
-    reps, lookup = _roots_quotient(p, generator)
+    reps, lookup = _roots_quotient(p, m.residue(1))
     index, k = lookup[unit % p]
     section = teichmuller(p, reps[index], precision) if precision else 0
     omega = teichmuller(p, unit % p, precision)
@@ -125,14 +126,12 @@ def orbit_decompose(
 # --- window and cyclic representations ------------------------------------------
 
 
-def _unit_power_residue(r: int | MultiplierSpec, p: int, level: int, k: int) -> int:
-    """r^k mod p^level for a unit r and any integer k."""
-    if level == 0:
-        return 0
-    rho = multiplier_residue(r, p, level)
-    if rho % p == 0:
-        raise NotAUnitError("orbit representations need an invertible multiplier")
-    return pow(rho, k, p**level)
+def _orbit_diagonal(
+    basis: tuple[BasisIndex, ...], m: Multiplier, x: int, f: LocallyConstantFn
+) -> TruncatedOp:
+    """The diagonal carrying f(r^k x) at the basis index of position k, for a unit r."""
+    rho, modulus = m.residue(f.level), m.p**f.level
+    return TruncatedOp.diagonal(basis, lambda ix: f(pow(rho, ix.k, modulus) * x))
 
 
 def build_orbit_rep(
@@ -150,7 +149,8 @@ def build_orbit_rep(
     p = as_prime(p)
     if x == 0:
         raise DomainError("the orbit of zero is trivial; x must be nonzero")
-    if multiplier_valuation(r, p) != 0:
+    m = Multiplier.of(r, p)
+    if m.valuation != 0:
         raise NotAUnitError("orbit representations need an invertible multiplier")
     if f.p != p:
         raise BasisMismatchError("function prime does not match")
@@ -159,10 +159,7 @@ def build_orbit_rep(
     shift = TruncatedOp.build(
         domain, codomain, {(WinZ(k + 1), WinZ(k)): 1 for k in range(-window, window + 1)}
     )
-    diag = TruncatedOp.diagonal(
-        domain, lambda ix: f(_unit_power_residue(r, p, f.level, ix.k) * x)
-    )
-    return shift, diag
+    return shift, _orbit_diagonal(domain, m, x, f)
 
 
 def build_cyclic_rep(
@@ -173,8 +170,8 @@ def build_cyclic_rep(
     The shift is the exact n-cycle on l^2(Z/nZ) (a genuine unitary), and the
     diagonal carries f(r^k x).
     """
-    p = as_prime(p)
-    verdict = classify(p, r)
+    m = Multiplier.of(r, p)
+    verdict = classify(m.p, m)
     if not isinstance(verdict, CaseII):
         raise DomainError("cyclic representations need a root-of-unity multiplier")
     n = verdict.order
@@ -182,10 +179,7 @@ def build_cyclic_rep(
     shift = TruncatedOp.build(
         basis, basis, {(Cyc((k + 1) % n, n), Cyc(k, n)): 1 for k in range(n)}
     )
-    diag = TruncatedOp.diagonal(
-        basis, lambda ix: f(_unit_power_residue(r, p, f.level, ix.k) * x)
-    )
-    return shift, diag
+    return shift, _orbit_diagonal(basis, m, x, f)
 
 
 # --- digit expansions and the valuation-case representation ----------------------
@@ -292,15 +286,15 @@ def build_digit_rep(
     prepends a zero digit (length may grow to max_len + 1) and is an exact
     isometry on the whole domain.
     """
-    p = as_prime(p)
-    if multiplier_valuation(r, p) != level or level < 1:
+    m = Multiplier.of(r, p)
+    if m.valuation != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
-    s = p**level
+    s = m.p**level
     domain = canonical_words(s, max_len)
     codomain = canonical_words(s, max_len + 1)
     shift = TruncatedOp.build(domain, codomain, {(shift_word(w), w): 1 for w in domain})
-    modulus = p**f.level
-    rho = multiplier_residue(r, p, f.level)
+    modulus = m.p**f.level
+    rho = m.residue(f.level)
 
     def value_residue(word: Word) -> int:
         return sum(d * pow(rho, i, modulus) for i, d in enumerate(word.digits)) % modulus
@@ -392,27 +386,17 @@ def present_product(
     Uses the commutation rule (diagonal of f) . shift = shift . (diagonal of
     f composed with multiplication), which needs an invertible multiplier.
     """
-    p = as_prime(p)
-    if multiplier_valuation(r, p) != 0:
+    m = Multiplier.of(r, p)
+    if m.valuation != 0:
         raise NotAUnitError("re-presentation of products needs a unit multiplier")
     combined: dict[int, LocallyConstantFn] = {}
     for n_a, f in a:
+        rho, modulus = m.residue(f.level), m.p**f.level
         for n_b, g in b:
-            moved = _beta_power(f, p, r, n_b) * g
+            moved = precompose(f, pow(rho, n_b, modulus)) * g
             key = n_a + n_b
             combined[key] = combined[key] + moved if key in combined else moved
     return sorted(combined.items())
-
-
-def _beta_power(f: LocallyConstantFn, p: int, r: int | MultiplierSpec, n: int) -> LocallyConstantFn:
-    """Precompose f with multiplication by r^n (any integer n, unit r)."""
-    if f.level == 0 or n == 0:
-        return f
-    modulus = p**f.level
-    rho = pow(multiplier_residue(r, p, f.level), n, modulus)
-    # inline the precomposition: rho may be 1, which is not a valid multiplier spec
-    values = tuple(f.values[rho * j % modulus] for j in range(modulus))
-    return LocallyConstantFn(p, f.level, values)
 
 
 # --- relation checks --------------------------------------------------------------

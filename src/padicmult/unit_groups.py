@@ -16,17 +16,7 @@ from functools import cached_property, lru_cache
 from sympy import factorint
 
 from .errors import CapExceededError, InsufficientPrecisionError, NotAUnitError, RootOfUnityError
-from .padic import (
-    ExactInt,
-    MultiplierSpec,
-    Prime,
-    TeichProduct,
-    as_multiplier,
-    as_prime,
-    multiplier_precision,
-    multiplier_residue,
-    valuation,
-)
+from .padic import Multiplier, MultiplierSpec, Prime, as_prime, valuation
 
 # QuotientGroup.table refuses larger quotients, as it has cosets^2 entries:
 # 4374 cosets (1 + 3^8) take 4 s and 150 MB, and its JSON 550 MB in all
@@ -43,7 +33,7 @@ def _unit_residue(r: int | MultiplierSpec, p: int, level: int) -> int:
         raise InsufficientPrecisionError("level must be at least 1")
     # plain integers are residues here (1 included); the multiplier exclusions
     # of 0 and 1 apply to spec forms only
-    residue = r % p**level if isinstance(r, int) else multiplier_residue(r, p, level)
+    residue = r % p**level if isinstance(r, int) else Multiplier.of(r, p).residue(level)
     if residue % p == 0:
         raise NotAUnitError(f"{residue} is not a unit mod {p}")
     return residue
@@ -112,15 +102,14 @@ def find_nr(p: int | Prime, r: int | MultiplierSpec, cap: int | None = None) -> 
     digits of a digit string do not show raises InsufficientPrecisionError,
     unless the cap is at most the number of known digits.
     """
-    p = as_prime(p)
-    spec = as_multiplier(r)
-    if isinstance(spec, TeichProduct) or (isinstance(spec, ExactInt) and spec.n == -1):
+    m = Multiplier.of(r, p)
+    if m.known is None and m.root_of_unity:
         raise RootOfUnityError("no threshold exists: r is a root of unity")
-    known = multiplier_precision(spec)
-    residue = spec.n if known is None else multiplier_residue(spec, p, known)
-    if residue % p == 0:
-        raise NotAUnitError(f"{residue % p} is not a unit mod {p}")
-    _, v = _tower(p, residue, known)
+    # for a digit string, value is the residue its known digits spell
+    if m.value % m.p == 0:
+        raise NotAUnitError(f"{m.value % m.p} is not a unit mod {m.p}")
+    known = m.known
+    _, v = _tower(m.p, m.value, known)
     threshold = v + 1
     if (known is None or v < known) and (cap is None or threshold <= cap):
         return threshold
@@ -229,9 +218,10 @@ def quotient_group(
     Computed at the threshold level, where it stabilizes: reading the quotient
     at any higher level gives a canonically isomorphic group.
     """
-    p = as_prime(p)
-    level = find_nr(p, r, cap)
-    sub = subgroup(p, level, r)
+    m = Multiplier.of(r, p)
+    p = m.p
+    level = find_nr(p, m, cap)
+    sub = subgroup(p, level, m)
     cosets = group_size(p, level) // sub.order
     d, modulus = sub.order // p, p ** (level - 1)
     least: dict[int, int] = {}  # coset key -> least unit with that key

@@ -29,7 +29,15 @@ from .ktheory import (
     primed_algebra_k_groups,
 )
 from .operators import NonNeg, TruncatedOp, WinZ
-from .padic import ExactInt, MultiplierSpec, TeichProduct, as_multiplier, teichmuller, valuation
+from .padic import (
+    ExactInt,
+    MultiplierSpec,
+    TeichProduct,
+    as_multiplier,
+    multiplier_valuation,
+    teichmuller,
+    valuation,
+)
 from .representations import (
     build_cyclic_rep,
     build_digit_rep,
@@ -328,7 +336,7 @@ def suite_endos(bounds: Bounds) -> list[PropertyResult]:
         f = bounds.function or random_function(rng, p, max_level=2)
         if bounds.function is not None and f.p != p:
             continue
-        level_r = valuation(p, spec.n)[0] if isinstance(spec, ExactInt) else 0
+        level_r = multiplier_valuation(spec, p)
         back = beta_endo(alpha_endo(f, spec), spec)
         section.check(
             back.values == f.refined(f.level + level_r).values and same_function(back, f),

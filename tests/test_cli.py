@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from padicmult import LocallyConstantFn, save_function
 from padicmult.cli import main
 from padicmult.verify import PropertyResult
@@ -182,3 +184,238 @@ def test_verify_accepts_function_file(capsys, tmp_path):
         capsys, "verify", "--suite", "endos", "--fn", str(path), "--max-p", "3"
     )
     assert code == 0
+
+
+# Exact --json stdout and exit code of the README examples, and of errors of
+# every code across the three multiplier forms.  The last two rows are
+# refusals: a digit not below p, and a negative precision.
+PINNED = [
+    (
+        "classify -p 3 -r 2",
+        0,
+        '{"case": "I", "exact": true, "order": 6, "p": 3, "r": "2", "status": "ok", '
+        '"threshold": 2}'
+    ),
+    (
+        "classify -p 5 -r teich(2)",
+        0,
+        '{"case": "II", "exact": true, "order": 4, "p": 5, "r": "teich(2)", '
+        '"status": "ok"}'
+    ),
+    (
+        "classify -p 3 -r 6",
+        0,
+        '{"case": "III", "exact": true, "p": 3, "precision": 6, "r": "6", '
+        '"status": "ok", "unit_residue": 2, "valuation": 1}'
+    ),
+    ("order -p 3 -r 2 -N 3", 0, '{"level": 3, "order": 18, "p": 3, "r": "2", "status": "ok"}'),
+    ("nr -p 5 -r 7", 0, '{"p": 5, "r": "7", "status": "ok", "threshold": 3}'),
+    (
+        "quotient -p 5 -r 7",
+        0,
+        '{"coset_reps": [1, 2, 3, 6, 9], "level": 3, "order": 5, "p": 5, "r": "7", '
+        '"status": "ok", "subgroup_order": 20, "table": [[0, 1, 2, 3, 4], [1, 2, 3, 4, '
+        '0], [2, 3, 4, 0, 1], [3, 4, 0, 1, 2], [4, 0, 1, 2, 3]]}'
+    ),
+    ("teich -p 5 -i 2 -N 2", 0, '{"i": 2, "level": 2, "p": 5, "residue": 7, "status": "ok"}'),
+    (
+        "decompose -p 5 -r 7 -x 1715 --precision 3",
+        0,
+        '{"case": "I", "coset_index": 0, "k": null, "p": 5, "p_exponent": 1, '
+        '"precision": 3, "r": "7", "section": 1, "status": "ok", "tail": 93, "x": 1715}'
+    ),
+    (
+        "ktheory -p 3 -r 6",
+        0,
+        '{"K0": "C(Z_3^x, Z)", "K1": "0", "case": "III", "p": 3, "r": "6", '
+        '"status": "ok", "variant": "algebra"}'
+    ),
+    (
+        "ktheory -p 5 -r teich(2) --primed",
+        0,
+        '{"K0": "c0(Z>=0 x Zp, Z) (+) Z^4", "K1": "0", "case": "II", "p": 5, '
+        '"r": "teich(2)", "status": "ok", "variant": "algebra-primed"}'
+    ),
+    (
+        "ktheory -p 3 -r 2 --ideal",
+        0,
+        '{"K0": "c0(Z>=0, H(2*3^inf))", "K1": "c0(Z>=0, Z)", "case": "I", "p": 3, '
+        '"r": "2", "status": "ok", "variant": "ideal"}'
+    ),
+    (
+        "snumber -p 5 -r 7",
+        0,
+        '{"factors": [[2, 2], [5, "inf"]], "p": 5, "r": "7", "status": "ok", '
+        '"supernatural": "2^2*5^inf"}'
+    ),
+    (
+        "verify --suite digits -p 3 -r 6 --max-len 3",
+        0,
+        '{"results": [{"failed": 0, "failures": [], "passed": 30, '
+        '"property": "words-biject-onto-residues", "suite": "digits"}, {"failed": 0, '
+        '"failures": [], "passed": 26, "property": "digit-shift-raises-kappa", '
+        '"suite": "digits"}, {"failed": 0, "failures": [], "passed": 20, '
+        '"property": "partial-sums-match-mod-powers", "suite": "digits"}, {"failed": 0, '
+        '"failures": [], "passed": 2, '
+        '"property": "index-shift-conjugates-to-digit-shift", "suite": "digits"}, '
+        '{"failed": 0, "failures": [], "passed": 10, '
+        '"property": "conjugated-diagonal-matches-composition", "suite": "digits"}], '
+        '"status": "ok"}'
+    ),
+    (
+        "classify -p 5 -r digits:[2,1,1]",
+        0,
+        '{"case": "I", "exact": false, "order": 20, "p": 5, "r": "digits:[2,1,1]", '
+        '"status": "ok", "threshold": 3}'
+    ),
+    (
+        "classify -p 5 -r digits:[0,0,1]",
+        0,
+        '{"case": "III", "exact": false, "p": 5, "precision": 1, "r": "digits:[0,0,1]", '
+        '"status": "ok", "unit_residue": 1, "valuation": 2}'
+    ),
+    (
+        "decompose -p 5 -r-teich(2) -x 3 --precision 4",
+        0,
+        '{"case": "II", "coset_index": 0, "k": 1, "p": 5, "p_exponent": 0, '
+        '"precision": 4, "r": "-teich(2)", "section": 1, "status": "ok", "tail": 546, '
+        '"x": 3}'
+    ),
+    (
+        "classify -p 4 -r 2",
+        3,
+        '{"code": "not-an-odd-prime", "message": "p must be an odd prime >= 3, got 4", '
+        '"status": "error"}'
+    ),
+    (
+        "order -p 3 -r 3 -N 2",
+        3,
+        '{"code": "not-a-unit", "message": "3 is not a unit mod 3", "status": "error"}'
+    ),
+    (
+        "order -p 5 -r digits:[0,0] -N 1",
+        3,
+        '{"code": "not-a-unit", "message": "0 is not a unit mod 5", "status": "error"}'
+    ),
+    (
+        "classify -p 5 -r digits:[0,0,0]",
+        3,
+        '{"code": "insufficient-precision", '
+        '"message": "all known digits are zero; valuation undetermined", '
+        '"status": "error"}'
+    ),
+    (
+        "classify -p 5 -r 1",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: r must avoid 0 and 1", "status": "error"}'
+    ),
+    (
+        "classify -p 5 -r teich(5)",
+        3,
+        '{"code": "excluded-multiplier", "message": "Teichmuller index must lie in [2, '
+        '4] for p=5", "status": "error"}'
+    ),
+    (
+        "classify -p 5 -r-teich(4)",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: r resolves to 1", "status": "error"}'
+    ),
+    (
+        "classify -p 5 -r digits:[1,0,0]",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: digits match 1 at every known digit", '
+        '"status": "error"}'
+    ),
+    (
+        "nr -p 3 -r -1",
+        3,
+        '{"code": "root-of-unity", '
+        '"message": "no threshold exists: r is a root of unity", "status": "error"}'
+    ),
+    (
+        "nr -p 5 -r teich(2)",
+        3,
+        '{"code": "root-of-unity", '
+        '"message": "no threshold exists: r is a root of unity", "status": "error"}'
+    ),
+    (
+        "nr -p 5 -r digits:[2,1]",
+        3,
+        '{"code": "insufficient-precision", '
+        '"message": "threshold not visible within 2 known digits", "status": "error"}'
+    ),
+    (
+        "nr -p 5 -r 7 --cap 2",
+        3,
+        '{"code": "cap-exceeded", "message": "threshold not found below level cap 2", '
+        '"status": "error"}'
+    ),
+    (
+        "nr -p 5 -r digits:[2,1] --cap 2",
+        3,
+        '{"code": "cap-exceeded", "message": "threshold not found below level cap 2", '
+        '"status": "error"}'
+    ),
+    (
+        "classify -p 5 -r 2.5",
+        3,
+        '{"code": "parse-error", "message": "unrecognized multiplier spec: \'2.5\'", '
+        '"status": "error"}'
+    ),
+    (
+        "snumber -p 5 -r teich(2)",
+        3,
+        '{"code": "domain-error", '
+        '"message": "supernatural order is defined for Case I multipliers only", '
+        '"status": "error"}'
+    ),
+    (
+        "verify --suite digits -p 3 -r 2",
+        3,
+        '{"code": "valuation-mismatch", "message": "multiplier valuation mismatch", '
+        '"status": "error"}'
+    ),
+    (
+        "decompose -p 5 -r 7 -x 0",
+        3,
+        '{"code": "domain-error", "message": "zero admits no orbit decomposition", '
+        '"status": "error"}'
+    ),
+    (
+        "classify -p 5 -r digits:[0,7]",
+        3,
+        '{"code": "parse-error", "message": "digit out of range for base 5", '
+        '"status": "error"}'
+    ),
+    (
+        "classify -p 3 -r 6 --precision -1",
+        3,
+        '{"code": "insufficient-precision", "message": "precision must be non-negative", '
+        '"status": "error"}'
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", PINNED, ids=[row[0] for row in PINNED])
+def test_json_output_is_pinned(capsys, argv, code, stdout):
+    assert run(capsys, *argv.split(), "--json")[:2] == (code, stdout + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("ktheory -p 5 -r digits:[0,9,9]", "parse-error"),
+        ("decompose -p 5 -r digits:[2,1,7] -x 3", "parse-error"),
+        ("order -p 5 -r digits:[2,5] -N 1", "parse-error"),
+        ("classify -p 5 -r teich(2) --precision -1", "insufficient-precision"),
+        ("classify -p 3 -r 2 --precision -1", "insufficient-precision"),
+        ("ktheory -p 3 -r 6 --precision -1", "insufficient-precision"),
+        ("decompose -p 5 -r 7 -x 3 --precision -1", "insufficient-precision"),
+    ],
+)
+def test_out_of_range_digits_and_negative_precision_exit_three(capsys, argv, error):
+    code, out, _ = run(capsys, *argv.split(), "--json")
+    assert code == 3 and json.loads(out)["code"] == error

@@ -79,6 +79,9 @@ def test_apply_validates_index():
     off_domain = TruncatedOp((NonNeg(0),), (NonNeg(0),), {(NonNeg(0), NonNeg(7)): ONE})
     with pytest.raises(BasisMismatchError):
         off_domain.apply(NonNeg(0))
+    off_codomain = TruncatedOp((NonNeg(0),), (NonNeg(0),), {(NonNeg(5), NonNeg(0)): ONE})
+    with pytest.raises(BasisMismatchError):
+        off_codomain.apply(NonNeg(0))
 
 
 def test_arithmetic_and_scaling():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,17 +7,24 @@ from hypothesis import strategies as st
 
 from conftest import ODD_PRIMES
 from padicmult import (
+    CaseIII,
     Digits,
     ExactInt,
+    LocallyConstantFn,
     PadicApprox,
     Prime,
     TeichProduct,
+    alpha_endo,
+    beta_endo,
+    classify,
     divide_step,
+    find_nr,
     multiplier_residue,
     multiplier_text,
     multiplier_valuation,
     parse_multiplier,
     teichmuller,
+    unit_order,
     valuation,
 )
 from padicmult.errors import (
@@ -28,7 +36,7 @@ from padicmult.errors import (
     ValuationMismatchError,
     ZeroValuationError,
 )
-from padicmult.padic import multiplier_unit_residue
+from padicmult.padic import Multiplier, multiplier_unit_residue
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 1, 0, -3, 15])
@@ -240,3 +248,69 @@ def test_digits_unit_split():
     assert multiplier_unit_residue(ExactInt(50), 5, 2) == (2, 2)
     with pytest.raises(InsufficientPrecisionError):
         multiplier_unit_residue(Digits((0, 2)), 5, 2)
+
+
+def test_digits_are_checked_against_p_on_every_path():
+    f = LocallyConstantFn(5, 1, tuple(range(5)))
+    spec = Digits((0, 7))  # a 7 in base 5, past the valuation digit
+    for call in (
+        lambda: Multiplier.of(spec, 5),
+        lambda: multiplier_valuation(spec, 5),
+        lambda: multiplier_unit_residue(spec, 5, 1),
+        lambda: classify(5, spec),
+        lambda: alpha_endo(f, spec),
+        lambda: beta_endo(f, spec),
+        lambda: find_nr(5, Digits((2, 9))),
+        lambda: unit_order(5, 1, Digits((2, 9))),
+    ):
+        with pytest.raises(ParseError):
+            call()
+    with pytest.raises(ParseError):
+        Multiplier.of(Multiplier.of(7, 5), 3)  # resolved for another prime
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ExactInt(10), ExactInt(7), ExactInt(-1), TeichProduct(2), Digits((0, 2, 1)), Digits((2, 1))],
+)
+def test_negative_precision_is_refused(spec):
+    m = Multiplier.of(spec, 5)
+    for read in (m.residue, m.unit_residue, lambda n: classify(5, spec, precision=n)):
+        with pytest.raises(InsufficientPrecisionError):
+            read(-1)
+    with pytest.raises(InsufficientPrecisionError):
+        multiplier_residue(spec, 5, -1)
+    assert m.residue(0) == m.unit_residue(0) == 0
+
+
+def test_teich_product_resolves_to_its_signed_lift():
+    for p in (3, 5, 7):
+        for i in range(2, p):
+            for sign in (1, -1):
+                m = Multiplier.of(TeichProduct(i, sign), p)
+                assert m.residue(0) == 0
+                for n in range(1, 6):
+                    assert m.residue(n) == sign * teichmuller(p, i, n) % p**n
+                    assert m.unit_residue(n) == m.residue(n)
+
+
+def p_adic_digits(p, n, count=12):
+    return Digits(tuple(n % p ** (k + 1) // p**k for k in range(count)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_three_forms_of_an_integer_agree(p):
+    f = LocallyConstantFn(p, 2, tuple(range(p * p)))
+    for n in (-21, -9, -2, -1, 2, 3, 6, 7, 10, 18, 50, 75, 98, 343):
+        forms = (n, ExactInt(n), p_adic_digits(p, n))
+        level = multiplier_valuation(n, p)
+        assert {multiplier_valuation(r, p) for r in forms} == {level}
+        for k in range(12 - level + 1):
+            assert {multiplier_unit_residue(r, p, k) for r in forms} == {
+                (level, n // p**level % p**k)
+            }
+        assert len({beta_endo(f, r) for r in forms}) == 1
+        assert len({alpha_endo(f, r) for r in forms}) == 1
+        verdicts = {replace(classify(p, r, precision=12 - level), exact=True) for r in forms}
+        assert len(verdicts) == 1
+        assert isinstance(verdicts.pop(), CaseIII) == (level > 0)

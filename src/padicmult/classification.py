@@ -15,17 +15,25 @@ to the available precision (``exact=False``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from sympy import factorint
 
 from .errors import DomainError, ExcludedMultiplierError, InsufficientPrecisionError
 from .padic import Multiplier, MultiplierSpec, Prime, as_prime
-from .unit_groups import find_nr, unit_order
+from .unit_groups import _order_primes, find_nr, unit_order
 
-INF = math.inf
+
+class Infinite(Enum):
+    """The exponent of a prime that divides a supernatural number to every power."""
+
+    INF = "inf"
+
+
+INF = Infinite.INF
+Exponent = int | Infinite
 
 
 @dataclass(frozen=True)
@@ -96,25 +104,25 @@ def classify(
 
 @dataclass(frozen=True)
 class SupernaturalNumber:
-    """A formal product of primes with exponents in {1, 2, ...} or infinity.
+    """A formal product of primes with exponents in {1, 2, ...} or INF.
 
     Stored in canonical form: factors sorted by prime, no zero exponents.
     """
 
-    factors: tuple[tuple[int, int | float], ...]
+    factors: tuple[tuple[int, Exponent], ...]
 
     @classmethod
-    def of(cls, mapping: dict[int, int | float]) -> SupernaturalNumber:
+    def of(cls, mapping: dict[int, Exponent]) -> SupernaturalNumber:
         items = []
         for q, e in sorted(mapping.items()):
             if e == 0:
                 continue
-            if e != INF and (not isinstance(e, int) or e < 0):
+            if e is not INF and (not isinstance(e, int) or e < 0):
                 raise DomainError(f"bad exponent {e!r} for prime {q}")
             items.append((q, e))
         return cls(tuple(items))
 
-    def exponent(self, q: int) -> int | float:
+    def exponent(self, q: int) -> Exponent:
         for prime, e in self.factors:
             if prime == q:
                 return e
@@ -124,14 +132,18 @@ class SupernaturalNumber:
         """Whether every prime power in the denominator is bounded by this number."""
         if denominator < 1:
             raise DomainError("denominator must be positive")
-        return all(e <= self.exponent(q) for q, e in factorint(denominator).items())
+        for q, e in factorint(denominator).items():
+            bound = self.exponent(q)
+            if bound is not INF and e > bound:
+                return False
+        return True
 
     def __str__(self) -> str:
         if not self.factors:
             return "1"
         parts = []
         for q, e in self.factors:
-            if e == INF:
+            if e is INF:
                 parts.append(f"{q}^inf")
             elif e == 1:
                 parts.append(str(q))
@@ -144,10 +156,21 @@ def supernatural_from_unit_order(order: int, p: int | Prime) -> SupernaturalNumb
     """The supernatural number with the factorization of ``order`` and p-part infinity.
 
     For a Case I multiplier the orders at levels past the threshold are
-    order * p^k, so their least common multiple is exactly this number.
+    order * p^k, so their least common multiple is exactly this number.  A
+    unit order divides (p-1) * p^k, so it is factored over the primes of
+    p - 1 and p; one with any other prime factor raises DomainError.
     """
     p = as_prime(p)
-    factors: dict[int, int | float] = dict(factorint(order))
+    if order < 1:
+        raise DomainError(f"{order} is not the order of a unit mod a power of {p}")
+    factors: dict[int, Exponent] = {}
+    rest = order
+    for q in (*_order_primes(p), p):
+        while rest % q == 0:
+            rest //= q
+            factors[q] = factors.get(q, 0) + 1
+    if rest != 1:
+        raise DomainError(f"{order} is not the order of a unit mod a power of {p}")
     factors[p] = INF
     return SupernaturalNumber.of(factors)
 

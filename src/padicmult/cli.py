@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .classification import CaseI, CaseII, classify, supernatural_order
+from .classification import INF, CaseI, CaseII, classify, supernatural_order
 from .errors import DomainError
 from .functions import load_function
 from .ktheory import algebra_k_groups, ideal_k_groups, primed_algebra_k_groups
@@ -159,7 +159,7 @@ def cmd_ktheory(args: argparse.Namespace) -> int:
 
 def cmd_snumber(args: argparse.Namespace) -> int:
     number = supernatural_order(args.p, parse_multiplier(args.r), cap=args.cap)
-    factors = [[q, "inf" if e == float("inf") else e] for q, e in number.factors]
+    factors = [[q, "inf" if e is INF else e] for q, e in number.factors]
     payload = {"p": args.p, "r": args.r, "supernatural": str(number), "factors": factors}
     return _emit(args, payload, str(number))
 

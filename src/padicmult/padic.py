@@ -82,15 +82,24 @@ def rational_residue(value: int | Fraction, p: int | Prime, precision: int) -> i
 def teichmuller(p: int | Prime, i: int, precision: int) -> int:
     """The unique (p-1)-st root of unity congruent to i mod p, mod p^precision.
 
-    Computed by the closed form i^(p^(precision-1)) mod p^precision, the limit
-    of the contraction a -> a^p.  Only the class of i mod p matters.
+    Computed by Newton's iteration on x^(p-1) = 1 from x = i mod p, which
+    doubles the known digits per step (Hensel's lemma).  At a root known mod
+    p^(k/2), x is an inverse of x^(p-2) mod p^(k/2), so the step
+    x - (x^(p-1) - 1) * x / (p-1) is exact mod p^k with no inverse of x.  It
+    equals the closed form i^(p^(precision-1)) mod p^precision, the limit of
+    the contraction a -> a^p.  Only the class of i mod p matters.
     """
     p = as_prime(p)
     if precision < 1:
         raise InsufficientPrecisionError("precision must be at least 1")
     if i % p == 0:
         raise NotAUnitError(f"{i} is not a unit mod {p}")
-    return pow(i, p ** (precision - 1), p**precision)
+    x, known = i % p, 1
+    while known < precision:
+        known = min(2 * known, precision)
+        modulus = p**known
+        x = (x - (pow(x, p - 1, modulus) - 1) * x * pow(p - 1, -1, modulus)) % modulus
+    return x
 
 
 def divide_step(

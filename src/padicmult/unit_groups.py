@@ -64,11 +64,16 @@ def _tower(p: int, r: int, known: int | None) -> tuple[int, int]:
     return d, valuation(p, rest)[0] if rest else known
 
 
+def _order(p: int, residue: int, level: int) -> int:
+    """The order d * p^(level - v) of a unit residue in U_level, from its tower."""
+    d, v = _tower(p, residue, level)
+    return d * p ** (level - v)
+
+
 def unit_order(p: int | Prime, level: int, r: int | MultiplierSpec) -> int:
     """Smallest d >= 1 with r^d = 1 mod p^level; unit_order_naive is its oracle."""
     p = as_prime(p)
-    d, v = _tower(p, _unit_residue(r, p, level), level)
-    return d * p ** (level - v)
+    return _order(p, _unit_residue(r, p, level), level)
 
 
 def unit_order_naive(p: int | Prime, level: int, r: int | MultiplierSpec) -> int:
@@ -122,41 +127,48 @@ def find_nr(p: int | Prime, r: int | MultiplierSpec, cap: int | None = None) -> 
 
 @dataclass(frozen=True)
 class CyclicSubgroup:
-    """The subgroup of U_level generated by a single residue."""
+    """The subgroup of U_level generated by a single residue.
+
+    Its order comes from the order tower; the elements are listed on first
+    read.  As U_level is cyclic, k lies in it exactly when k^order = 1.
+    """
 
     p: int
     level: int
     generator: int
-    elements: tuple[int, ...]
     order: int
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        modulus = self.p**self.level
+        elements = [1]
+        current = self.generator
+        while current != 1:
+            elements.append(current)
+            current = current * self.generator % modulus
+        return tuple(sorted(elements))
 
     @cached_property
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
     def __contains__(self, k: int) -> bool:
-        return k % self.p**self.level in self.element_set
+        return pow(k, self.order, self.p**self.level) == 1
 
 
 def subgroup(p: int | Prime, level: int, r: int | MultiplierSpec) -> CyclicSubgroup:
-    """Enumerate the cyclic subgroup of U_level generated by r."""
+    """The cyclic subgroup of U_level generated by r, with its order from the tower."""
     p = as_prime(p)
     residue = _unit_residue(r, p, level)
-    modulus = p**level
-    elements = [1]
-    current = residue % modulus
-    while current != 1:
-        elements.append(current)
-        current = current * residue % modulus
-    return CyclicSubgroup(p, level, residue % modulus, tuple(sorted(elements)), len(elements))
+    return CyclicSubgroup(p, level, residue, _order(p, residue, level))
 
 
 def is_in_subgroup(p: int | Prime, level: int, r: int | MultiplierSpec, k: int) -> bool:
-    """Whether k mod p^level lies in <r>: as U_level is cyclic, whether k^ord(r) = 1."""
+    """Whether k mod p^level lies in the subgroup generated by r."""
     p = as_prime(p)
     if k % p == 0:
         raise NotAUnitError(f"{k} is not a unit mod {p}")
-    return pow(k, unit_order(p, level, r), p**level) == 1
+    return k in subgroup(p, level, r)
 
 
 @dataclass(frozen=True)

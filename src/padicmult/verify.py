@@ -285,7 +285,8 @@ def suite_teich(bounds: Bounds) -> list[PropertyResult]:
                 w = teichmuller(p, i, precision)
                 lifts[i] = w
                 agree.check(
-                    w == teichmuller_fixed_point(p, i, precision),
+                    w == teichmuller_fixed_point(p, i, precision)
+                    and w == pow(i, p ** (precision - 1), modulus),
                     f"oracle mismatch at p={p}, i={i}, precision={precision}",
                 )
                 laws.check(

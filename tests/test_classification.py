@@ -14,6 +14,7 @@ from padicmult import (
     TeichProduct,
     classify,
     h_contains,
+    supernatural_from_unit_order,
     supernatural_order,
 )
 from padicmult.classification import INF
@@ -112,6 +113,22 @@ def test_supernatural_order_needs_case_one():
         supernatural_order(5, TeichProduct(2))
     with pytest.raises(DomainError):
         supernatural_order(5, 10)
+
+
+def test_supernatural_from_unit_order():
+    # unit orders divide (p - 1) * p^k
+    assert supernatural_from_unit_order(20, 5) == SupernaturalNumber.of({2: 2, 5: INF})
+    assert supernatural_from_unit_order(1, 7) == SupernaturalNumber.of({7: INF})
+    assert str(supernatural_from_unit_order(2 * 3 * 7**4, 7)) == "2*3*7^inf"
+    for order in (3, 6, 5 * 7, 0, -4):  # a prime outside p - 1 and p, or no order
+        with pytest.raises(DomainError):
+            supernatural_from_unit_order(order, 5)
+
+
+def test_infinite_exponents_are_the_sentinel():
+    assert supernatural_order(3, 2).exponent(3) is INF
+    with pytest.raises(DomainError):
+        SupernaturalNumber.of({3: float("inf")})
 
 
 def test_supernatural_canonical_form_and_text():

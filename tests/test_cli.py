@@ -217,6 +217,12 @@ PINNED = [
         '"status": "ok", "subgroup_order": 20, "table": [[0, 1, 2, 3, 4], [1, 2, 3, 4, '
         '0], [2, 3, 4, 0, 1], [3, 4, 0, 1, 2], [4, 0, 1, 2, 3]]}'
     ),
+    (
+        "quotient -p 2003 -r 5",
+        0,
+        '{"coset_reps": [1], "level": 2, "order": 1, "p": 2003, "r": "5", "status": "ok", '
+        '"subgroup_order": 4010006, "table": [[0]]}'
+    ),
     ("teich -p 5 -i 2 -N 2", 0, '{"i": 2, "level": 2, "p": 5, "residue": 7, "status": "ok"}'),
     (
         "decompose -p 5 -r 7 -x 1715 --precision 3",

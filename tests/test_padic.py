@@ -98,6 +98,26 @@ def test_teichmuller_examples():
     assert teichmuller(5, 2, 2) == 7
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 47, 1009])
+def test_newton_lift_matches_the_closed_form(p):
+    # the closed form c_N = i^(p^(N-1)) mod p^N obeys c_(N+1) = c_N^p mod p^(N+1),
+    # as a^p mod p^(N+1) depends only on a mod p^N; pow is checked at a few N
+    for i in [i for i in (1, 2, p - 1, p + 2, -3) if i % p]:
+        closed = i % p
+        for precision in range(1, 301):
+            if precision > 1:
+                closed = pow(closed, p, p**precision)
+            if precision in (1, 2, 3, 64, 300):
+                assert closed == pow(i, p ** (precision - 1), p**precision)
+            assert teichmuller(p, i, precision) == closed
+
+
+def test_teichmuller_at_high_precision():
+    w = teichmuller(47, 2, 4000)
+    assert w % 47 == 2
+    assert pow(w, 46, 47**4000) == 1
+
+
 def test_teichmuller_rejects_non_units():
     with pytest.raises(NotAUnitError):
         teichmuller(5, 10, 3)

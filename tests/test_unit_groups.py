@@ -23,7 +23,7 @@ from padicmult.errors import (
     RootOfUnityError,
 )
 from padicmult.unit_groups import QUOTIENT_MAX_COSETS
-from padicmult.verify import _is_group_table
+from padicmult.verify import Bounds, _is_group_table, _pool
 
 
 def test_unit_order_examples():
@@ -133,6 +133,23 @@ def test_membership_examples():
     assert is_in_subgroup(5, 2, 7, 18)
     assert not is_in_subgroup(5, 2, 7, 2)
     assert is_in_subgroup(5, 2, 7, 1)
+
+
+def test_subgroup_order_and_membership_match_its_elements():
+    for p, r in _pool(Bounds()):
+        for level in range(1, 5):
+            sub = subgroup(p, level, r)
+            assert sub.order == len(sub.elements)
+            members = sub.element_set
+            assert all((k in sub) == (k in members) for k in range(p**level))
+
+
+def test_quotient_lists_no_subgroup_elements():
+    # a single coset; the subgroup has 2002 * 2003 elements and none is listed
+    q = quotient_group(2003, 5)
+    assert q.order == 1 and q.coset_reps == (1,)
+    assert q.subgroup.order == 2002 * 2003
+    assert "elements" not in q.subgroup.__dict__
 
 
 def lifted_set(p, level, generator):

@@ -9,8 +9,13 @@ descriptors of the associated algebra.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from padicmult import (
+# the package is imported from this checkout's src/, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from padicmult import (  # noqa: E402
     CaseI,
     CaseII,
     algebra_k_groups,

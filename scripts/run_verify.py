@@ -8,8 +8,12 @@ Thin alias for ``padicmult verify``; all of its flags apply, e.g.
 """
 
 import sys
+from pathlib import Path
 
-from padicmult.cli import main
+# the package is imported from this checkout's src/, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from padicmult.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     raise SystemExit(main(["verify", *sys.argv[1:]]))

@@ -12,13 +12,32 @@ import json
 import sys
 
 from .classification import INF, CaseI, CaseII, classify, supernatural_order
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .functions import load_function
 from .ktheory import algebra_k_groups, ideal_k_groups, primed_algebra_k_groups
 from .padic import parse_multiplier, teichmuller
 from .representations import orbit_decompose
 from .unit_groups import find_nr, quotient_group, unit_order
 from .verify import SUITES, Bounds, run_suites
+
+
+# order, teich, classify and decompose answer with residues below p^N (N from
+# -N or --precision), and Python prints an int of at most 4300 digits
+MAX_DIGITS = 4300
+_LIMIT = 10**MAX_DIGITS
+
+
+def _bounded(p: int, level: int) -> int:
+    """The level itself, after refusing one with p^level at or above 10^MAX_DIGITS."""
+    # (bit_length - 1) * level bounds log2(p^level) from below, so the power
+    # is only formed when it has at most about twice the limit's bits
+    if level > 0 and (
+        (p.bit_length() - 1) * level >= _LIMIT.bit_length() or p**level >= _LIMIT
+    ):
+        raise CapExceededError(
+            f"{p}^{level} has more than {MAX_DIGITS} digits, too many to print an answer below it"
+        )
+    return level
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> int:
@@ -64,13 +83,14 @@ def _classification_text(verdict) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    verdict = classify(args.p, parse_multiplier(args.r), precision=args.precision)
+    precision = _bounded(args.p, args.precision)
+    verdict = classify(args.p, parse_multiplier(args.r), precision=precision)
     payload = {"p": args.p, "r": args.r, **_classification_payload(verdict)}
     return _emit(args, payload, _classification_text(verdict))
 
 
 def cmd_order(args: argparse.Namespace) -> int:
-    value = unit_order(args.p, args.level, parse_multiplier(args.r))
+    value = unit_order(args.p, _bounded(args.p, args.level), parse_multiplier(args.r))
     payload = {"p": args.p, "r": args.r, "level": args.level, "order": value}
     return _emit(args, payload, str(value))
 
@@ -104,14 +124,14 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_teich(args: argparse.Namespace) -> int:
-    value = teichmuller(args.p, args.index, args.level)
+    value = teichmuller(args.p, args.index, _bounded(args.p, args.level))
     payload = {"p": args.p, "i": args.index, "level": args.level, "residue": value}
     return _emit(args, payload, str(value))
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec = parse_multiplier(args.r)
-    dec = orbit_decompose(args.p, spec, args.x, precision=args.precision)
+    dec = orbit_decompose(args.p, spec, args.x, precision=_bounded(args.p, args.precision))
     payload = {
         "p": args.p,
         "r": args.r,

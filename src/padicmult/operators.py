@@ -97,43 +97,119 @@ def parse_label(text: str) -> BasisIndex:
 
 
 Vector = dict[BasisIndex, Scalar]
+Column = dict[int, Scalar]
 
 
-@dataclass(frozen=True, eq=False)
+def _positions(basis: tuple[BasisIndex, ...]) -> dict[BasisIndex, int]:
+    """The label -> position map of a basis, refusing a repeated label."""
+    positions = dict(zip(basis, range(len(basis))))
+    if len(positions) != len(basis):
+        raise BasisMismatchError("duplicate labels in a basis")
+    return positions
+
+
+def _same(a: tuple[BasisIndex, ...], b: tuple[BasisIndex, ...]) -> bool:
+    return a is b or a == b
+
+
+def _accumulate(column: Column, row: int, s: Scalar) -> None:
+    """Add s at a row of a column under construction, dropping a sum of zero."""
+    if row in column:
+        total = column[row] + s
+        if total:
+            column[row] = total
+        else:
+            del column[row]
+    else:
+        column[row] = s
+
+
 class TruncatedOp:
     """A sparse exact matrix from an ordered domain basis to a codomain basis.
 
-    ``entries`` is a read-only view of a private copy of the nonzero entries
-    given, so a built operator never changes and its column index never goes
-    stale.
+    The operator is stored by position: one column ``{row position: entry}``
+    per domain index, nonzero entries only, next to the label -> position
+    maps of both bases.  Every operator built from others (``compose``,
+    ``adjoint``, ``+``, ``scale``, ``restricted``, ``extended``) passes those
+    maps on and works on positions, so no label is hashed again.  ``entries``,
+    the label-keyed ``{(row, col): entry}`` view, is read-only and built on
+    first read.  The raw constructor ``TruncatedOp(domain, codomain,
+    entries)`` copies the nonzero entries given and checks them against both
+    bases on first use; ``build`` checks them at once.
     """
 
     domain: tuple[BasisIndex, ...]
     codomain: tuple[BasisIndex, ...]
-    entries: Mapping[tuple[BasisIndex, BasisIndex], Scalar]
 
-    def __post_init__(self) -> None:
-        nonzero = {key: s for key, s in self.entries.items() if s}
-        object.__setattr__(self, "entries", MappingProxyType(nonzero))
+    def __init__(
+        self,
+        domain: Iterable[BasisIndex],
+        codomain: Iterable[BasisIndex],
+        entries: Mapping[tuple[BasisIndex, BasisIndex], Scalar],
+    ) -> None:
+        nonzero = {key: s for key, s in entries.items() if s}
+        vars(self).update(
+            domain=tuple(domain), codomain=tuple(codomain), entries=MappingProxyType(nonzero)
+        )
+
+    @classmethod
+    def _of_columns(
+        cls,
+        domain: tuple[BasisIndex, ...],
+        codomain: tuple[BasisIndex, ...],
+        dom_pos: dict[BasisIndex, int],
+        cod_pos: dict[BasisIndex, int],
+        cols: tuple[Column, ...],
+    ) -> TruncatedOp:
+        """An operator from checked columns and the position maps of its bases."""
+        op = object.__new__(cls)
+        vars(op).update(
+            domain=domain, codomain=codomain, _dom_pos=dom_pos, _cod_pos=cod_pos, _cols=cols
+        )
+        return op
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncatedOp is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TruncatedOp is immutable")
+
+    def __repr__(self) -> str:
+        return (
+            f"TruncatedOp(domain={self.domain!r}, codomain={self.codomain!r}, "
+            f"entries={dict(self.entries)!r})"
+        )
 
     @cached_property
-    def _columns(self) -> dict[BasisIndex, dict[BasisIndex, Scalar]]:
-        """Domain index -> {row: entry}, with an empty map for a zero column.
+    def _dom_pos(self) -> dict[BasisIndex, int]:
+        return _positions(self.domain)
 
-        Building it checks every entry against both bases, as ``build`` does.
-        """
-        columns: dict[BasisIndex, dict[BasisIndex, Scalar]] = {col: {} for col in self.domain}
+    @cached_property
+    def _cod_pos(self) -> dict[BasisIndex, int]:
+        return _positions(self.codomain)
+
+    @cached_property
+    def _cols(self) -> tuple[Column, ...]:
+        """The columns of a raw operator, checked against both bases."""
+        dom_pos, cod_pos = self._dom_pos, self._cod_pos
+        cols: list[Column] = [{} for _ in self.domain]
         for (row, col), s in self.entries.items():
-            try:
-                columns[col][row] = s
-            except KeyError:
-                raise BasisMismatchError(f"entry in column {label(col)} off the domain") from None
-        # one set difference reuses the row hashes the columns store; a
-        # membership test per entry hashes every row again
-        off = set().union(*columns.values()).difference(self.codomain)
-        if off:
-            raise BasisMismatchError(f"entry in row {label(off.pop())} off the codomain")
-        return columns
+            at_col, at_row = dom_pos.get(col), cod_pos.get(row)
+            if at_col is None:
+                raise BasisMismatchError(f"entry in column {label(col)} off the domain")
+            if at_row is None:
+                raise BasisMismatchError(f"entry in row {label(row)} off the codomain")
+            cols[at_col][at_row] = s
+        return tuple(cols)
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[BasisIndex, BasisIndex], Scalar]:
+        domain, codomain = self.domain, self.codomain
+        return MappingProxyType({
+            (codomain[row], domain[col]): s
+            for col, column in enumerate(self._cols)
+            for row, s in column.items()
+        })
 
     @classmethod
     def build(
@@ -144,30 +220,32 @@ class TruncatedOp:
     ) -> TruncatedOp:
         domain = tuple(domain)
         codomain = tuple(codomain)
-        rows, cols = set(codomain), set(domain)
-        if len(rows) != len(codomain) or len(cols) != len(domain):
-            raise BasisMismatchError("duplicate labels in a basis")
-        clean: dict[tuple[BasisIndex, BasisIndex], Scalar] = {}
+        dom_pos = _positions(domain)
+        cod_pos = dom_pos if codomain is domain else _positions(codomain)
+        cols: list[Column] = [{} for _ in domain]
         for (row, col), value in entries.items():
             value = Scalar.of(value)
             if not value:
                 continue
-            if row not in rows or col not in cols:
-                raise BasisMismatchError(f"entry at ({label(row)}, {label(col)}) off basis")
-            clean[(row, col)] = value
-        return cls(domain, codomain, clean)
+            try:
+                cols[dom_pos[col]][cod_pos[row]] = value
+            except KeyError:
+                raise BasisMismatchError(f"entry at ({label(row)}, {label(col)}) off basis") from None
+        return cls._of_columns(domain, codomain, dom_pos, cod_pos, tuple(cols))
 
     @classmethod
     def identity(cls, basis: Iterable[BasisIndex]) -> TruncatedOp:
-        basis = tuple(basis)
-        return cls.build(basis, basis, {(ix, ix): ONE for ix in basis})
+        return cls.diagonal(basis, lambda ix: ONE)
 
     @classmethod
     def diagonal(
         cls, basis: Iterable[BasisIndex], value: Callable[[BasisIndex], Scalar | int]
     ) -> TruncatedOp:
         basis = tuple(basis)
-        return cls.build(basis, basis, {(ix, ix): value(ix) for ix in basis})
+        positions = _positions(basis)
+        values = (Scalar.of(value(ix)) for ix in basis)
+        cols = tuple({n: s} if s else {} for n, s in enumerate(values))
+        return cls._of_columns(basis, basis, positions, positions, cols)
 
     @classmethod
     def zero(
@@ -181,59 +259,80 @@ class TruncatedOp:
         if not isinstance(other, TruncatedOp):
             return NotImplemented
         return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.entries == other.entries
+            _same(self.domain, other.domain)
+            and _same(self.codomain, other.codomain)
+            and self._cols == other._cols
         )
 
     def apply(self, index: BasisIndex) -> Vector:
         """The image of a domain basis vector, as a fresh sparse coefficient map."""
-        column = self._columns.get(index)
-        if column is None:
+        position = self._dom_pos.get(index)
+        if position is None:
             raise BasisMismatchError(f"{label(index)} is not a domain index")
-        return dict(column)
+        codomain = self.codomain
+        return {codomain[row]: s for row, s in self._cols[position].items()}
 
     def compose(self, other: TruncatedOp) -> TruncatedOp:
         """self after other; requires other's codomain to equal self's domain."""
-        if other.codomain != self.domain:
+        if not _same(other.codomain, self.domain):
             raise BasisMismatchError("composition bases do not match")
-        columns = self._columns
-        entries: dict[tuple[BasisIndex, BasisIndex], Scalar] = {}
-        for (mid, col), s in other.entries.items():
-            for row, t in columns[mid].items():
-                key = (row, col)
-                entries[key] = entries[key] + t * s if key in entries else t * s
-        return TruncatedOp(other.domain, self.codomain, entries)
+        left = self._cols
+        cols = []
+        for column in other._cols:
+            out: Column = {}
+            for mid, s in column.items():
+                for row, t in left[mid].items():
+                    _accumulate(out, row, t * s)
+            cols.append(out)
+        return TruncatedOp._of_columns(
+            other.domain, self.codomain, other._dom_pos, self._cod_pos, tuple(cols)
+        )
 
     def __matmul__(self, other: TruncatedOp) -> TruncatedOp:
         return self.compose(other)
 
     def adjoint(self) -> TruncatedOp:
-        entries = {(col, row): s.conjugate() for (row, col), s in self.entries.items()}
-        return TruncatedOp(self.codomain, self.domain, entries)
+        cols: list[Column] = [{} for _ in self.codomain]
+        for col, column in enumerate(self._cols):
+            for row, s in column.items():
+                cols[row][col] = s.conjugate()
+        return TruncatedOp._of_columns(
+            self.codomain, self.domain, self._cod_pos, self._dom_pos, tuple(cols)
+        )
 
     def _require_same_shape(self, other: TruncatedOp) -> None:
-        if self.domain != other.domain or self.codomain != other.codomain:
+        if not (_same(self.domain, other.domain) and _same(self.codomain, other.codomain)):
             raise BasisMismatchError("operator shapes do not match")
+
+    def _with_columns(self, cols: Iterable[Column]) -> TruncatedOp:
+        return TruncatedOp._of_columns(
+            self.domain, self.codomain, self._dom_pos, self._cod_pos, tuple(cols)
+        )
 
     def __add__(self, other: TruncatedOp) -> TruncatedOp:
         self._require_same_shape(other)
-        entries = dict(self.entries)
-        for key, s in other.entries.items():
-            entries[key] = entries[key] + s if key in entries else s
-        return TruncatedOp(self.domain, self.codomain, entries)
+        cols = []
+        for mine, theirs in zip(self._cols, other._cols):
+            out = dict(mine)
+            for row, s in theirs.items():
+                _accumulate(out, row, s)
+            cols.append(out)
+        return self._with_columns(cols)
 
     def __sub__(self, other: TruncatedOp) -> TruncatedOp:
         return self + other.scale(-1)
 
     def scale(self, value: Scalar | int) -> TruncatedOp:
         value = Scalar.of(value)
-        entries = {key: value * s for key, s in self.entries.items()}
-        return TruncatedOp(self.domain, self.codomain, entries)
+        if not value:
+            return self._with_columns({} for _ in self.domain)
+        return self._with_columns(
+            {row: value * s for row, s in column.items()} for column in self._cols
+        )
 
     def power(self, exponent: int) -> TruncatedOp:
         """Iterated composition of a square operator."""
-        if self.domain != self.codomain:
+        if not _same(self.domain, self.codomain):
             raise BasisMismatchError("powers need a square operator")
         if exponent < 0:
             raise ParseError("negative powers are not defined here")
@@ -247,11 +346,12 @@ class TruncatedOp:
     def restricted(self, domain: Iterable[BasisIndex]) -> TruncatedOp:
         """Drop columns outside the given sub-basis."""
         domain = tuple(domain)
-        keep = set(domain)
-        if not keep <= set(self.domain):
-            raise BasisMismatchError("restriction is not a sub-basis of the domain")
-        entries = {k: s for k, s in self.entries.items() if k[1] in keep}
-        return TruncatedOp(domain, self.codomain, entries)
+        dom_pos, cols = self._dom_pos, self._cols
+        try:
+            kept = tuple(cols[dom_pos[ix]] for ix in domain)
+        except KeyError:
+            raise BasisMismatchError("restriction is not a sub-basis of the domain") from None
+        return TruncatedOp._of_columns(domain, self.codomain, _positions(domain), self._cod_pos, kept)
 
     def extended(
         self,
@@ -261,9 +361,17 @@ class TruncatedOp:
         """Enlarge bases (supersets only); new rows and columns are zero."""
         domain = self.domain if domain is None else tuple(domain)
         codomain = self.codomain if codomain is None else tuple(codomain)
-        if not set(self.domain) <= set(domain) or not set(self.codomain) <= set(codomain):
-            raise BasisMismatchError("extension must contain the original bases")
-        return TruncatedOp.build(domain, codomain, self.entries)
+        dom_pos = self._dom_pos if domain is self.domain else _positions(domain)
+        cod_pos = self._cod_pos if codomain is self.codomain else _positions(codomain)
+        try:
+            col_at = [dom_pos[ix] for ix in self.domain]
+            row_at = [cod_pos[ix] for ix in self.codomain]
+        except KeyError:
+            raise BasisMismatchError("extension must contain the original bases") from None
+        cols: list[Column] = [{} for _ in domain]
+        for col, column in zip(col_at, self._cols):
+            cols[col] = {row_at[row]: s for row, s in column.items()}
+        return TruncatedOp._of_columns(domain, codomain, dom_pos, cod_pos, tuple(cols))
 
     def range_fixed_points(self) -> tuple[BasisIndex, ...]:
         """Codomain indices on which self . self* acts as the identity.
@@ -272,25 +380,25 @@ class TruncatedOp:
         vectors whose adjoint image is not lost to the truncation edge.
         """
         projector = self @ self.adjoint()
-        fixed = []
-        for ix in self.codomain:
-            if projector.apply(ix) == {ix: ONE}:
-                fixed.append(ix)
-        return tuple(fixed)
+        return tuple(
+            ix
+            for ix, (n, column) in zip(self.codomain, enumerate(projector._cols))
+            if len(column) == 1 and column.get(n) == ONE
+        )
 
     # -- serialization -------------------------------------------------------
 
     def to_doc(self) -> dict:
-        dom_pos = {ix: n for n, ix in enumerate(self.domain)}
-        cod_pos = {ix: n for n, ix in enumerate(self.codomain)}
+        domain, codomain = self.domain, self.codomain
         triplets = sorted(
-            ((row, col, s) for (row, col), s in self.entries.items()),
-            key=lambda t: (cod_pos[t[0]], dom_pos[t[1]]),
+            (row, col, s) for col, column in enumerate(self._cols) for row, s in column.items()
         )
         return {
-            "domain": [label(ix) for ix in self.domain],
-            "codomain": [label(ix) for ix in self.codomain],
-            "entries": [[label(r), label(c), str(s)] for r, c, s in triplets],
+            "domain": [label(ix) for ix in domain],
+            "codomain": [label(ix) for ix in codomain],
+            "entries": [
+                [label(codomain[row]), label(domain[col]), str(s)] for row, col, s in triplets
+            ],
         }
 
     @classmethod

@@ -2,7 +2,9 @@
 
 All function values and operator entries live in Q(i) with
 ``fractions.Fraction`` components, so every identity checked downstream is an
-exact equality rather than a tolerance.
+exact equality rather than a tolerance.  Scalars are immutable, so the unit
+scalars ``ZERO`` and ``ONE`` are shared: ``Scalar.of`` returns them for the
+integers 0 and 1, and multiplying by ``ONE`` returns the other factor itself.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ class Scalar:
 
     @staticmethod
     def of(value: Scalar | RationalLike) -> Scalar:
-        return value if isinstance(value, Scalar) else Scalar(_frac(value))
+        if isinstance(value, Scalar):
+            return value
+        if type(value) is int and 0 <= value <= 1:  # not bool, a subclass of int
+            return ONE if value else ZERO
+        return Scalar(_frac(value))
 
     def __bool__(self) -> bool:
         return bool(self.real or self.imag)
@@ -64,6 +70,10 @@ class Scalar:
 
     def __mul__(self, other: Scalar | RationalLike) -> Scalar:
         other = Scalar.of(other)
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         if not (self.imag or other.imag):
             return Scalar(self.real * other.real)
         return Scalar(
@@ -81,7 +91,7 @@ class Scalar:
         return self * Scalar(other.real / norm, -other.imag / norm)
 
     def conjugate(self) -> Scalar:
-        return Scalar(self.real, -self.imag)
+        return Scalar(self.real, -self.imag) if self.imag else self
 
     def __str__(self) -> str:
         head = f"{self.real.numerator}/{self.real.denominator}"

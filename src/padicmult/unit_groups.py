@@ -22,6 +22,11 @@ from .padic import Multiplier, MultiplierSpec, Prime, as_prime, valuation
 # 4374 cosets (1 + 3^8) take 4 s and 150 MB, and its JSON 550 MB in all
 QUOTIENT_MAX_COSETS = 5000
 
+# quotient_group refuses to list more cosets, each about 150 bytes: on a
+# 2-vCPU host orbit_decompose along 1 + 3^12 (354294 cosets) takes 0.6 s and
+# 75 MB, along 1 + 3^13 (1062882) 1.5 s and 185 MB, tripling per power of 3
+QUOTIENT_MAX_SCAN = 400_000
+
 
 def group_size(p: int, level: int) -> int:
     """|U_N| = p^(N-1) (p-1)."""
@@ -182,7 +187,8 @@ class QuotientGroup:
     each coset, in increasing order, so the identity coset comes first; the
     multiplication table, built on first read, is indexed accordingly and
     refused above QUOTIENT_MAX_COSETS cosets.  The section maps coset j to the
-    integer coset_reps[j].
+    integer coset_reps[j].  quotient_group refuses to list more than
+    QUOTIENT_MAX_SCAN cosets.
     """
 
     p: int
@@ -235,6 +241,10 @@ def quotient_group(
     level = find_nr(p, m, cap)
     sub = subgroup(p, level, m)
     cosets = group_size(p, level) // sub.order
+    if cosets > QUOTIENT_MAX_SCAN:
+        raise CapExceededError(
+            f"the quotient has {cosets} cosets, above the listing limit {QUOTIENT_MAX_SCAN}"
+        )
     d, modulus = sub.order // p, p ** (level - 1)
     least: dict[int, int] = {}  # coset key -> least unit with that key
     for k in range(1, modulus):

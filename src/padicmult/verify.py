@@ -465,7 +465,7 @@ def _reps_periodicity(bounds: Bounds) -> PropertyResult:
     for level in (1, 2, 3):
         f = LocallyConstantFn(5, level, tuple(Scalar.of(j) for j in range(5**level)))
         _, diag = build_orbit_rep(5, ExactInt(7), 1, f, window=window)
-        sequence = {ix.k: diag.entries.get((ix, ix), Scalar()) for ix in diag.domain}
+        sequence = {ix.k: diag.apply(ix).get(ix, Scalar()) for ix in diag.domain}
         d = unit_order(5, level, 7)
         repeats = all(
             sequence[k + d] == sequence[k] for k in range(-window, window - d + 1)

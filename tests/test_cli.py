@@ -104,11 +104,39 @@ def test_domain_errors_exit_three(capsys):
     code, out, _ = run(capsys, "verify", "--max-p", "2", "--json")
     assert code == 3
     assert json.loads(out)["code"] == "domain-error"
+    # 1 + 3^17 has 86093442 cosets: refused before any is listed
+    for argv in (("quotient",), ("decompose", "-x", "5", "--precision", "18")):
+        code, out, _ = run(capsys, argv[0], "-p", "3", "-r", str(1 + 3**17), *argv[1:], "--json")
+        assert code == 3
+        assert json.loads(out)["code"] == "cap-exceeded"
+    # answers below p^N with more digits than Python prints
+    for argv in (
+        ("teich", "-p", "3", "-i", "2", "-N", "10000"),
+        ("order", "-p", "1000000007", "-r", "3", "-N", "600"),
+        ("classify", "-p", "3", "-r", "-6", "--precision", "10000"),
+        ("decompose", "-p", "3", "-r", "2", "-x", "-5", "--precision", "10000"),
+    ):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(out)["code"] == "cap-exceeded"
     # sizes that would make vacuous or false checks
     for args in (("--suite", "reps", "--window", "-3"), ("--suite", "orders", "--max-N", "-1")):
         code, out, _ = run(capsys, "verify", *args, "--json")
         assert code == 3
         assert json.loads(out)["code"] == "domain-error"
+
+
+def test_residue_answers_stay_printable(capsys):
+    # 3^9012 has 4300 digits, 3^9013 has 4301
+    code, out, _ = run(capsys, "teich", "-p", "3", "-i", "2", "-N", "9012", "--json")
+    assert code == 0
+    assert len(str(json.loads(out)["residue"])) <= 4300
+    code, out, _ = run(capsys, "teich", "-p", "3", "-i", "2", "-N", "9013", "--json")
+    assert code == 3
+    assert json.loads(out)["code"] == "cap-exceeded"
+    code, out, _ = run(capsys, "order", "-p", "3", "-r", "2", "-N", str(10**12), "--json")
+    assert code == 3
+    assert json.loads(out)["code"] == "cap-exceeded"
 
 
 def test_usage_errors_exit_two(capsys):

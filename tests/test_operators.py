@@ -143,6 +143,10 @@ def test_entries_are_read_only():
         shift.entries[(NonNeg(0), NonNeg(0))] = ONE
     with pytest.raises(TypeError):
         del diag.entries[(NonNeg(0), NonNeg(0))]
+    with pytest.raises(AttributeError):
+        shift.domain = diag.domain
+    with pytest.raises(AttributeError):
+        del diag.codomain
     source = {(NonNeg(0), NonNeg(0)): ONE, (NonNeg(1), NonNeg(0)): ZERO}
     op = TruncatedOp((NonNeg(0),), (NonNeg(0), NonNeg(1)), source)
     source[(NonNeg(0), NonNeg(0))] = sc(5)
@@ -171,10 +175,21 @@ def random_scalar(rng: random.Random) -> Scalar:
     return Scalar(real, imag)
 
 
-def random_op(rng: random.Random, domain, codomain) -> TruncatedOp:
+def unit_or_random(rng: random.Random) -> Scalar | int:
+    """0, 1 (as an int and as ONE), -1 or a random scalar: products of these
+    take the ONE path of Scalar and often cancel to zero."""
+    return rng.choice((0, 1, ONE, -1, random_scalar(rng)))
+
+
+def sign(rng: random.Random) -> Scalar | int:
+    """1 or -1: products of these cancel often."""
+    return rng.choice((1, ONE, -1))
+
+
+def random_op(rng: random.Random, domain, codomain, draw=random_scalar) -> TruncatedOp:
     """Entries at about half the positions; the first domain column stays empty."""
     entries = {
-        (row, col): random_scalar(rng)
+        (row, col): draw(rng)
         for row in codomain
         for col in domain[1:]
         if rng.random() < 0.5
@@ -214,17 +229,55 @@ def test_apply_matches_a_scan_of_the_entries(seed):
             op.apply(Word((8, 8)))
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_compose_matches_the_dense_product(seed):
-    rng = random.Random(seed)
-    a = random_op(rng, MIDDLE, CODOMAIN)
-    b = random_op(rng, DOMAIN, MIDDLE)
-    left, right = dense(a), dense(b)
+def agrees_with(op: TruncatedOp, domain, codomain, matrix) -> None:
+    """op against a dense label-keyed reference: rows over codomain, columns over domain."""
+    want = {
+        (row, col): matrix[i][j]
+        for i, row in enumerate(codomain)
+        for j, col in enumerate(domain)
+        if matrix[i][j]
+    }
+    assert (op.domain, op.codomain) == (domain, codomain)
+    assert op.entries == want
+    assert all(op.entries.values())
+    for j, col in enumerate(domain):
+        assert op.apply(col) == {row: matrix[i][j] for i, row in enumerate(codomain) if matrix[i][j]}
+    assert op == TruncatedOp.build(domain, codomain, want)
+    assert op == TruncatedOp(domain, codomain, want)
+    if want:
+        changed = dict(want)
+        changed[next(iter(want))] += ONE
+        assert op != TruncatedOp.build(domain, codomain, changed)
+
+
+def compose_against_dense(rng: random.Random, draw) -> None:
+    a = random_op(rng, MIDDLE, CODOMAIN, draw)
+    b = random_op(rng, DOMAIN, MIDDLE, draw)
+    c = random_op(rng, DOMAIN, CODOMAIN, draw)
+    left, right, other = dense(a), dense(b), dense(c)
     product = [
         [sum((row[k] * right[k][j] for k in range(len(MIDDLE))), ZERO) for j in range(len(DOMAIN))]
         for row in left
     ]
     composed = a @ b
-    assert (composed.domain, composed.codomain) == (DOMAIN, CODOMAIN)
-    assert dense(composed) == product
-    assert all(composed.entries.values())
+    agrees_with(composed, DOMAIN, CODOMAIN, product)
+    agrees_with(
+        composed.adjoint(),
+        CODOMAIN,
+        DOMAIN,
+        [[product[i][j].conjugate() for i in range(len(CODOMAIN))] for j in range(len(DOMAIN))],
+    )
+    assert composed.adjoint() == b.adjoint() @ a.adjoint()
+    total = [[x + y for x, y in zip(row, row_c)] for row, row_c in zip(product, other)]
+    agrees_with(composed + c, DOMAIN, CODOMAIN, total)
+    agrees_with(composed - composed, DOMAIN, CODOMAIN, [[ZERO] * len(DOMAIN) for _ in CODOMAIN])
+    for factor in (0, 1, -1, ONE, random_scalar(rng)):
+        scaled = [[Scalar.of(factor) * x for x in row] for row in product]
+        agrees_with(composed.scale(factor), DOMAIN, CODOMAIN, scaled)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_matches_the_dense_product(seed):
+    rng = random.Random(seed)
+    for draw in (random_scalar, unit_or_random, sign):
+        compose_against_dense(rng, draw)

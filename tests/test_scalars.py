@@ -42,6 +42,24 @@ def test_construction_keeps_fractions_and_rejects_other_types():
             Scalar.of(bad)
 
 
+def test_unit_scalars_are_shared():
+    assert Scalar.of(1) is ONE and Scalar.of(0) is ZERO
+    assert Scalar.of(2) == sc(2) and Scalar.of(-1) == sc(-1)
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            Scalar.of(bad)
+
+
+@given(scalars())
+def test_unit_and_real_fast_paths_match_the_full_formula(a):
+    full = Scalar(a.real * 1 - a.imag * 0, a.real * 0 + a.imag * 1)
+    assert ONE * a == full and a * ONE == full
+    assert ONE * a is a and a * ONE is a
+    assert a.conjugate() == Scalar(a.real, -a.imag)
+    if not a.imag:
+        assert a.conjugate() is a
+
+
 @given(scalars(), scalars())
 def test_conjugation_is_multiplicative(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()

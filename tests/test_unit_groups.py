@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from padicmult.errors import (
     NotAUnitError,
     RootOfUnityError,
 )
-from padicmult.unit_groups import QUOTIENT_MAX_COSETS
+from padicmult.unit_groups import QUOTIENT_MAX_COSETS, QUOTIENT_MAX_SCAN
 from padicmult.verify import Bounds, _is_group_table, _pool
 
 
@@ -212,6 +214,17 @@ def test_quotient_size_limit():
     assert q.order == 39366 and q.coset_index(q.section(7)) == 7
     with pytest.raises(CapExceededError):
         q.table
+
+
+def test_quotient_scan_limit():
+    # cosets are listed up to 1 + 3^12 (354294 of them) and refused from
+    # 1 + 3^13 (1062882) on, before any is listed
+    assert 354294 <= QUOTIENT_MAX_SCAN < 1062882
+    for k in (13, 17, 40):
+        start = time.process_time()
+        with pytest.raises(CapExceededError, match="listing limit"):
+            quotient_group(3, 1 + 3**k)
+        assert time.process_time() - start < 0.5
 
 
 def test_quotient_index_stability():

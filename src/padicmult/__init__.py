@@ -49,7 +49,6 @@ from .padic import (
     ExactInt,
     MultiplierSpec,
     PadicApprox,
-    Prime,
     TeichProduct,
     as_multiplier,
     as_prime,

@@ -22,7 +22,7 @@ from fractions import Fraction
 from sympy import factorint
 
 from .errors import DomainError, ExcludedMultiplierError, InsufficientPrecisionError
-from .padic import Multiplier, MultiplierSpec, Prime, as_prime
+from .padic import Multiplier, MultiplierSpec, as_prime
 from .unit_groups import _order_primes, find_nr, unit_order
 
 
@@ -67,7 +67,7 @@ Classification = CaseI | CaseII | CaseIII
 
 
 def classify(
-    p: int | Prime,
+    p: int,
     r: int | MultiplierSpec,
     precision: int = 6,
     cap: int | None = None,
@@ -152,7 +152,7 @@ class SupernaturalNumber:
         return "*".join(parts)
 
 
-def supernatural_from_unit_order(order: int, p: int | Prime) -> SupernaturalNumber:
+def supernatural_from_unit_order(order: int, p: int) -> SupernaturalNumber:
     """The supernatural number with the factorization of ``order`` and p-part infinity.
 
     For a Case I multiplier the orders at levels past the threshold are
@@ -176,7 +176,7 @@ def supernatural_from_unit_order(order: int, p: int | Prime) -> SupernaturalNumb
 
 
 def supernatural_order(
-    p: int | Prime, r: int | MultiplierSpec, cap: int | None = None
+    p: int, r: int | MultiplierSpec, cap: int | None = None
 ) -> SupernaturalNumber:
     """lcm of the orders of r at every level, for a Case I multiplier."""
     verdict = classify(p, r, cap=cap)

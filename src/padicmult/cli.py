@@ -22,7 +22,9 @@ from .verify import SUITES, Bounds, run_suites
 
 
 # order, teich, classify and decompose answer with residues below p^N (N from
-# -N or --precision), and Python prints an int of at most 4300 digits
+# -N or --precision), and Python prints an int of at most 4300 digits; ktheory
+# prints no residue but runs the same classify, whose cost grows with p^N, so
+# its --precision has the same bound
 MAX_DIGITS = 4300
 _LIMIT = 10**MAX_DIGITS
 
@@ -156,7 +158,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_ktheory(args: argparse.Namespace) -> int:
-    verdict = classify(args.p, parse_multiplier(args.r), precision=args.precision)
+    precision = _bounded(args.p, args.precision)
+    verdict = classify(args.p, parse_multiplier(args.r), precision=precision)
     if args.ideal:
         k0, k1 = ideal_k_groups(verdict, args.p, primed=args.primed)
         variant = "ideal-primed" if args.primed else "ideal"

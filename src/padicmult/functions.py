@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InsufficientPrecisionError, ParseError
-from .padic import Multiplier, MultiplierSpec, PadicApprox, Prime, as_prime, multiplier_residue
+from .padic import Multiplier, MultiplierSpec, PadicApprox, as_prime, multiplier_residue
 from .scalars import ZERO, RationalLike, Scalar
 
 
@@ -35,15 +35,14 @@ class LocallyConstantFn:
                 f"level {self.level} over p={p} needs {p**self.level} values, "
                 f"got {len(coerced)}"
             )
-        object.__setattr__(self, "p", p)
         object.__setattr__(self, "values", coerced)
 
     @classmethod
-    def constant(cls, p: int | Prime, value: Scalar | RationalLike) -> LocallyConstantFn:
+    def constant(cls, p: int, value: Scalar | RationalLike) -> LocallyConstantFn:
         return cls(as_prime(p), 0, (Scalar.of(value),))
 
     @classmethod
-    def indicator(cls, p: int | Prime, level: int, residue: int) -> LocallyConstantFn:
+    def indicator(cls, p: int, level: int, residue: int) -> LocallyConstantFn:
         """Indicator of the ball residue + p^level Z_p."""
         p = as_prime(p)
         residue %= p**level

@@ -20,7 +20,7 @@ from .classification import (
     supernatural_from_unit_order,
 )
 from .errors import DomainError, ExcludedMultiplierError
-from .padic import Prime, as_prime
+from .padic import as_prime
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,13 @@ def descriptor(*atoms: Atom) -> KGroupDescriptor:
     return KGroupDescriptor(atoms)
 
 
-def _supernatural(c: CaseI, p: int) -> SupernaturalNumber:
-    return supernatural_from_unit_order(c.order, p)
-
-
 def algebra_k_groups(
-    c: Classification, p: int | Prime
+    c: Classification, p: int
 ) -> tuple[KGroupDescriptor, KGroupDescriptor]:
     """K_0 and K_1 of the full multiplication algebra of a classified multiplier."""
     p = as_prime(p)
     if isinstance(c, CaseI):
-        s = _supernatural(c, p)
+        s = supernatural_from_unit_order(c.order, p)
         return descriptor(C0SeqH(s), Free(1)), descriptor(Free(1), C0SeqZ())
     if isinstance(c, CaseII):
         return descriptor(C0SeqZpZ(), Free(1)), descriptor(C0SeqZpZ(), Free(1))
@@ -155,7 +151,7 @@ def algebra_k_groups(
 
 
 def primed_algebra_k_groups(
-    c: Classification, p: int | Prime
+    c: Classification, p: int
 ) -> tuple[KGroupDescriptor, KGroupDescriptor]:
     """K-groups of the finite-cyclic crossed product, defined for roots of unity only."""
     as_prime(p)
@@ -167,14 +163,14 @@ def primed_algebra_k_groups(
 
 
 def ideal_k_groups(
-    c: Classification, p: int | Prime, primed: bool = False
+    c: Classification, p: int, primed: bool = False
 ) -> tuple[KGroupDescriptor, KGroupDescriptor]:
     """K-groups of the kernel ideal of the evaluation-at-zero representation."""
     p = as_prime(p)
     if isinstance(c, CaseI):
         if primed:
             raise DomainError("the primed ideal is undefined outside Case II")
-        s = _supernatural(c, p)
+        s = supernatural_from_unit_order(c.order, p)
         return descriptor(C0SeqH(s)), descriptor(C0SeqZ())
     if isinstance(c, CaseII):
         if primed:

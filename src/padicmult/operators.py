@@ -133,9 +133,9 @@ class TruncatedOp:
     ``adjoint``, ``+``, ``scale``, ``restricted``, ``extended``) passes those
     maps on and works on positions, so no label is hashed again.  ``entries``,
     the label-keyed ``{(row, col): entry}`` view, is read-only and built on
-    first read.  The raw constructor ``TruncatedOp(domain, codomain,
-    entries)`` copies the nonzero entries given and checks them against both
-    bases on first use; ``build`` checks them at once.
+    first read.  The constructor ``TruncatedOp(domain, codomain, entries)``
+    converts each entry to a ``Scalar``, drops the zeros and checks every
+    label against both bases at once; ``build`` is the same constructor.
     """
 
     domain: tuple[BasisIndex, ...]
@@ -145,11 +145,23 @@ class TruncatedOp:
         self,
         domain: Iterable[BasisIndex],
         codomain: Iterable[BasisIndex],
-        entries: Mapping[tuple[BasisIndex, BasisIndex], Scalar],
+        entries: Mapping[tuple[BasisIndex, BasisIndex], Scalar | int],
     ) -> None:
-        nonzero = {key: s for key, s in entries.items() if s}
+        domain = tuple(domain)
+        codomain = tuple(codomain)
+        dom_pos = _positions(domain)
+        cod_pos = dom_pos if codomain is domain else _positions(codomain)
+        cols: list[Column] = [{} for _ in domain]
+        for (row, col), value in entries.items():
+            value = Scalar.of(value)
+            if not value:
+                continue
+            try:
+                cols[dom_pos[col]][cod_pos[row]] = value
+            except KeyError:
+                raise BasisMismatchError(f"entry at ({label(row)}, {label(col)}) off basis") from None
         vars(self).update(
-            domain=tuple(domain), codomain=tuple(codomain), entries=MappingProxyType(nonzero)
+            domain=domain, codomain=codomain, _dom_pos=dom_pos, _cod_pos=cod_pos, _cols=tuple(cols)
         )
 
     @classmethod
@@ -181,28 +193,6 @@ class TruncatedOp:
         )
 
     @cached_property
-    def _dom_pos(self) -> dict[BasisIndex, int]:
-        return _positions(self.domain)
-
-    @cached_property
-    def _cod_pos(self) -> dict[BasisIndex, int]:
-        return _positions(self.codomain)
-
-    @cached_property
-    def _cols(self) -> tuple[Column, ...]:
-        """The columns of a raw operator, checked against both bases."""
-        dom_pos, cod_pos = self._dom_pos, self._cod_pos
-        cols: list[Column] = [{} for _ in self.domain]
-        for (row, col), s in self.entries.items():
-            at_col, at_row = dom_pos.get(col), cod_pos.get(row)
-            if at_col is None:
-                raise BasisMismatchError(f"entry in column {label(col)} off the domain")
-            if at_row is None:
-                raise BasisMismatchError(f"entry in row {label(row)} off the codomain")
-            cols[at_col][at_row] = s
-        return tuple(cols)
-
-    @cached_property
     def entries(self) -> Mapping[tuple[BasisIndex, BasisIndex], Scalar]:
         domain, codomain = self.domain, self.codomain
         return MappingProxyType({
@@ -218,20 +208,7 @@ class TruncatedOp:
         codomain: Iterable[BasisIndex],
         entries: Mapping[tuple[BasisIndex, BasisIndex], Scalar | int],
     ) -> TruncatedOp:
-        domain = tuple(domain)
-        codomain = tuple(codomain)
-        dom_pos = _positions(domain)
-        cod_pos = dom_pos if codomain is domain else _positions(codomain)
-        cols: list[Column] = [{} for _ in domain]
-        for (row, col), value in entries.items():
-            value = Scalar.of(value)
-            if not value:
-                continue
-            try:
-                cols[dom_pos[col]][cod_pos[row]] = value
-            except KeyError:
-                raise BasisMismatchError(f"entry at ({label(row)}, {label(col)}) off basis") from None
-        return cls._of_columns(domain, codomain, dom_pos, cod_pos, tuple(cols))
+        return cls(domain, codomain, entries)
 
     @classmethod
     def identity(cls, basis: Iterable[BasisIndex]) -> TruncatedOp:

@@ -28,33 +28,14 @@ from .errors import (
 
 
 @lru_cache(maxsize=None)
-def _require_odd_prime(p: int) -> int:
+def as_prime(p: int) -> int:
+    """Return p after checking that it is an odd prime; the check runs once per p."""
     if not isinstance(p, int) or p < 3 or not isprime(p):
         raise NotPrimeError(f"p must be an odd prime >= 3, got {p!r}")
     return p
 
 
-@dataclass(frozen=True)
-class Prime:
-    """An odd prime; the base of every residue computation."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
-
-    def __int__(self) -> int:
-        return self.p
-
-
-def as_prime(p: int | Prime) -> int:
-    """Validate and unwrap a prime given as an int or a Prime."""
-    if isinstance(p, Prime):
-        return p.p
-    return _require_odd_prime(p)
-
-
-def valuation(p: int | Prime, x: int) -> tuple[int, int]:
+def valuation(p: int, x: int) -> tuple[int, int]:
     """Split a nonzero integer as x = p^L * unit with the unit coprime to p."""
     p = as_prime(p)
     if x == 0:
@@ -66,7 +47,7 @@ def valuation(p: int | Prime, x: int) -> tuple[int, int]:
     return level, x
 
 
-def rational_residue(value: int | Fraction, p: int | Prime, precision: int) -> int:
+def rational_residue(value: int | Fraction, p: int, precision: int) -> int:
     """Reduce a rational with p-coprime denominator to a residue mod p^precision."""
     p = as_prime(p)
     if precision < 0:
@@ -79,7 +60,7 @@ def rational_residue(value: int | Fraction, p: int | Prime, precision: int) -> i
     return value.numerator * pow(value.denominator, -1, modulus) % modulus if precision else 0
 
 
-def teichmuller(p: int | Prime, i: int, precision: int) -> int:
+def teichmuller(p: int, i: int, precision: int) -> int:
     """The unique (p-1)-st root of unity congruent to i mod p, mod p^precision.
 
     Computed by Newton's iteration on x^(p-1) = 1 from x = i mod p, which
@@ -103,7 +84,7 @@ def teichmuller(p: int | Prime, i: int, precision: int) -> int:
 
 
 def divide_step(
-    p: int | Prime, level: int, r: int, x: int | Fraction
+    p: int, level: int, r: int, x: int | Fraction
 ) -> tuple[int | Fraction, int]:
     """One division step x = q*r + c with 0 <= c < p^level, for r of valuation level.
 
@@ -132,7 +113,7 @@ class PadicApprox:
     residue: int
 
     def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
+        as_prime(self.p)
         if self.precision < 1:
             raise InsufficientPrecisionError("precision must be at least 1")
         if not 0 <= self.residue < self.p**self.precision:
@@ -141,13 +122,8 @@ class PadicApprox:
             )
 
     @classmethod
-    def from_int(cls, p: int | Prime, precision: int, value: int | Fraction) -> PadicApprox:
-        p = as_prime(p)
+    def from_int(cls, p: int, precision: int, value: int | Fraction) -> PadicApprox:
         return cls(p, precision, rational_residue(value, p, precision))
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
 
     def reduce(self, precision: int) -> PadicApprox:
         """Forget digits down to a smaller precision; reductions compose exactly."""
@@ -156,41 +132,6 @@ class PadicApprox:
                 f"cannot raise precision {self.precision} to {precision}"
             )
         return PadicApprox(self.p, precision, self.residue % self.p**precision)
-
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def _wrap(self, other: PadicApprox | int) -> PadicApprox:
-        if isinstance(other, int):
-            return PadicApprox.from_int(self.p, self.precision, other)
-        if other.p != self.p:
-            raise ParseError("mixed primes in p-adic arithmetic")
-        return other
-
-    def _binop(self, other: PadicApprox | int, fn) -> PadicApprox:
-        other = self._wrap(other)
-        precision = min(self.precision, other.precision)
-        modulus = self.p**precision
-        return PadicApprox(self.p, precision, fn(self.residue, other.residue) % modulus)
-
-    def __add__(self, other: PadicApprox | int) -> PadicApprox:
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other: PadicApprox | int) -> PadicApprox:
-        return self._binop(other, lambda a, b: a - b)
-
-    def __mul__(self, other: PadicApprox | int) -> PadicApprox:
-        return self._binop(other, lambda a, b: a * b)
-
-    def __pow__(self, exponent: int) -> PadicApprox:
-        if exponent < 0 and not self.is_unit():
-            raise NotAUnitError("negative power of a non-unit")
-        return PadicApprox(self.p, self.precision, pow(self.residue, exponent, self.modulus))
-
-    def inverse(self) -> PadicApprox:
-        if not self.is_unit():
-            raise NotAUnitError(f"{self.residue} is not a unit mod {self.p}")
-        return self**-1
 
 
 # --- multiplier specifications -------------------------------------------------
@@ -263,7 +204,7 @@ class Multiplier:
     teich: TeichProduct | None = None
 
     @classmethod
-    def of(cls, r: int | MultiplierSpec | Multiplier, p: int | Prime) -> Multiplier:
+    def of(cls, r: int | MultiplierSpec | Multiplier, p: int) -> Multiplier:
         """Resolve a multiplier against p; a resolved one passes through.
 
         Checks the 0/1 exclusion, the Teichmuller index range and that every
@@ -325,22 +266,14 @@ class Multiplier:
         return pow(self.value, self.p - 1, self.p**self.known) == 1
 
 
-def multiplier_residue(r: int | MultiplierSpec, p: int | Prime, precision: int) -> int:
+def multiplier_residue(r: int | MultiplierSpec, p: int, precision: int) -> int:
     """Resolve a multiplier to its residue mod p^precision."""
     return Multiplier.of(r, p).residue(precision)
 
 
-def multiplier_valuation(r: int | MultiplierSpec, p: int | Prime) -> int:
+def multiplier_valuation(r: int | MultiplierSpec, p: int) -> int:
     """p-adic valuation of a multiplier; digit strings must show a nonzero digit."""
     return Multiplier.of(r, p).valuation
-
-
-def multiplier_unit_residue(
-    r: int | MultiplierSpec, p: int | Prime, precision: int
-) -> tuple[int, int]:
-    """Split r = p^N * r' and return (N, r' mod p^precision)."""
-    m = Multiplier.of(r, p)
-    return m.valuation, m.unit_residue(precision)
 
 
 _TEICH_RE = re.compile(r"^(-?)teich\((\d+)\)$")

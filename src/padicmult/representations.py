@@ -26,7 +26,6 @@ from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word
 from .padic import (
     Multiplier,
     MultiplierSpec,
-    Prime,
     as_prime,
     divide_step,
     multiplier_residue,
@@ -88,7 +87,7 @@ def _roots_quotient(p: int, generator_residue: int) -> tuple[list[int], dict[int
 
 
 def orbit_decompose(
-    p: int | Prime,
+    p: int,
     r: int | MultiplierSpec,
     x: int,
     precision: int = 6,
@@ -135,7 +134,7 @@ def _orbit_diagonal(
 
 
 def build_orbit_rep(
-    p: int | Prime,
+    p: int,
     r: int | MultiplierSpec,
     x: int,
     f: LocallyConstantFn,
@@ -163,7 +162,7 @@ def build_orbit_rep(
 
 
 def build_cyclic_rep(
-    p: int | Prime, r: int | MultiplierSpec, x: int, f: LocallyConstantFn
+    p: int, r: int | MultiplierSpec, x: int, f: LocallyConstantFn
 ) -> tuple[TruncatedOp, TruncatedOp]:
     """The cyclic-shift representation attached to a finite-order multiplier.
 
@@ -205,7 +204,7 @@ class DigitExpansion:
 
 
 def digit_expand(
-    p: int | Prime, level: int, r: int, x: int, max_len: int
+    p: int, level: int, r: int, x: int, max_len: int
 ) -> DigitExpansion:
     """Expand x >= 0 in powers of r with digits below p^level.
 
@@ -235,7 +234,7 @@ def word_value(word: Word, r: int) -> int:
 
 def word_key(word: Word, s: int) -> int:
     """The digit word read in base s; pairs words with non-negative positions."""
-    return sum(d * s**i for i, d in enumerate(word.digits))
+    return word_value(word, s)
 
 
 def word_from_key(key: int, s: int) -> Word:
@@ -274,7 +273,7 @@ def kappa(word: Word) -> int:
 
 
 def build_digit_rep(
-    p: int | Prime,
+    p: int,
     level: int,
     r: int | MultiplierSpec,
     f: LocallyConstantFn,
@@ -292,7 +291,10 @@ def build_digit_rep(
     s = m.p**level
     domain = canonical_words(s, max_len)
     codomain = canonical_words(s, max_len + 1)
-    shift = TruncatedOp.build(domain, codomain, {(shift_word(w), w): 1 for w in domain})
+    # the word with key k is entry k, and its shift is the word with key s*k
+    shift = TruncatedOp.build(
+        domain, codomain, {(codomain[s * k], w): 1 for k, w in enumerate(domain)}
+    )
     modulus = m.p**f.level
     rho = m.residue(f.level)
 
@@ -304,7 +306,7 @@ def build_digit_rep(
 
 
 def build_hs_rep(
-    p: int | Prime, level: int, f: LocallyConstantFn, cutoff: int
+    p: int, level: int, f: LocallyConstantFn, cutoff: int
 ) -> tuple[TruncatedOp, TruncatedOp]:
     """The multiply-the-index shift l -> s*l on l^2(Z>=0) with s = p^level,
     and the diagonal of f at the integer points."""
@@ -321,20 +323,18 @@ def build_hs_rep(
     return shift, diag
 
 
-def intertwiner(p: int | Prime, level: int, r: int, max_len: int) -> TruncatedOp:
+def intertwiner(p: int, level: int, r: int, max_len: int) -> TruncatedOp:
     """The basis pairing between non-negative positions and digit words.
 
     Sends position sum(d_i s^i) to the word (d_0, d_1, ...) with s = p^level;
     a permutation that conjugates the index shift into the digit shift.
     """
-    p = as_prime(p)
     if multiplier_valuation(r, p) != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
     s = p**level
-    domain = tuple(NonNeg(k) for k in range(s**max_len))
     codomain = canonical_words(s, max_len)
-    entries = {(word_from_key(k, s), NonNeg(k)): 1 for k in range(s**max_len)}
-    return TruncatedOp.build(domain, codomain, entries)
+    domain = tuple(NonNeg(k) for k in range(len(codomain)))
+    return TruncatedOp.build(domain, codomain, {pair: 1 for pair in zip(codomain, domain)})
 
 
 # --- symbols of finite sums ------------------------------------------------------
@@ -379,7 +379,7 @@ def symbol_product(a: list[SymbolTerm], b: list[SymbolTerm]) -> list[SymbolTerm]
 
 
 def present_product(
-    a: Presentation, b: Presentation, p: int | Prime, r: int | MultiplierSpec
+    a: Presentation, b: Presentation, p: int, r: int | MultiplierSpec
 ) -> Presentation:
     """The product of two finite sums, re-presented as a finite sum.
 
@@ -438,7 +438,7 @@ def window_shift(window: int) -> TruncatedOp:
 
 
 def check_matrix_units(
-    p: int | Prime, r: int | MultiplierSpec, window: int | None = None
+    p: int, r: int | MultiplierSpec, window: int | None = None
 ) -> bool:
     """For a finite-order multiplier, verify the matrix-unit form of the shift.
 
@@ -450,7 +450,6 @@ def check_matrix_units(
     and that u commutes with every P_{i,j}, both exactly on window interiors
     wide enough that no composition touches the truncation edge.
     """
-    p = as_prime(p)
     verdict = classify(p, r)
     if not isinstance(verdict, CaseII):
         raise DomainError("matrix-unit structure needs a root-of-unity multiplier")

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from sympy import factorint
 
 from .errors import CapExceededError, InsufficientPrecisionError, NotAUnitError, RootOfUnityError
-from .padic import Multiplier, MultiplierSpec, Prime, as_prime, valuation
+from .padic import Multiplier, MultiplierSpec, as_prime, valuation
 
 # QuotientGroup.table refuses larger quotients, as it has cosets^2 entries:
 # 4374 cosets (1 + 3^8) take 4 s and 150 MB, and its JSON 550 MB in all
@@ -75,13 +75,13 @@ def _order(p: int, residue: int, level: int) -> int:
     return d * p ** (level - v)
 
 
-def unit_order(p: int | Prime, level: int, r: int | MultiplierSpec) -> int:
+def unit_order(p: int, level: int, r: int | MultiplierSpec) -> int:
     """Smallest d >= 1 with r^d = 1 mod p^level; unit_order_naive is its oracle."""
     p = as_prime(p)
     return _order(p, _unit_residue(r, p, level), level)
 
 
-def unit_order_naive(p: int | Prime, level: int, r: int | MultiplierSpec) -> int:
+def unit_order_naive(p: int, level: int, r: int | MultiplierSpec) -> int:
     """Oracle for unit_order: multiply until the power returns to 1."""
     p = as_prime(p)
     residue = _unit_residue(r, p, level)
@@ -94,7 +94,7 @@ def unit_order_naive(p: int | Prime, level: int, r: int | MultiplierSpec) -> int
     return order
 
 
-def find_primitive_root(p: int | Prime, level: int) -> int:
+def find_primitive_root(p: int, level: int) -> int:
     """Smallest positive residue generating U_level."""
     p = as_prime(p)
     target = group_size(p, level)
@@ -104,7 +104,7 @@ def find_primitive_root(p: int | Prime, level: int) -> int:
     raise RuntimeError("unreachable: U_N is cyclic, a generator exists")
 
 
-def find_nr(p: int | Prime, r: int | MultiplierSpec, cap: int | None = None) -> int:
+def find_nr(p: int, r: int | MultiplierSpec, cap: int | None = None) -> int:
     """Smallest level M at which p divides the order of r in U_M: v + 1 in its tower.
 
     Beyond this threshold orders multiply by exactly p per level.  A threshold
@@ -161,14 +161,14 @@ class CyclicSubgroup:
         return pow(k, self.order, self.p**self.level) == 1
 
 
-def subgroup(p: int | Prime, level: int, r: int | MultiplierSpec) -> CyclicSubgroup:
+def subgroup(p: int, level: int, r: int | MultiplierSpec) -> CyclicSubgroup:
     """The cyclic subgroup of U_level generated by r, with its order from the tower."""
     p = as_prime(p)
     residue = _unit_residue(r, p, level)
     return CyclicSubgroup(p, level, residue, _order(p, residue, level))
 
 
-def is_in_subgroup(p: int | Prime, level: int, r: int | MultiplierSpec, k: int) -> bool:
+def is_in_subgroup(p: int, level: int, r: int | MultiplierSpec, k: int) -> bool:
     """Whether k mod p^level lies in the subgroup generated by r."""
     p = as_prime(p)
     if k % p == 0:
@@ -229,7 +229,7 @@ class QuotientGroup:
 
 
 def quotient_group(
-    p: int | Prime, r: int | MultiplierSpec, cap: int | None = None
+    p: int, r: int | MultiplierSpec, cap: int | None = None
 ) -> QuotientGroup:
     """The finite quotient of the unit sphere by the closed group of powers of r.
 

@@ -114,6 +114,7 @@ def test_domain_errors_exit_three(capsys):
         ("teich", "-p", "3", "-i", "2", "-N", "10000"),
         ("order", "-p", "1000000007", "-r", "3", "-N", "600"),
         ("classify", "-p", "3", "-r", "-6", "--precision", "10000"),
+        ("ktheory", "-p", "3", "-r", "6", "--precision", "10000"),
         ("decompose", "-p", "3", "-r", "2", "-x", "-5", "--precision", "10000"),
     ):
         code, out, _ = run(capsys, *argv, "--json")

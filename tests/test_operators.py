@@ -76,12 +76,11 @@ def test_apply_validates_index():
     shift, _ = shift_pair()
     with pytest.raises(BasisMismatchError):
         shift.apply(NonNeg(9))
-    off_domain = TruncatedOp((NonNeg(0),), (NonNeg(0),), {(NonNeg(0), NonNeg(7)): ONE})
+    # the constructor refuses an entry off either basis
     with pytest.raises(BasisMismatchError):
-        off_domain.apply(NonNeg(0))
-    off_codomain = TruncatedOp((NonNeg(0),), (NonNeg(0),), {(NonNeg(5), NonNeg(0)): ONE})
+        TruncatedOp((NonNeg(0),), (NonNeg(0),), {(NonNeg(0), NonNeg(7)): ONE})
     with pytest.raises(BasisMismatchError):
-        off_codomain.apply(NonNeg(0))
+        TruncatedOp((NonNeg(0),), (NonNeg(0),), {(NonNeg(5), NonNeg(0)): ONE})
 
 
 def test_arithmetic_and_scaling():
@@ -130,6 +129,11 @@ def test_document_round_trip(values):
     doc = op.to_doc()
     assert TruncatedOp.from_doc(doc) == op
     assert doc == TruncatedOp.from_doc(doc).to_doc()
+    # an int entry given to the constructor is stored, and written, as a Scalar
+    entries[(codomain[3], domain[3])] = 2
+    op = TruncatedOp(domain, codomain, entries)
+    assert op == TruncatedOp.build(domain, codomain, {**entries, (codomain[3], domain[3]): sc(2)})
+    assert TruncatedOp.from_doc(op.to_doc()) == op
 
 
 def test_from_doc_rejects_malformed():

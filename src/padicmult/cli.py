@@ -27,18 +27,17 @@ from .verify import SUITES, Bounds, run_suites
 # its --precision has the same bound
 MAX_DIGITS = 4300
 _LIMIT = 10**MAX_DIGITS
+_UNPRINTABLE = "too many to print an answer below it"
 
 
-def _bounded(p: int, level: int) -> int:
+def _bounded(p: int, level: int, reason: str = _UNPRINTABLE) -> int:
     """The level itself, after refusing one with p^level at or above 10^MAX_DIGITS."""
     # (bit_length - 1) * level bounds log2(p^level) from below, so the power
     # is only formed when it has at most about twice the limit's bits
     if level > 0 and (
         (p.bit_length() - 1) * level >= _LIMIT.bit_length() or p**level >= _LIMIT
     ):
-        raise CapExceededError(
-            f"{p}^{level} has more than {MAX_DIGITS} digits, too many to print an answer below it"
-        )
+        raise CapExceededError(f"{p}^{level} has more than {MAX_DIGITS} digits, {reason}")
     return level
 
 
@@ -158,7 +157,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_ktheory(args: argparse.Namespace) -> int:
-    precision = _bounded(args.p, args.precision)
+    precision = _bounded(
+        args.p, args.precision, "too large a precision for classify, whose cost grows with it"
+    )
     verdict = classify(args.p, parse_multiplier(args.r), precision=precision)
     if args.ideal:
         k0, k1 = ideal_k_groups(verdict, args.p, primed=args.primed)

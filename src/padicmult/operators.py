@@ -19,14 +19,14 @@ from .errors import BasisMismatchError, ParseError
 from .scalars import ONE, Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WinZ:
     """Position k in a window of the bilateral basis of l^2(Z)."""
 
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cyc:
     """Position k in the cyclic basis of l^2(Z/nZ)."""
 
@@ -38,7 +38,7 @@ class Cyc:
             raise ParseError(f"cyclic index {self.k} out of range mod {self.n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonNeg:
     """Position l in the canonical basis of l^2(Z_{>=0})."""
 
@@ -49,7 +49,7 @@ class NonNeg:
             raise ParseError("non-negative basis index required")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A canonical digit word: no trailing zeros except the single-digit zero word."""
 
@@ -219,9 +219,17 @@ class TruncatedOp:
         cls, basis: Iterable[BasisIndex], value: Callable[[BasisIndex], Scalar | int]
     ) -> TruncatedOp:
         basis = tuple(basis)
-        positions = _positions(basis)
-        values = (Scalar.of(value(ix)) for ix in basis)
-        cols = tuple({n: s} if s else {} for n, s in enumerate(values))
+        return cls._diagonal(basis, _positions(basis), map(value, basis))
+
+    @classmethod
+    def _diagonal(
+        cls,
+        basis: tuple[BasisIndex, ...],
+        positions: dict[BasisIndex, int],
+        values: Iterable[Scalar | int],
+    ) -> TruncatedOp:
+        """The diagonal with the given values, in basis order, on a basis and its position map."""
+        cols = tuple({n: s} if s else {} for n, s in enumerate(map(Scalar.of, values)))
         return cls._of_columns(basis, basis, positions, positions, cols)
 
     @classmethod
@@ -248,6 +256,30 @@ class TruncatedOp:
             raise BasisMismatchError(f"{label(index)} is not a domain index")
         codomain = self.codomain
         return {codomain[row]: s for row, s in self._cols[position].items()}
+
+    def _agrees_at(self, other: TruncatedOp, indices: Iterable[BasisIndex]) -> bool:
+        """Whether self and other have equal columns at the given domain indices.
+
+        Every index must lie in both domains.  On one codomain the columns are
+        compared as they are; on two, each row of self is matched by label
+        through other's position map, and a row outside other's codomain is
+        a difference.
+        """
+        try:
+            pairs = [(self._dom_pos[ix], other._dom_pos[ix]) for ix in indices]
+        except KeyError:
+            raise BasisMismatchError("compared index outside a domain") from None
+        mine, theirs = self._cols, other._cols
+        if _same(self.codomain, other.codomain):
+            return all(mine[a] == theirs[b] for a, b in pairs)
+        codomain, rows = self.codomain, other._cod_pos
+        for a, b in pairs:
+            column, target = mine[a], theirs[b]
+            if len(column) != len(target) or any(
+                target.get(rows.get(codomain[row])) != s for row, s in column.items()
+            ):
+                return False
+        return True
 
     def compose(self, other: TruncatedOp) -> TruncatedOp:
         """self after other; requires other's codomain to equal self's domain."""

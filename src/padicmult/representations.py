@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .classification import CaseI, CaseII, classify
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     ValuationMismatchError,
 )
 from .functions import LocallyConstantFn, precompose
-from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word
+from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word, _positions
 from .padic import (
     Multiplier,
     MultiplierSpec,
@@ -33,7 +34,7 @@ from .padic import (
     teichmuller,
     valuation,
 )
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .unit_groups import quotient_group, unit_order
 
 
@@ -122,15 +123,56 @@ def orbit_decompose(
     return OrbitDecomposition("II", p, p_exponent, index, section, tail, precision, k=k)
 
 
+# --- shared bases and shift sections ----------------------------------------------
+
+# a basis and its label -> position map
+Basis = tuple[tuple[BasisIndex, ...], dict[BasisIndex, int]]
+
+
+def _indexed(basis: tuple[BasisIndex, ...]) -> Basis:
+    return basis, _positions(basis)
+
+
+# Each kind of basis is built once per size and shared, so sections of one size
+# compose on the same basis object and no basis is hashed twice.
+@lru_cache(maxsize=32)
+def _window(lo: int, hi: int) -> Basis:
+    """The window {lo..hi} of the bilateral basis."""
+    return _indexed(tuple(WinZ(k) for k in range(lo, hi + 1)))
+
+
+@lru_cache(maxsize=32)
+def _cyclic(n: int) -> Basis:
+    return _indexed(tuple(Cyc(k, n) for k in range(n)))
+
+
+@lru_cache(maxsize=32)
+def _non_negative(size: int) -> Basis:
+    """The first `size` positions {0..size-1} of l^2(Z>=0)."""
+    return _indexed(tuple(NonNeg(l) for l in range(size)))
+
+
+@lru_cache(maxsize=32)
+def _words(s: int, max_len: int) -> Basis:
+    return _indexed(canonical_words(s, max_len))
+
+
+def _section(domain: Basis, codomain: Basis, targets: Iterable[int]) -> TruncatedOp:
+    """The shift section sending domain position n to codomain position targets[n];
+    the domain positions past the end of targets map to zero."""
+    (dom, dom_pos), (cod, cod_pos) = domain, codomain
+    cols = [{row: ONE} for row in targets]
+    cols.extend({} for _ in range(len(dom) - len(cols)))
+    return TruncatedOp._of_columns(dom, cod, dom_pos, cod_pos, tuple(cols))
+
+
 # --- window and cyclic representations ------------------------------------------
 
 
-def _orbit_diagonal(
-    basis: tuple[BasisIndex, ...], m: Multiplier, x: int, f: LocallyConstantFn
-) -> TruncatedOp:
+def _orbit_diagonal(basis: Basis, m: Multiplier, x: int, f: LocallyConstantFn) -> TruncatedOp:
     """The diagonal carrying f(r^k x) at the basis index of position k, for a unit r."""
     rho, modulus = m.residue(f.level), m.p**f.level
-    return TruncatedOp.diagonal(basis, lambda ix: f(pow(rho, ix.k, modulus) * x))
+    return TruncatedOp._diagonal(*basis, (f(pow(rho, ix.k, modulus) * x) for ix in basis[0]))
 
 
 def build_orbit_rep(
@@ -153,11 +195,9 @@ def build_orbit_rep(
         raise NotAUnitError("orbit representations need an invertible multiplier")
     if f.p != p:
         raise BasisMismatchError("function prime does not match")
-    domain = tuple(WinZ(k) for k in range(-window, window + 1))
-    codomain = tuple(WinZ(k) for k in range(-window, window + 2))
-    shift = TruncatedOp.build(
-        domain, codomain, {(WinZ(k + 1), WinZ(k)): 1 for k in range(-window, window + 1)}
-    )
+    domain = _window(-window, window)
+    # domain position n holds k = n - window, and k + 1 sits at codomain position n + 1
+    shift = _section(domain, _window(-window, window + 1), range(1, len(domain[0]) + 1))
     return shift, _orbit_diagonal(domain, m, x, f)
 
 
@@ -174,10 +214,8 @@ def build_cyclic_rep(
     if not isinstance(verdict, CaseII):
         raise DomainError("cyclic representations need a root-of-unity multiplier")
     n = verdict.order
-    basis = tuple(Cyc(k, n) for k in range(n))
-    shift = TruncatedOp.build(
-        basis, basis, {(Cyc((k + 1) % n, n), Cyc(k, n)): 1 for k in range(n)}
-    )
+    basis = _cyclic(n)
+    shift = _section(basis, basis, ((k + 1) % n for k in range(n)))
     return shift, _orbit_diagonal(basis, m, x, f)
 
 
@@ -289,19 +327,16 @@ def build_digit_rep(
     if m.valuation != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
     s = m.p**level
-    domain = canonical_words(s, max_len)
-    codomain = canonical_words(s, max_len + 1)
+    domain = _words(s, max_len)
     # the word with key k is entry k, and its shift is the word with key s*k
-    shift = TruncatedOp.build(
-        domain, codomain, {(codomain[s * k], w): 1 for k, w in enumerate(domain)}
-    )
+    shift = _section(domain, _words(s, max_len + 1), range(0, s * len(domain[0]), s))
     modulus = m.p**f.level
     rho = m.residue(f.level)
 
     def value_residue(word: Word) -> int:
         return sum(d * pow(rho, i, modulus) for i, d in enumerate(word.digits)) % modulus
 
-    diag = TruncatedOp.diagonal(domain, lambda w: f(value_residue(w)))
+    diag = TruncatedOp._diagonal(*domain, (f(value_residue(w)) for w in domain[0]))
     return shift, diag
 
 
@@ -314,12 +349,9 @@ def build_hs_rep(
     if level < 1:
         raise ValuationMismatchError("the base exponent must be at least 1")
     s = p**level
-    domain = tuple(NonNeg(l) for l in range(cutoff + 1))
-    codomain = tuple(NonNeg(l) for l in range(s * cutoff + 1))
-    shift = TruncatedOp.build(
-        domain, codomain, {(NonNeg(s * l), NonNeg(l)): 1 for l in range(cutoff + 1)}
-    )
-    diag = TruncatedOp.diagonal(domain, lambda ix: f(ix.l))
+    domain = _non_negative(cutoff + 1)
+    shift = _section(domain, _non_negative(s * cutoff + 1), range(0, s * (cutoff + 1), s))
+    diag = TruncatedOp._diagonal(*domain, (f(l) for l in range(cutoff + 1)))
     return shift, diag
 
 
@@ -331,10 +363,9 @@ def intertwiner(p: int, level: int, r: int, max_len: int) -> TruncatedOp:
     """
     if multiplier_valuation(r, p) != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
-    s = p**level
-    codomain = canonical_words(s, max_len)
-    domain = tuple(NonNeg(k) for k in range(len(codomain)))
-    return TruncatedOp.build(domain, codomain, {pair: 1 for pair in zip(codomain, domain)})
+    codomain = _words(p**level, max_len)
+    size = len(codomain[0])
+    return _section(_non_negative(size), codomain, range(size))
 
 
 # --- symbols of finite sums ------------------------------------------------------
@@ -419,22 +450,18 @@ def check_covariance(
     if diag.domain != shift.domain or diag.codomain != shift.domain:
         raise BasisMismatchError("the middle diagonal must be square on the shift's domain")
     lhs = shift @ diag @ shift.adjoint()
-    rhs_domain = set(diag_alpha.domain)
     if interior is None:
-        interior = tuple(ix for ix in shift.range_fixed_points() if ix in rhs_domain)
-    else:
-        codomain = set(shift.codomain)
-        for ix in interior:
-            if ix not in codomain or ix not in rhs_domain:
-                raise BasisMismatchError("interior index outside the compared bases")
-    return all(lhs.apply(ix) == diag_alpha.apply(ix) for ix in interior)
+        rhs_domain = diag_alpha._dom_pos
+        interior = [ix for ix in shift.range_fixed_points() if ix in rhs_domain]
+    # lhs's domain is the shift's codomain; an interior index outside it or
+    # outside diag_alpha's domain raises BasisMismatchError
+    return lhs._agrees_at(diag_alpha, interior)
 
 
 def window_shift(window: int) -> TruncatedOp:
     """The square bilateral-shift section on {-K..K}; the top edge maps out."""
-    basis = tuple(WinZ(k) for k in range(-window, window + 1))
-    entries = {(WinZ(k + 1), WinZ(k)): 1 for k in range(-window, window)}
-    return TruncatedOp.build(basis, basis, entries)
+    basis = _window(-window, window)
+    return _section(basis, basis, range(1, len(basis[0])))
 
 
 def check_matrix_units(
@@ -461,27 +488,20 @@ def check_matrix_units(
     v_star = v.adjoint()
     basis = v.domain
     p0 = TruncatedOp.diagonal(basis, lambda ix: 1 if ix.k % n == 0 else 0)
-    v_pow = [TruncatedOp.identity(basis)]
-    star_pow = [TruncatedOp.identity(basis)]
-    for _ in range(n):
-        v_pow.append(v @ v_pow[-1])
-        star_pow.append(v_star @ star_pow[-1])
-
-    def unit(i: int, j: int) -> TruncatedOp:
-        return v_pow[i] @ p0 @ star_pow[j]
-
-    u = v_pow[n]
-    rhs = u @ unit(0, n - 1)
+    # units[i][j] = P_{i,j}, each built once: v^i P0 down the first column,
+    # then (v*)^j across each row
+    units = [[p0]]
+    for _ in range(n - 1):
+        units.append([v @ units[-1][0]])
+    for row in units:
+        for _ in range(n - 1):
+            row.append(row[-1] @ v_star)
+    u = v.power(n)
+    rhs = u @ units[0][n - 1]
     for i in range(1, n):
-        rhs = rhs + unit(i, i - 1)
-    for k in range(-K + n, K - n + 1):
-        if v.apply(WinZ(k)) != rhs.apply(WinZ(k)):
-            return False
-    for i in range(n):
-        for j in range(n):
-            left = u @ unit(i, j)
-            right = unit(i, j) @ u
-            for k in range(-K + 2 * n, K - 2 * n + 1):
-                if left.apply(WinZ(k)) != right.apply(WinZ(k)):
-                    return False
-    return True
+        rhs = rhs + units[i][i - 1]
+    # compared on the window indices -K+n..K-n, then on -K+2n..K-2n
+    if not v._agrees_at(rhs, basis[n : len(basis) - n]):
+        return False
+    inner = basis[2 * n : len(basis) - 2 * n]
+    return all((u @ unit)._agrees_at(unit @ u, inner) for row in units for unit in row)

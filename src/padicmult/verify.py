@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classification import CaseII, classify, h_contains, HSubgroup, supernatural_order
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 from .functions import LocallyConstantFn, alpha_endo, beta_endo, same_function
 from .ktheory import (
     C0SeqH,
@@ -70,6 +70,15 @@ from .unit_groups import (
 )
 
 PRIMES = (3, 5, 7)
+
+# The largest sizes run_suites accepts, each near 10 s of work in-process on a
+# 2-vCPU host.  max_level: `--suite orders` took 1.9 s at 6 and 13.6 s at 7.
+# window: `--suite reps` grows linearly with it and took 8.8 s at 2000.
+# max_len: the suites cut words at 3 digits, so above 3 it costs nothing;
+# uncut, `--suite reps` took 4.2 s at 5 and its word bases grow five-fold per digit.
+MAX_LEVEL = 6
+MAX_WINDOW = 2000
+MAX_WORD_LEN = 5
 
 
 @dataclass
@@ -754,4 +763,11 @@ def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:
         raise DomainError("max_level must be at least 1")
     if bounds.window < 1:
         raise DomainError("window must be at least 1")
+    for name, size, cap in (
+        ("max_level", bounds.max_level, MAX_LEVEL),
+        ("window", bounds.window, MAX_WINDOW),
+        ("max_len", bounds.max_len, MAX_WORD_LEN),
+    ):
+        if size > cap:
+            raise CapExceededError(f"{name} {size} is above {cap}, the largest these suites accept")
     return [result for n in SUITES if n in names for result in SUITES[n](bounds)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -120,11 +121,23 @@ def test_domain_errors_exit_three(capsys):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 3
         assert json.loads(out)["code"] == "cap-exceeded"
+        # ktheory prints no residue: its reason is the cost of classify
+        assert ("classify" in json.loads(out)["message"]) == (argv[0] == "ktheory")
     # sizes that would make vacuous or false checks
     for args in (("--suite", "reps", "--window", "-3"), ("--suite", "orders", "--max-N", "-1")):
         code, out, _ = run(capsys, "verify", *args, "--json")
         assert code == 3
         assert json.loads(out)["code"] == "domain-error"
+    # sizes past about 10 s of work, refused before any suite runs
+    for args in (
+        ("--suite", "orders", "--max-N", "7"),
+        ("--suite", "reps", "--window", "2001"),
+        ("--suite", "digits", "--max-len", "6"),
+        ("--max-N", "1000000", "--window", "10000000"),
+    ):
+        code, out, _ = run(capsys, "verify", *args, "--json")
+        assert code == 3
+        assert json.loads(out)["code"] == "cap-exceeded"
 
 
 def test_residue_answers_stay_printable(capsys):
@@ -213,6 +226,28 @@ def test_verify_accepts_function_file(capsys, tmp_path):
         capsys, "verify", "--suite", "endos", "--fn", str(path), "--max-p", "3"
     )
     assert code == 0
+
+
+# sha256 of the exact stdout of `verify --suite SUITE --seed SEED --json`; the
+# digits suite draws the same checks for every seed
+VERIFY_REPORTS = {
+    ("reps", 0): "a1199766cae29d768b8673a2e165001dc02873fdf8f5ea8f14646584f063c1c5",
+    ("reps", 1): "a740007ab9146490ebf9354934ef38bb3a137455703b0e26124b6eaa9aeb4dea",
+    ("reps", 2): "a1199766cae29d768b8673a2e165001dc02873fdf8f5ea8f14646584f063c1c5",
+    ("reps", 3): "85a3473ccef1f5d67ecf5134a003c392a669cfa859b25264a9d545e8cbf4bac5",
+    ("reps", 4): "72f1c8498427f37e945b045e67aa61327d278a2b09c7f3259e0d16baa72c863b",
+    **{
+        ("digits", seed): "1051e7957aad88b21c4152221defb8cd35dd9ae51dae2f9421da1d71267aea10"
+        for seed in range(5)
+    },
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(VERIFY_REPORTS))
+def test_verify_reports_are_pinned(capsys, suite, seed):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", str(seed), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORTS[suite, seed]
 
 
 # Exact --json stdout and exit code of the README examples, and of errors of

@@ -285,3 +285,63 @@ def test_compose_matches_the_dense_product(seed):
     rng = random.Random(seed)
     for draw in (random_scalar, unit_or_random, sign):
         compose_against_dense(rng, draw)
+
+
+# --- column comparison against a label-keyed reference ---------------------------
+
+WINDOW = tuple(WinZ(k) for k in range(-3, 4))
+WIDER = WINDOW + (WinZ(4),)
+
+
+def column(op: TruncatedOp, index) -> dict:
+    return {row: s for (row, col), s in op.entries.items() if col == index}
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators on one domain window, on one codomain or on a window and
+    the window one larger, the second mostly a copy of the first."""
+    codomains = draw(st.sampled_from([(WINDOW, WINDOW), (WIDER, WINDOW), (WINDOW, WIDER)]))
+    keys = [st.tuples(st.sampled_from(codomain), st.sampled_from(WINDOW)) for codomain in codomains]
+    entries = draw(st.dictionaries(keys[0], scalars(), max_size=12))
+    copied = {key: s for key, s in entries.items() if key[0] in codomains[1]}
+    copied.update(draw(st.dictionaries(keys[1], scalars(), max_size=2)))
+    a = TruncatedOp(WINDOW, codomains[0], entries)
+    b = TruncatedOp(WINDOW, codomains[1], copied)
+    return a, b, draw(st.lists(st.sampled_from(WINDOW), max_size=len(WINDOW)))
+
+
+@given(operator_pairs())
+def test_agrees_at_matches_the_label_reference(pair):
+    a, b, indices = pair
+    want = all(column(a, ix) == column(b, ix) for ix in indices)
+    assert a._agrees_at(b, indices) is want
+    assert b._agrees_at(a, indices) is want
+    assert a._agrees_at(a, indices) is True
+
+
+@given(st.sampled_from([WINDOW, WIDER]), st.sampled_from([WINDOW, WIDER]), st.data())
+def test_agrees_at_sees_one_changed_missing_or_extra_entry(codomain, other, data):
+    keys = st.tuples(st.sampled_from(WINDOW), st.sampled_from(WINDOW))
+    # at most 6 entries, so every column of the 7-row window has a free row
+    entries = data.draw(st.dictionaries(keys, scalars().filter(bool), min_size=1, max_size=6))
+    op = TruncatedOp(WINDOW, codomain, entries)
+    key = data.draw(st.sampled_from(sorted(entries, key=repr)))
+    changed = {**entries, key: entries[key] + sc(1, 1)}
+    missing = {k: s for k, s in entries.items() if k != key}
+    row = data.draw(st.sampled_from([ix for ix in other if (ix, key[1]) not in entries]))
+    extra = {**entries, (row, key[1]): ONE}
+    for edited in (changed, missing, extra):
+        copy = TruncatedOp(WINDOW, other, edited)
+        assert not op._agrees_at(copy, WINDOW) and not copy._agrees_at(op, WINDOW)
+        assert op._agrees_at(copy, [ix for ix in WINDOW if ix != key[1]])
+    assert op._agrees_at(TruncatedOp(WINDOW, other, entries), WINDOW)
+
+
+def test_agrees_at_refuses_an_index_outside_a_domain():
+    wide = TruncatedOp.identity(WIDER)
+    narrow = TruncatedOp.identity(WINDOW)
+    assert wide._agrees_at(narrow, WINDOW)
+    for first, second in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(BasisMismatchError):
+            first._agrees_at(second, [WinZ(4)])

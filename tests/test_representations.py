@@ -387,6 +387,40 @@ def test_matrix_units():
         check_matrix_units(5, TeichProduct(2), window=3)
 
 
+def test_matrix_units_fail_on_a_stray_shift_entry(monkeypatch):
+    import padicmult.representations as representations
+
+    exact = representations.window_shift
+
+    def stray(window):
+        v = exact(window)
+        return TruncatedOp.build(v.domain, v.codomain, {**v.entries, (WinZ(0), WinZ(0)): ONE})
+
+    monkeypatch.setattr(representations, "window_shift", stray)
+    assert not check_matrix_units(5, TeichProduct(2))
+    assert not check_matrix_units(7, TeichProduct(3))
+
+
+def test_sections_of_one_size_share_their_bases():
+    f = LocallyConstantFn.constant(3, 1)
+    g = LocallyConstantFn.constant(5, 2)
+    orbit, diag = build_orbit_rep(3, 2, 1, f, window=5)
+    other, _ = build_orbit_rep(5, 7, 4, g, window=5)
+    assert orbit.domain is other.domain is diag.domain is window_shift(5).domain
+    assert orbit.codomain is other.codomain
+    index, index_diag = build_hs_rep(3, 1, f, cutoff=8)
+    assert index.domain is build_hs_rep(3, 2, f, cutoff=8)[0].domain is index_diag.domain
+    words, words_diag = build_digit_rep(3, 1, ExactInt(6), f, max_len=2)
+    pairing = intertwiner(3, 1, 6, max_len=2)
+    assert words.domain is pairing.codomain is words_diag.domain
+    assert pairing.domain is build_hs_rep(3, 1, f, cutoff=8)[0].domain
+    assert words.codomain is intertwiner(3, 1, -3, max_len=3).codomain
+    cyclic, _ = build_cyclic_rep(5, TeichProduct(2), 1, g)
+    assert cyclic.domain is cyclic.codomain is build_cyclic_rep(5, TeichProduct(3), 2, g)[0].domain
+    for op in (orbit, index, words, pairing, cyclic):
+        assert type(op.domain) is tuple and type(op.codomain) is tuple
+
+
 def test_window_shift_edges():
     v = window_shift(2)
     assert v.apply(WinZ(1)) == {WinZ(2): ONE}

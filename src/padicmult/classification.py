@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from sympy import factorint
-
 from .errors import DomainError, ExcludedMultiplierError, InsufficientPrecisionError
 from .padic import Multiplier, MultiplierSpec, as_prime
 from .unit_groups import _order_primes, find_nr, unit_order
@@ -132,11 +130,12 @@ class SupernaturalNumber:
         """Whether every prime power in the denominator is bounded by this number."""
         if denominator < 1:
             raise DomainError("denominator must be positive")
-        for q, e in factorint(denominator).items():
-            bound = self.exponent(q)
-            if bound is not INF and e > bound:
-                return False
-        return True
+        rest = denominator
+        for q, e in self.factors:
+            n = 0
+            while rest % q == 0 and (e is INF or n < e):
+                rest, n = rest // q, n + 1
+        return rest == 1
 
     def __str__(self) -> str:
         if not self.factors:

@@ -29,6 +29,12 @@ MAX_DIGITS = 4300
 _LIMIT = 10**MAX_DIGITS
 _UNPRINTABLE = "too many to print an answer below it"
 
+# the verify flag of each integer field of verify.Bounds, whose defaults it takes
+VERIFY_SIZES = {
+    "--max-p": "max_p", "--max-N": "max_level", "--max-len": "max_len", "--window": "window",
+    "--seed": "seed",
+}
+
 
 def _bounded(p: int, level: int, reason: str = _UNPRINTABLE) -> int:
     """The level itself, after refusing one with p^level at or above 10^MAX_DIGITS."""
@@ -191,11 +197,7 @@ def cmd_snumber(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     bounds = Bounds(
-        max_p=args.max_p,
-        max_level=args.max_level,
-        max_len=args.max_len,
-        window=args.window,
-        seed=args.seed,
+        **{name: getattr(args, name) for name in VERIFY_SIZES.values()},
         p=args.p,
         r=parse_multiplier(args.r) if args.r else None,
         function=load_function(args.fn) if args.fn else None,
@@ -205,20 +207,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # a run that checked nothing has shown nothing
     ok = failures == 0 and any(result.passed for result in results)
     if args.json:
-        payload = {
-            "status": "ok" if ok else "fail",
-            "results": [
-                {
-                    "suite": result.suite,
-                    "property": result.name,
-                    "passed": result.passed,
-                    "failed": result.failed,
-                    "failures": result.failures,
-                }
-                for result in results
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        rows = [
+            {"suite": r.suite, "property": r.name, "passed": r.passed, "failed": r.failed,
+             "failures": r.failures}
+            for r in results
+        ]
+        print(json.dumps({"status": "ok" if ok else "fail", "results": rows}, sort_keys=True))
     else:
         for result in results:
             print(f"{result.suite}/{result.name}: {result.passed} passed, {result.failed} failed")
@@ -239,64 +233,54 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON payload")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, parents=[common], help=help_text)
+    # the options several commands share, each declared once
+    multiplier = argparse.ArgumentParser(add_help=False)
+    multiplier.add_argument("-p", type=int, required=True)
+    multiplier.add_argument(
+        "-r", required=True, help='multiplier: "2", "-7", "teich(2)", "digits:[1,2,0]"'
+    )
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, help="optional bound on the threshold level")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=int, default=6)
+
+    def command(name: str, handler, help_text: str, *parents) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, parents=[common, *parents], help=help_text)
         cmd.set_defaults(func=handler)
         return cmd
 
-    c = command("classify", cmd_classify, "case trichotomy of a multiplier")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-r", required=True, help='multiplier: "2", "-7", "teich(2)", "digits:[1,2,0]"')
-    c.add_argument("--precision", type=int, default=6)
+    command("classify", cmd_classify, "case trichotomy of a multiplier", multiplier, precision)
 
-    c = command("order", cmd_order, "multiplicative order in U_N")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-r", required=True)
+    c = command("order", cmd_order, "multiplicative order in U_N", multiplier)
     c.add_argument("-N", dest="level", type=int, required=True)
 
-    c = command("nr", cmd_nr, "threshold level where orders gain a factor of p")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-r", required=True)
-    c.add_argument("--cap", type=int, help="optional bound on the threshold level")
-
-    c = command("quotient", cmd_quotient, "finite quotient of the unit sphere")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-r", required=True)
-    c.add_argument("--cap", type=int, help="optional bound on the threshold level")
+    command("nr", cmd_nr, "threshold level where orders gain a factor of p", multiplier, cap)
+    command("quotient", cmd_quotient, "finite quotient of the unit sphere", multiplier, cap)
 
     c = command("teich", cmd_teich, "root-of-unity lift of a residue")
     c.add_argument("-p", type=int, required=True)
     c.add_argument("-i", dest="index", type=int, required=True)
     c.add_argument("-N", dest="level", type=int, required=True)
 
-    c = command("decompose", cmd_decompose, "orbit decomposition of an integer")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-r", required=True)
+    c = command(
+        "decompose", cmd_decompose, "orbit decomposition of an integer", multiplier, precision
+    )
     c.add_argument("-x", type=int, required=True)
-    c.add_argument("--precision", type=int, default=6)
 
-    c = command("ktheory", cmd_ktheory, "symbolic K-group descriptors")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-r", required=True)
-    c.add_argument("--precision", type=int, default=6)
+    c = command("ktheory", cmd_ktheory, "symbolic K-group descriptors", multiplier, precision)
     c.add_argument("--primed", action="store_true", help="finite-cyclic crossed product")
     c.add_argument("--ideal", action="store_true", help="kernel ideal instead of the algebra")
 
-    c = command("snumber", cmd_snumber, "supernatural order of a unit multiplier")
-    c.add_argument("-p", type=int, required=True)
-    c.add_argument("-r", required=True)
-    c.add_argument("--cap", type=int, help="optional bound on the threshold level")
+    command("snumber", cmd_snumber, "supernatural order of a unit multiplier", multiplier, cap)
 
+    defaults = Bounds()
     c = command("verify", cmd_verify, "run the property suites")
     c.add_argument("--suite", choices=["all", *SUITES], default="all")
-    c.add_argument("--max-p", dest="max_p", type=int, default=7)
-    c.add_argument("--max-N", dest="max_level", type=int, default=5)
-    c.add_argument("--max-len", dest="max_len", type=int, default=4)
-    c.add_argument("--window", type=int, default=8)
-    c.add_argument("--seed", type=int, default=0)
+    for flag, name in VERIFY_SIZES.items():
+        c.add_argument(flag, dest=name, type=int, default=getattr(defaults, name))
     c.add_argument("-p", type=int, default=None, help="pin the prime (digits suite)")
     c.add_argument("-r", default=None, help="pin the multiplier (digits suite)")
-    c.add_argument("--fn", default=None, help="JSON function file to use instead of random ones")
+    c.add_argument("--fn", default=None, help="JSON function file for the configs over its prime")
 
     return parser
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, wraps
+from typing import Callable, Iterable
 
 from .classification import CaseI, CaseII, classify
 from .errors import (
@@ -133,26 +133,46 @@ def _indexed(basis: tuple[BasisIndex, ...]) -> Basis:
     return basis, _positions(basis)
 
 
-# Each kind of basis is built once per size and shared, so sections of one size
-# compose on the same basis object and no basis is hashed twice.
-@lru_cache(maxsize=32)
+# A basis of up to BASIS_CACHE_LABELS labels is built once per size and shared, so
+# sections of one size compose on one basis object; a larger one is built on each
+# call and dies with its operators.  The limit is above every basis `verify` builds
+# (4,002 labels at `--window 2000`); a full cache of 32 bases holds at most ~24 MB.
+BASIS_CACHE_LABELS = 4096
+
+
+def _cached_up_to(size: Callable[..., int]):
+    """Memoise a basis builder on the calls whose `size(*args)` is at most BASIS_CACHE_LABELS."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize=32)(build)
+
+        @wraps(build)
+        def get(*args):
+            return (cached if size(*args) <= BASIS_CACHE_LABELS else build)(*args)
+
+        return get
+
+    return decorate
+
+
+@_cached_up_to(lambda lo, hi: hi - lo + 1)
 def _window(lo: int, hi: int) -> Basis:
     """The window {lo..hi} of the bilateral basis."""
     return _indexed(tuple(WinZ(k) for k in range(lo, hi + 1)))
 
 
-@lru_cache(maxsize=32)
+@_cached_up_to(lambda n: n)
 def _cyclic(n: int) -> Basis:
     return _indexed(tuple(Cyc(k, n) for k in range(n)))
 
 
-@lru_cache(maxsize=32)
+@_cached_up_to(lambda size: size)
 def _non_negative(size: int) -> Basis:
     """The first `size` positions {0..size-1} of l^2(Z>=0)."""
     return _indexed(tuple(NonNeg(l) for l in range(size)))
 
 
-@lru_cache(maxsize=32)
+@_cached_up_to(lambda s, max_len: s**max_len)
 def _words(s: int, max_len: int) -> Basis:
     return _indexed(canonical_words(s, max_len))
 
@@ -285,11 +305,10 @@ def word_from_key(key: int, s: int) -> Word:
     return Word(tuple(digits))
 
 
-@lru_cache(maxsize=32)
 def canonical_words(s: int, max_len: int) -> tuple[Word, ...]:
     """All canonical words of length <= max_len, ordered by their base-s key.
 
-    Memoised: the result is a tuple of frozen words, safe to share.
+    Not memoised: the word bases built on it are (see `_words`).
     """
     return tuple(word_from_key(k, s) for k in range(s**max_len))
 

@@ -74,11 +74,16 @@ PRIMES = (3, 5, 7)
 # The largest sizes run_suites accepts, each near 10 s of work in-process on a
 # 2-vCPU host.  max_level: `--suite orders` took 1.9 s at 6 and 13.6 s at 7.
 # window: `--suite reps` grows linearly with it and took 8.8 s at 2000.
-# max_len: the suites cut words at 3 digits, so above 3 it costs nothing;
-# uncut, `--suite reps` took 4.2 s at 5 and its word bases grow five-fold per digit.
+# max_len: `--suite reps` took 4.2 s at 5, its word bases growing five-fold per
+# digit, and under 1 s at 3.
 MAX_LEVEL = 6
 MAX_WINDOW = 2000
-MAX_WORD_LEN = 5
+MAX_WORD_LEN = 3
+
+# samples drawn by the endomorphism, covariance and symbol properties
+ENDO_SAMPLES = 200
+COVARIANCE_SAMPLES = 100
+SYMBOL_SAMPLES = 50
 
 
 @dataclass
@@ -87,12 +92,9 @@ class Bounds:
 
     max_p: int = 7
     max_level: int = 5
-    max_len: int = 4
+    max_len: int = MAX_WORD_LEN
     window: int = 8
     seed: int = 0
-    endo_samples: int = 200
-    covariance_samples: int = 100
-    symbol_samples: int = 50
     p: int | None = None
     r: MultiplierSpec | None = None
     function: LocallyConstantFn | None = None
@@ -139,6 +141,13 @@ def random_scalar(rng: random.Random) -> Scalar:
 def random_function(rng: random.Random, p: int, max_level: int) -> LocallyConstantFn:
     level = rng.randint(0, max_level)
     return LocallyConstantFn(p, level, tuple(random_scalar(rng) for _ in range(p**level)))
+
+
+def _function(bounds: Bounds, rng: random.Random, p: int) -> LocallyConstantFn | None:
+    """The pinned function if it lies over p, None (skip) if over another, else a random one."""
+    if bounds.function is None:
+        return random_function(rng, p, 2)
+    return bounds.function if bounds.function.p == p else None
 
 
 # --- suites ----------------------------------------------------------------------
@@ -318,33 +327,27 @@ def suite_teich(bounds: Bounds) -> list[PropertyResult]:
     return [agree, laws, compat, distinct]
 
 
-def _endo_configs(bounds: Bounds) -> list[tuple[int, MultiplierSpec]]:
-    configs: list[tuple[int, MultiplierSpec]] = []
-    for p, spec in (
-        (3, ExactInt(2)),
-        (5, ExactInt(7)),
-        (7, ExactInt(3)),
-        (5, TeichProduct(2)),
-        (3, ExactInt(-1)),
-        (7, TeichProduct(3, -1)),
-        (3, ExactInt(6)),
-        (5, ExactInt(50)),
-        (7, ExactInt(-21)),
-    ):
-        if p <= bounds.max_p:
-            configs.append((p, spec))
-    return configs
+ENDO_CONFIGS = (
+    (3, ExactInt(2)),
+    (5, ExactInt(7)),
+    (7, ExactInt(3)),
+    (5, TeichProduct(2)),
+    (3, ExactInt(-1)),
+    (7, TeichProduct(3, -1)),
+    (3, ExactInt(6)),
+    (5, ExactInt(50)),
+    (7, ExactInt(-21)),
+)
 
 
 def suite_endos(bounds: Bounds) -> list[PropertyResult]:
     section = PropertyResult("endos", "beta-after-alpha-is-identity")
     inverse = PropertyResult("endos", "alpha-after-beta-is-identity-for-units")
     rng = _rng(bounds, "endos")
-    configs = _endo_configs(bounds)
-    for sample in range(bounds.endo_samples):
+    configs = [(p, spec) for p, spec in ENDO_CONFIGS if p <= bounds.max_p]
+    for sample in range(ENDO_SAMPLES):
         p, spec = configs[sample % len(configs)]
-        f = bounds.function or random_function(rng, p, max_level=2)
-        if bounds.function is not None and f.p != p:
+        if (f := _function(bounds, rng, p)) is None:
             continue
         level_r = multiplier_valuation(spec, p)
         back = beta_endo(alpha_endo(f, spec), spec)
@@ -382,10 +385,9 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
     cyclic_configs = [(5, TeichProduct(2), 1), (7, TeichProduct(3), 3)]
     digit_configs = [(3, ExactInt(6), 1), (5, ExactInt(10), 1)]
     hs_configs = [(3, 1), (5, 1), (3, 2)]
-    for sample in range(bounds.covariance_samples):
+    for sample in range(COVARIANCE_SAMPLES):
         p, spec, x = orbit_configs[sample % len(orbit_configs)]
-        if p <= bounds.max_p:
-            f = bounds.function or random_function(rng, p, 2)
+        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_orbit_rep(p, spec, x, f, window=bounds.window)
             _, diag_alpha = build_orbit_rep(p, spec, x, alpha_endo(f, spec), window=bounds.window)
             orbit.check(
@@ -393,8 +395,7 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
                 f"orbit covariance fails at p={p}, r={spec}, sample={sample}",
             )
         p, spec, x = cyclic_configs[sample % len(cyclic_configs)]
-        if p <= bounds.max_p:
-            f = bounds.function or random_function(rng, p, 2)
+        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_cyclic_rep(p, spec, x, f)
             _, diag_alpha = build_cyclic_rep(p, spec, x, alpha_endo(f, spec))
             cyclic.check(
@@ -402,18 +403,15 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
                 f"cyclic covariance fails at p={p}, r={spec}, sample={sample}",
             )
         p, spec, level = digit_configs[sample % len(digit_configs)]
-        if p <= bounds.max_p:
-            f = bounds.function or random_function(rng, p, 2)
-            max_len = min(bounds.max_len, 3)
-            shift, diag = build_digit_rep(p, level, spec, f, max_len)
-            _, diag_alpha = build_digit_rep(p, level, spec, alpha_endo(f, spec), max_len)
+        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
+            shift, diag = build_digit_rep(p, level, spec, f, bounds.max_len)
+            _, diag_alpha = build_digit_rep(p, level, spec, alpha_endo(f, spec), bounds.max_len)
             digit.check(
                 check_covariance(shift, diag, diag_alpha, interior=shift.domain),
                 f"digit covariance fails at p={p}, r={spec}, sample={sample}",
             )
         p, level = hs_configs[sample % len(hs_configs)]
-        if p <= bounds.max_p:
-            f = bounds.function or random_function(rng, p, 2)
+        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_hs_rep(p, level, f, cutoff=40)
             alpha_f = alpha_endo(f, ExactInt(p**level))
             diag_alpha = TruncatedOp.diagonal(shift.codomain, lambda ix: alpha_f(ix.l))
@@ -531,7 +529,7 @@ def _reps_symbols(bounds: Bounds) -> list[PropertyResult]:
     p, spec = 3, ExactInt(2)
     if p > bounds.max_p:
         return [membership, multiplicative]
-    for sample in range(bounds.symbol_samples):
+    for sample in range(SYMBOL_SAMPLES):
         vanish = sample % 2 == 0
         terms = _random_presentation(rng, p, vanish)
         symbol = pi0_symbol(terms)
@@ -604,7 +602,7 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
         configs = [(bounds.p, spec.n)]
     else:
         configs = [(3, 6), (5, 10)]
-    max_len = min(bounds.max_len, 3)
+    max_len = bounds.max_len
     for p, r in configs:
         if p > bounds.max_p:
             continue
@@ -660,8 +658,7 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
             f"pairing is not a permutation for p={p}, r={r}",
         )
         for _ in range(10):
-            f = bounds.function or random_function(rng, p, 2)
-            if f.p != p:
+            if (f := _function(bounds, rng, p)) is None:
                 continue
             mu = TruncatedOp.diagonal(pairing.domain, lambda ix: f(ix.l))
             conjugated = pairing @ mu @ pairing.adjoint()
@@ -759,15 +756,13 @@ def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:
         raise DomainError(f"unknown suites: {', '.join(unknown)}")
     if bounds.max_p < PRIMES[0]:
         raise DomainError(f"max_p must be at least {PRIMES[0]}, the smallest odd prime")
-    if bounds.max_level < 1:
-        raise DomainError("max_level must be at least 1")
-    if bounds.window < 1:
-        raise DomainError("window must be at least 1")
     for name, size, cap in (
         ("max_level", bounds.max_level, MAX_LEVEL),
         ("window", bounds.window, MAX_WINDOW),
         ("max_len", bounds.max_len, MAX_WORD_LEN),
     ):
+        if size < 1:
+            raise DomainError(f"{name} must be at least 1")
         if size > cap:
             raise CapExceededError(f"{name} {size} is above {cap}, the largest these suites accept")
     return [result for n in SUITES if n in names for result in SUITES[n](bounds)]

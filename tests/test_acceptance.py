@@ -20,18 +20,16 @@ from padicmult import (
     unit_order,
 )
 from padicmult.ktheory import Free
-from padicmult.verify import Bounds, run_suites, _is_group_table
-
-BOUNDS = Bounds(
-    max_p=7,
-    max_level=6,
-    max_len=4,
-    window=8,
-    seed=0,
-    endo_samples=200,
-    covariance_samples=100,
-    symbol_samples=50,
+from padicmult.verify import (
+    COVARIANCE_SAMPLES,
+    ENDO_SAMPLES,
+    SYMBOL_SAMPLES,
+    Bounds,
+    run_suites,
+    _is_group_table,
 )
+
+BOUNDS = Bounds(max_p=7, max_level=6, max_len=3, window=8, seed=0)
 
 
 def _by_name(results):
@@ -89,7 +87,7 @@ def test_criterion_05_endomorphism_identities():
     results = _by_name(run_suites(["endos"], BOUNDS))
     section = results["beta-after-alpha-is-identity"]
     inverse = results["alpha-after-beta-is-identity-for-units"]
-    ok = section.passed == BOUNDS.endo_samples and section.failed == 0 and _clean(inverse)
+    ok = section.passed == ENDO_SAMPLES and section.failed == 0 and _clean(inverse)
     _report(5, "endomorphism identities", ok)
 
 
@@ -102,7 +100,7 @@ def test_criterion_06_covariance_families(reps_results):
     ]
     ok = all(
         reps_results[name].failed == 0
-        and reps_results[name].passed == BOUNDS.covariance_samples
+        and reps_results[name].passed == COVARIANCE_SAMPLES
         for name in families
     )
     _report(6, "covariance on all four families", ok)
@@ -156,8 +154,8 @@ def test_criterion_11_ideal_membership_symbols(reps_results):
     product = reps_results["symbol-of-product-is-product-of-symbols"]
     ok = (
         membership.failed == 0
-        and membership.passed >= BOUNDS.symbol_samples
+        and membership.passed >= SYMBOL_SAMPLES
         and product.failed == 0
-        and product.passed == BOUNDS.symbol_samples
+        and product.passed == SYMBOL_SAMPLES
     )
     _report(11, "kernel-ideal membership via symbols", ok)

@@ -159,3 +159,38 @@ def test_h_membership_closed_under_addition(a, b):
         assert h_contains(h, a + b)
         assert h_contains(h, a - b)
         assert h_contains(h, -a)
+
+
+SUPERNATURALS = (
+    SupernaturalNumber.of({}),
+    SupernaturalNumber.of({2: 1, 3: INF}),
+    SupernaturalNumber.of({2: 2, 3: INF, 5: 1}),
+    SupernaturalNumber.of({2: 12, 5: 3, 11: INF}),
+    SupernaturalNumber.of({7: INF, 999_999_937: 1}),
+)
+SMOOTH = st.builds(
+    lambda a, b, c, d, e: 2**a * 3**b * 5**c * 7**d * 11**e,
+    st.integers(0, 12),
+    st.integers(0, 6),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 1),
+)
+
+
+@given(
+    st.sampled_from(SUPERNATURALS),
+    st.one_of(
+        st.integers(1, 10**12),
+        SMOOTH,
+        st.integers(1, 1000).map(lambda k: 999_999_937 * k),
+    ),
+)
+def test_admits_denominator_matches_factoring(s, denominator):
+    from sympy import factorint
+
+    expected = all(
+        s.exponent(q) is INF or e <= s.exponent(q) for q, e in factorint(denominator).items()
+    )
+    assert s.admits_denominator(denominator) == expected
+    assert h_contains(HSubgroup(s), Fraction(1, denominator)) == expected

@@ -5,7 +5,7 @@ import pytest
 
 from padicmult import LocallyConstantFn, save_function
 from padicmult.cli import main
-from padicmult.verify import PropertyResult
+from padicmult.verify import SUITES, PropertyResult
 
 
 def run(capsys, *argv):
@@ -124,7 +124,11 @@ def test_domain_errors_exit_three(capsys):
         # ktheory prints no residue: its reason is the cost of classify
         assert ("classify" in json.loads(out)["message"]) == (argv[0] == "ktheory")
     # sizes that would make vacuous or false checks
-    for args in (("--suite", "reps", "--window", "-3"), ("--suite", "orders", "--max-N", "-1")):
+    for args in (
+        ("--suite", "reps", "--window", "-3"),
+        ("--suite", "orders", "--max-N", "-1"),
+        ("--suite", "reps", "--max-len", "0"),
+    ):
         code, out, _ = run(capsys, "verify", *args, "--json")
         assert code == 3
         assert json.loads(out)["code"] == "domain-error"
@@ -133,6 +137,7 @@ def test_domain_errors_exit_three(capsys):
         ("--suite", "orders", "--max-N", "7"),
         ("--suite", "reps", "--window", "2001"),
         ("--suite", "digits", "--max-len", "6"),
+        ("--suite", "reps", "--max-len", "4"),
         ("--max-N", "1000000", "--window", "10000000"),
     ):
         code, out, _ = run(capsys, "verify", *args, "--json")
@@ -226,6 +231,27 @@ def test_verify_accepts_function_file(capsys, tmp_path):
         capsys, "verify", "--suite", "endos", "--fn", str(path), "--max-p", "3"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        LocallyConstantFn(3, 1, (1, 2, 3)),
+        LocallyConstantFn(5, 1, (0, 1, -1, 2, 5)),
+        LocallyConstantFn(7, 2, tuple(range(49))),
+    ],
+    ids=lambda fn: f"p={fn.p}",
+)
+def test_verify_pins_a_function_on_the_configs_over_its_prime(capsys, tmp_path, fn):
+    path = tmp_path / "fn.json"
+    save_function(fn, path)
+    for suite in ("all", *SUITES):
+        argv = ["verify", "--suite", suite, "--fn", str(path), "--max-N", "3", "--window", "4"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, (suite, out)
+        payload = json.loads(out)
+        assert payload["status"] == "ok"
+        assert all(entry["failed"] == 0 for entry in payload["results"])
 
 
 # sha256 of the exact stdout of `verify --suite SUITE --seed SEED --json`; the

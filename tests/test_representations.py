@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,7 @@ from padicmult.errors import (
     NotAUnitError,
     ValuationMismatchError,
 )
+from padicmult.representations import BASIS_CACHE_LABELS
 from padicmult.scalars import ONE, ZERO
 
 A = (sc(10), sc(11), sc(12))
@@ -419,6 +422,29 @@ def test_sections_of_one_size_share_their_bases():
     assert cyclic.domain is cyclic.codomain is build_cyclic_rep(5, TeichProduct(3), 2, g)[0].domain
     for op in (orbit, index, words, pairing, cyclic):
         assert type(op.domain) is tuple and type(op.codomain) is tuple
+
+
+def test_large_bases_are_not_kept_after_their_operators():
+    f = LocallyConstantFn.constant(3, 1)
+    build_orbit_rep(3, 2, 1, f, window=8)  # warm the small caches
+    gc.collect()
+    # every basis below has more labels than are cached (3^8 = 6,561 words)
+    size = BASIS_CACHE_LABELS
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        ops = [
+            *build_orbit_rep(3, 2, 1, f, window=size // 2),
+            *build_digit_rep(3, 1, ExactInt(6), f, max_len=8),
+            *build_hs_rep(3, 1, f, cutoff=size),
+        ]
+        built = tracemalloc.get_traced_memory()[0] - baseline
+        assert built > 2_000_000
+        del ops
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - baseline < 100_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_window_shift_edges():

@@ -2,17 +2,17 @@ import pytest
 
 from padicmult import ExactInt, LocallyConstantFn, TeichProduct
 from padicmult.errors import DomainError
-from padicmult.verify import Bounds, PropertyResult, SUITES, _coefficients_vanish, run_suites
-
-SMALL = Bounds(
-    max_p=5,
-    max_level=3,
-    max_len=3,
-    window=4,
-    endo_samples=36,
-    covariance_samples=12,
-    symbol_samples=8,
+from padicmult.verify import (
+    SYMBOL_SAMPLES,
+    Bounds,
+    PropertyResult,
+    SUITES,
+    _coefficients_vanish,
+    _reps_symbols,
+    run_suites,
 )
+
+SMALL = Bounds(max_p=5, max_level=3, max_len=3, window=4)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -29,10 +29,8 @@ def test_symbol_membership_counts_cancelling_terms():
     assert _coefficients_vanish([(3, f), (3, g)])
     assert not _coefficients_vanish([(3, f), (2, g)])
     # seed 11 draws two terms of frequency 3 whose values at 0 cancel
-    bounds = Bounds(seed=11, covariance_samples=0, symbol_samples=12)
-    results = {r.name: r for r in run_suites(["reps"], bounds)}
-    membership = results["symbol-vanishes-iff-coefficients-do"]
-    assert membership.failed == 0 and membership.passed > 12
+    membership, _ = _reps_symbols(Bounds(seed=11))
+    assert membership.failed == 0 and membership.passed > SYMBOL_SAMPLES
 
 
 def test_run_suites_rejects_unknown_names():
@@ -60,6 +58,6 @@ def test_digits_suite_pinning():
 
 
 def test_seed_changes_samples_but_not_health():
-    a = run_suites(["endos"], Bounds(seed=1, endo_samples=20))
-    b = run_suites(["endos"], Bounds(seed=2, endo_samples=20))
+    a = run_suites(["endos"], Bounds(seed=1))
+    b = run_suites(["endos"], Bounds(seed=2))
     assert all(r.failed == 0 for r in a + b)

@@ -194,3 +194,10 @@ def test_admits_denominator_matches_factoring(s, denominator):
     )
     assert s.admits_denominator(denominator) == expected
     assert h_contains(HSubgroup(s), Fraction(1, denominator)) == expected
+
+
+def test_precision_zero_is_accepted():
+    # only a negative precision is refused; zero keeps no digit of the cofactor
+    assert classify(3, 6, precision=0) == CaseIII(1, 0, 0)
+    assert classify(3, 2, precision=0) == CaseI(2, 6)
+    assert classify(5, TeichProduct(2), precision=0) == CaseII(4)

@@ -298,6 +298,12 @@ PINNED = [
         '{"case": "III", "exact": true, "p": 3, "precision": 6, "r": "6", '
         '"status": "ok", "unit_residue": 2, "valuation": 1}'
     ),
+    (
+        "classify -p 3 -r 6 --precision 0",
+        0,
+        '{"case": "III", "exact": true, "p": 3, "precision": 0, "r": "6", '
+        '"status": "ok", "unit_residue": 0, "valuation": 1}'
+    ),
     ("order -p 3 -r 2 -N 3", 0, '{"level": 3, "order": 18, "p": 3, "r": "2", "status": "ok"}'),
     ("nr -p 5 -r 7", 0, '{"p": 5, "r": "7", "status": "ok", "threshold": 3}'),
     (

@@ -1,0 +1,149 @@
+"""Every input check of the library raises its own error class and code."""
+
+from fractions import Fraction
+
+import pytest
+
+from padicmult import (
+    Digits,
+    Free,
+    KGroupDescriptor,
+    LocallyConstantFn,
+    NonNeg,
+    PadicApprox,
+    SupernaturalNumber,
+    TeichProduct,
+    TruncatedOp,
+    build_digit_rep,
+    build_hs_rep,
+    build_orbit_rep,
+    digit_expand,
+    divide_step,
+    find_nr,
+    intertwiner,
+    pi0_symbol,
+    quotient_group,
+    unit_order,
+)
+from padicmult.errors import (
+    BasisMismatchError,
+    DomainError,
+    ExcludedMultiplierError,
+    InsufficientPrecisionError,
+    NotAUnitError,
+    ParseError,
+    ValuationMismatchError,
+)
+
+CONSTANT_3 = LocallyConstantFn.constant(3, 1)
+
+# (call, error class, code, a fragment of the message that names the check)
+CHECKS = {
+    "padic/rational-residue-precision": (
+        lambda: PadicApprox.from_int(3, -1, 2),
+        InsufficientPrecisionError, "insufficient-precision", "non-negative",
+    ),
+    "padic/rational-residue-denominator": (
+        lambda: PadicApprox.from_int(3, 2, Fraction(1, 3)),
+        NotAUnitError, "not-a-unit", "not a p-adic integer",
+    ),
+    "padic/divide-step-denominator": (
+        lambda: divide_step(3, 1, 3, Fraction(1, 3)),
+        NotAUnitError, "not-a-unit", "not a p-adic integer",
+    ),
+    "padic/approx-precision": (
+        lambda: PadicApprox(3, 0, 0),
+        InsufficientPrecisionError, "insufficient-precision", "at least 1",
+    ),
+    "padic/approx-residue-range": (
+        lambda: PadicApprox(3, 1, 3),
+        ParseError, "parse-error", "out of range",
+    ),
+    "padic/teich-sign": (
+        lambda: TeichProduct(2, 2),
+        ParseError, "parse-error", "sign",
+    ),
+    "padic/teich-index": (
+        lambda: TeichProduct(1),
+        ExcludedMultiplierError, "excluded-multiplier", "at least 2",
+    ),
+    "padic/digits-empty": (
+        lambda: Digits(()),
+        ParseError, "parse-error", "non-empty",
+    ),
+    "padic/digits-negative": (
+        lambda: Digits((1, -1)),
+        ParseError, "parse-error", "non-empty",
+    ),
+    "functions/level": (
+        lambda: LocallyConstantFn(3, -1, ()),
+        ParseError, "parse-error", "non-negative",
+    ),
+    "functions/call-prime": (
+        lambda: CONSTANT_3(PadicApprox(5, 1, 1)),
+        ParseError, "parse-error", "evaluation",
+    ),
+    "functions/refined-lowers": (
+        lambda: LocallyConstantFn(3, 1, (0, 1, 2)).refined(0),
+        InsufficientPrecisionError, "insufficient-precision", "lower the level",
+    ),
+    "functions/arithmetic-prime": (
+        lambda: CONSTANT_3 + LocallyConstantFn.constant(5, 1),
+        ParseError, "parse-error", "arithmetic",
+    ),
+    "representations/orbit-function-prime": (
+        lambda: build_orbit_rep(3, 2, 1, LocallyConstantFn.constant(5, 1), window=2),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
+    "representations/digit-expand-length": (
+        lambda: digit_expand(3, 1, 6, 5, 0),
+        DomainError, "domain-error", "max_len",
+    ),
+    "representations/digit-rep-valuation": (
+        lambda: build_digit_rep(3, 1, 2, CONSTANT_3, 2),
+        ValuationMismatchError, "valuation-mismatch", "valuation mismatch",
+    ),
+    "representations/hs-rep-level": (
+        lambda: build_hs_rep(3, 0, CONSTANT_3, 4),
+        ValuationMismatchError, "valuation-mismatch", "base exponent",
+    ),
+    "representations/intertwiner-valuation": (
+        lambda: intertwiner(3, 1, 2, 2),
+        ValuationMismatchError, "valuation-mismatch", "valuation mismatch",
+    ),
+    "representations/symbol-modulus": (
+        lambda: pi0_symbol([], modulus=0),
+        DomainError, "domain-error", "modulus",
+    ),
+    "unit_groups/order-level": (
+        lambda: unit_order(3, 0, 2),
+        InsufficientPrecisionError, "insufficient-precision", "level",
+    ),
+    "unit_groups/threshold-of-non-unit": (
+        lambda: find_nr(5, 10),
+        NotAUnitError, "not-a-unit", "not a unit",
+    ),
+    "unit_groups/coset-of-non-unit": (
+        lambda: quotient_group(5, 7).coset_index(10),
+        NotAUnitError, "not-a-unit", "not a unit",
+    ),
+    "classification/denominator": (
+        lambda: SupernaturalNumber.of({3: 1}).admits_denominator(0),
+        DomainError, "domain-error", "denominator",
+    ),
+    "ktheory/free-rank": (
+        lambda: KGroupDescriptor([Free(-1)]),
+        DomainError, "domain-error", "free rank",
+    ),
+    "operators/negative-power": (
+        lambda: TruncatedOp.identity((NonNeg(0),)).power(-1),
+        ParseError, "parse-error", "negative powers",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, code, message", CHECKS.values(), ids=list(CHECKS))
+def test_input_check_raises_its_error(call, error, code, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error and info.value.code == code

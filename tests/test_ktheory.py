@@ -121,3 +121,8 @@ def test_canonicalization_is_idempotent(atoms):
     assert once.atoms == again.atoms
     frees = [a for a in once.atoms if isinstance(a, Free)]
     assert len(frees) <= 1
+
+
+def test_smallest_shift_base():
+    k0, k1 = hs_k_groups(2)
+    assert str(k0) == "C(Z_2^x, Z)" and str(k1) == "0"

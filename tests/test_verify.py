@@ -1,6 +1,6 @@
 import pytest
 
-from padicmult import ExactInt, LocallyConstantFn, TeichProduct
+from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group
 from padicmult.errors import DomainError
 from padicmult.verify import (
     SYMBOL_SAMPLES,
@@ -8,6 +8,7 @@ from padicmult.verify import (
     PropertyResult,
     SUITES,
     _coefficients_vanish,
+    _is_group_table,
     _reps_symbols,
     run_suites,
 )
@@ -61,3 +62,83 @@ def test_seed_changes_samples_but_not_health():
     a = run_suites(["endos"], Bounds(seed=1))
     b = run_suites(["endos"], Bounds(seed=2))
     assert all(r.failed == 0 for r in a + b)
+
+
+# (passed at max_p 3, passed at max_p 5) of each property of `run_suites(all,
+# Bounds(max_p=P, max_level=3))`; no property fails.  At 3 the configs over 5
+# and 7 are skipped, so the cyclic, periodicity and matrix-unit properties
+# check nothing.
+COVERAGE = {
+    "orders/fast-path-matches-oracle": (20, 96),
+    "orders/threshold-matches-oracle": (5, 24),
+    "orders/order-doubling-past-threshold": (9, 44),
+    "orders/orders-divide-upward": (15, 72),
+    "subgroups/lifting-by-exhaustion": (9, 44),
+    "subgroups/subgroup-order-divides-group": (15, 72),
+    "subgroups/primitive-root-lifting": (3, 6),
+    "quotients/index-stable-past-threshold": (10, 48),
+    "quotients/spot-quotient-orders": (1, 3),
+    "quotients/table-satisfies-group-axioms": (5, 24),
+    "teich/closed-form-matches-fixed-point-oracle": (6, 18),
+    "teich/root-of-unity-laws": (9, 24),
+    "teich/reduction-compatibility": (12, 36),
+    "teich/distinct-mod-p": (3, 6),
+    "endos/beta-after-alpha-is-identity": (200, 200),
+    "endos/alpha-after-beta-is-identity-for-units": (134, 134),
+    "reps/covariance-orbit-window": (50, 100),
+    "reps/covariance-cyclic": (0, 50),
+    "reps/covariance-digit-words": (50, 100),
+    "reps/covariance-index-shift": (67, 100),
+    "reps/shift-sections-are-isometries": (4, 8),
+    "reps/cyclic-shift-is-unitary": (0, 1),
+    "reps/orbit-diagonal-period-is-subgroup-order": (0, 3),
+    "reps/matrix-unit-form-of-the-shift": (0, 1),
+    "reps/symbol-vanishes-iff-coefficients-do": (77, 77),
+    "reps/symbol-of-product-is-product-of-symbols": (50, 50),
+    "reps/orbit-decomposition-roundtrip": (30, 90),
+    "digits/words-biject-onto-residues": (30, 158),
+    "digits/digit-shift-raises-kappa": (26, 150),
+    "digits/partial-sums-match-mod-powers": (20, 40),
+    "digits/index-shift-conjugates-to-digit-shift": (2, 4),
+    "digits/conjugated-diagonal-matches-composition": (10, 20),
+    "ktheory/descriptor-strings": (4, 7),
+    "ktheory/split-sequence-consistency": (3, 6),
+    "ktheory/canonicalization-idempotent": (25, 25),
+    "ktheory/denominator-group-closure": (47, 47),
+}
+
+
+@pytest.mark.parametrize("column, max_p", enumerate((3, 5)))
+def test_max_p_keeps_the_configs_over_primes_up_to_it(column, max_p):
+    results = run_suites(list(SUITES), Bounds(max_p=max_p, max_level=3))
+    counts = {f"{r.suite}/{r.name}": (r.passed, r.failed) for r in results}
+    assert counts == {name: (pinned[column], 0) for name, pinned in COVERAGE.items()}
+
+
+NON_ASSOCIATIVE_LOOP = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 3, 4, 0, 1),
+    (3, 4, 1, 2, 0),
+    (4, 2, 0, 1, 3),
+)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        ((0, 1, 2), (1, 2, 0)),
+        ((1, 0), (0, 1)),
+        ((0, 1, 2), (1, 1, 0), (2, 0, 1)),
+        ((0, 1, 2), (1, 2, 0), (2, 1, 0)),
+        NON_ASSOCIATIVE_LOOP,
+    ],
+    ids=["not-square", "wrong-identity", "row-repeats", "column-repeats", "not-associative"],
+)
+def test_group_table_oracle_rejects(table):
+    assert not _is_group_table(table)
+
+
+def test_group_table_oracle_accepts_a_quotient_table():
+    assert _is_group_table(quotient_group(5, 7).table)
+    assert _is_group_table(((0,),))

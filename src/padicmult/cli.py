@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .classification import INF, CaseI, CaseII, classify, supernatural_order
 from .errors import CapExceededError, DomainError
@@ -56,22 +57,8 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> int:
 
 
 def _classification_payload(verdict) -> dict:
-    if isinstance(verdict, CaseI):
-        return {
-            "case": "I",
-            "threshold": verdict.threshold,
-            "order": verdict.order,
-            "exact": verdict.exact,
-        }
-    if isinstance(verdict, CaseII):
-        return {"case": "II", "order": verdict.order, "exact": verdict.exact}
-    return {
-        "case": "III",
-        "valuation": verdict.valuation,
-        "unit_residue": verdict.unit_residue,
-        "precision": verdict.precision,
-        "exact": verdict.exact,
-    }
+    """The case name (CaseI is "I") and every field of the verdict."""
+    return {"case": type(verdict).__name__.removeprefix("Case"), **asdict(verdict)}
 
 
 def _classification_text(verdict) -> str:
@@ -139,18 +126,9 @@ def cmd_teich(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     spec = parse_multiplier(args.r)
     dec = orbit_decompose(args.p, spec, args.x, precision=_bounded(args.p, args.precision))
-    payload = {
-        "p": args.p,
-        "r": args.r,
-        "x": args.x,
-        "case": dec.case,
-        "p_exponent": dec.p_exponent,
-        "coset_index": dec.coset_index,
-        "section": dec.section_value,
-        "tail": dec.tail,
-        "precision": dec.precision,
-        "k": dec.k,
-    }
+    fields = asdict(dec)
+    fields["section"] = fields.pop("section_value")  # the key the payload has always used
+    payload = {"r": args.r, "x": args.x, **fields}
     parts = [
         f"case {dec.case}",
         f"p-exponent {dec.p_exponent}",

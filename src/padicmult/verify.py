@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -143,8 +144,16 @@ def random_function(rng: random.Random, p: int, max_level: int) -> LocallyConsta
     return LocallyConstantFn(p, level, tuple(random_scalar(rng) for _ in range(p**level)))
 
 
+def _within(bounds: Bounds, configs: Iterable[tuple]) -> list[tuple]:
+    """The configs of a table whose leading prime is at most max_p, in order."""
+    return [config for config in configs if config[0] <= bounds.max_p]
+
+
 def _function(bounds: Bounds, rng: random.Random, p: int) -> LocallyConstantFn | None:
-    """The pinned function if it lies over p, None (skip) if over another, else a random one."""
+    """None (skip the config) above max_p or when the pinned function lies over
+    another prime; else the pinned function, or a random one."""
+    if p > bounds.max_p:
+        return None
     if bounds.function is None:
         return random_function(rng, p, 2)
     return bounds.function if bounds.function.p == p else None
@@ -158,8 +167,8 @@ def suite_orders(bounds: Bounds) -> list[PropertyResult]:
     double = PropertyResult("orders", "order-doubling-past-threshold")
     thresh = PropertyResult("orders", "threshold-matches-oracle")
     divides = PropertyResult("orders", "orders-divide-upward")
+    top = bounds.max_level + 1
     for p, r in _pool(bounds):
-        top = bounds.max_level + 1
         oracle = {level: unit_order_naive(p, level, r) for level in range(1, top + 1)}
         for level in range(1, top + 1):
             agree.check(
@@ -167,14 +176,15 @@ def suite_orders(bounds: Bounds) -> list[PropertyResult]:
                 f"unit_order({p},{level},{r}) != oracle",
             )
         threshold = find_nr(p, r)
+        # the walk ends: a pool multiplier is an integer in 2..p^2, never +-1
         oracle_threshold = next(
-            (m for m in range(1, top + 1) if oracle[m] % p == 0), None
+            m
+            for m in itertools.count(1)
+            if (oracle[m] if m <= top else unit_order_naive(p, m, r)) % p == 0
         )
         thresh.check(
             threshold == oracle_threshold, f"threshold mismatch for p={p}, r={r}"
         )
-        if oracle_threshold is None:
-            continue
         for level in range(threshold, top):
             double.check(
                 oracle[level + 1] == p * oracle[level],
@@ -241,8 +251,6 @@ def _is_group_table(table: tuple[tuple[int, ...], ...]) -> bool:
     for j in range(n):
         if sorted(table[i][j] for i in range(n)) != list(range(n)):
             return False
-    if any(0 not in row for row in table):
-        return False
     return all(
         table[table[i][j]][k] == table[i][table[j][k]]
         for i in range(n)
@@ -259,7 +267,7 @@ def suite_quotients(bounds: Bounds) -> list[PropertyResult]:
         threshold = find_nr(p, r)
         indexes = {
             group_size(p, level) // unit_order(p, level, r)
-            for level in range(threshold, bounds.max_level + 2)
+            for level in range(threshold, max(threshold, bounds.max_level) + 2)
         }
         stable.check(len(indexes) == 1, f"index drifts for p={p}, r={r}: {sorted(indexes)}")
         quotient = quotient_group(p, r)
@@ -271,11 +279,8 @@ def suite_quotients(bounds: Bounds) -> list[PropertyResult]:
             _is_group_table(quotient.table) and quotient.coset_reps[0] == 1,
             f"table axioms fail for p={p}, r={r}",
         )
-    if 3 <= bounds.max_p:
-        spot.check(quotient_group(3, 2).order == 1, "quotient order at (3, 2)")
-    if 5 <= bounds.max_p:
-        spot.check(quotient_group(5, 7).order == 5, "quotient order at (5, 7)")
-        spot.check(quotient_group(5, 2).order == 1, "quotient order at (5, 2)")
+    for p, r, order in _within(bounds, ((3, 2, 1), (5, 7, 5), (5, 2, 1))):
+        spot.check(quotient_group(p, r).order == order, f"quotient order at ({p}, {r})")
     return [stable, spot, axioms]
 
 
@@ -344,7 +349,7 @@ def suite_endos(bounds: Bounds) -> list[PropertyResult]:
     section = PropertyResult("endos", "beta-after-alpha-is-identity")
     inverse = PropertyResult("endos", "alpha-after-beta-is-identity-for-units")
     rng = _rng(bounds, "endos")
-    configs = [(p, spec) for p, spec in ENDO_CONFIGS if p <= bounds.max_p]
+    configs = _within(bounds, ENDO_CONFIGS)
     for sample in range(ENDO_SAMPLES):
         p, spec = configs[sample % len(configs)]
         if (f := _function(bounds, rng, p)) is None:
@@ -387,7 +392,7 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
     hs_configs = [(3, 1), (5, 1), (3, 2)]
     for sample in range(COVARIANCE_SAMPLES):
         p, spec, x = orbit_configs[sample % len(orbit_configs)]
-        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
+        if (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_orbit_rep(p, spec, x, f, window=bounds.window)
             _, diag_alpha = build_orbit_rep(p, spec, x, alpha_endo(f, spec), window=bounds.window)
             orbit.check(
@@ -395,7 +400,7 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
                 f"orbit covariance fails at p={p}, r={spec}, sample={sample}",
             )
         p, spec, x = cyclic_configs[sample % len(cyclic_configs)]
-        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
+        if (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_cyclic_rep(p, spec, x, f)
             _, diag_alpha = build_cyclic_rep(p, spec, x, alpha_endo(f, spec))
             cyclic.check(
@@ -403,7 +408,7 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
                 f"cyclic covariance fails at p={p}, r={spec}, sample={sample}",
             )
         p, spec, level = digit_configs[sample % len(digit_configs)]
-        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
+        if (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_digit_rep(p, level, spec, f, bounds.max_len)
             _, diag_alpha = build_digit_rep(p, level, spec, alpha_endo(f, spec), bounds.max_len)
             digit.check(
@@ -411,7 +416,7 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
                 f"digit covariance fails at p={p}, r={spec}, sample={sample}",
             )
         p, level = hs_configs[sample % len(hs_configs)]
-        if p <= bounds.max_p and (f := _function(bounds, rng, p)) is not None:
+        if (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_hs_rep(p, level, f, cutoff=40)
             alpha_f = alpha_endo(f, ExactInt(p**level))
             diag_alpha = TruncatedOp.diagonal(shift.codomain, lambda ix: alpha_f(ix.l))
@@ -426,9 +431,7 @@ def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
     isometry = PropertyResult("reps", "shift-sections-are-isometries")
     unitary = PropertyResult("reps", "cyclic-shift-is-unitary")
     constant = LocallyConstantFn.constant
-    for p, spec, x in ((3, ExactInt(2), 1), (5, ExactInt(7), 1)):
-        if p > bounds.max_p:
-            continue
+    for p, spec, x in _within(bounds, ((3, ExactInt(2), 1), (5, ExactInt(7), 1))):
         shift, _ = build_orbit_rep(p, spec, x, constant(p, 1), window=bounds.window)
         isometry.check(
             shift.adjoint() @ shift == TruncatedOp.identity(shift.domain),
@@ -439,9 +442,7 @@ def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
             set(fixed) == {WinZ(k) for k in range(-bounds.window + 1, bounds.window + 2)},
             f"range projection has the wrong fixed set at p={p}",
         )
-    for p, level in ((3, 1), (5, 1)):
-        if p > bounds.max_p:
-            continue
+    for p, level in _within(bounds, ((3, 1), (5, 1))):
         shift, _ = build_hs_rep(p, level, constant(p, 1), cutoff=20)
         isometry.check(
             shift.adjoint() @ shift == TruncatedOp.identity(shift.domain),
@@ -452,9 +453,7 @@ def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
             word_shift.adjoint() @ word_shift == TruncatedOp.identity(word_shift.domain),
             f"digit shift not isometric at p={p}",
         )
-    for p, spec in ((5, TeichProduct(2)), (7, TeichProduct(3))):
-        if p > bounds.max_p:
-            continue
+    for p, spec in _within(bounds, ((5, TeichProduct(2)), (7, TeichProduct(3)))):
         shift, _ = build_cyclic_rep(p, spec, 1, constant(p, 1))
         identity = TruncatedOp.identity(shift.domain)
         unitary.check(
@@ -466,14 +465,12 @@ def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
 
 def _reps_periodicity(bounds: Bounds) -> PropertyResult:
     period = PropertyResult("reps", "orbit-diagonal-period-is-subgroup-order")
-    if bounds.max_p < 5:
-        return period
     window = 24
-    for level in (1, 2, 3):
-        f = LocallyConstantFn(5, level, tuple(Scalar.of(j) for j in range(5**level)))
-        _, diag = build_orbit_rep(5, ExactInt(7), 1, f, window=window)
+    for p, r, level in _within(bounds, ((5, 7, 1), (5, 7, 2), (5, 7, 3))):
+        f = LocallyConstantFn(p, level, tuple(Scalar.of(j) for j in range(p**level)))
+        _, diag = build_orbit_rep(p, ExactInt(r), 1, f, window=window)
         sequence = {ix.k: diag.apply(ix).get(ix, Scalar()) for ix in diag.domain}
-        d = unit_order(5, level, 7)
+        d = unit_order(p, level, r)
         repeats = all(
             sequence[k + d] == sequence[k] for k in range(-window, window - d + 1)
         )
@@ -494,9 +491,7 @@ def _reps_periodicity(bounds: Bounds) -> PropertyResult:
 
 def _reps_matrix_units(bounds: Bounds) -> PropertyResult:
     units = PropertyResult("reps", "matrix-unit-form-of-the-shift")
-    for p, spec in ((5, TeichProduct(2)), (7, TeichProduct(3))):
-        if p > bounds.max_p:
-            continue
+    for p, spec in _within(bounds, ((5, TeichProduct(2)), (7, TeichProduct(3)))):
         units.check(check_matrix_units(p, spec), f"matrix-unit identity fails at p={p}")
     return units
 
@@ -526,31 +521,29 @@ def _reps_symbols(bounds: Bounds) -> list[PropertyResult]:
     membership = PropertyResult("reps", "symbol-vanishes-iff-coefficients-do")
     multiplicative = PropertyResult("reps", "symbol-of-product-is-product-of-symbols")
     rng = _rng(bounds, "symbols")
-    p, spec = 3, ExactInt(2)
-    if p > bounds.max_p:
-        return [membership, multiplicative]
-    for sample in range(SYMBOL_SAMPLES):
-        vanish = sample % 2 == 0
-        terms = _random_presentation(rng, p, vanish)
-        symbol = pi0_symbol(terms)
-        expected = _coefficients_vanish(terms)
-        membership.check(
-            symbol_vanishes(symbol) == expected,
-            f"membership mismatch at sample {sample}",
-        )
-        other = _random_presentation(rng, p, vanish=False)
-        product_symbol = pi0_symbol(present_product(terms, other, p, spec))
-        multiplicative.check(
-            product_symbol == symbol_product(symbol, pi0_symbol(other)),
-            f"symbol product mismatch at sample {sample}",
-        )
-        if expected:
-            # folding frequencies cannot resurrect an element of the ideal
-            folded = pi0_symbol(terms, modulus=4)
+    for p, spec in _within(bounds, ((3, ExactInt(2)),)):
+        for sample in range(SYMBOL_SAMPLES):
+            vanish = sample % 2 == 0
+            terms = _random_presentation(rng, p, vanish)
+            symbol = pi0_symbol(terms)
+            expected = _coefficients_vanish(terms)
             membership.check(
-                len(folded) == 4 and symbol_vanishes(folded),
-                f"folded symbol of an ideal element does not vanish at sample {sample}",
+                symbol_vanishes(symbol) == expected,
+                f"membership mismatch at sample {sample}",
             )
+            other = _random_presentation(rng, p, vanish=False)
+            product_symbol = pi0_symbol(present_product(terms, other, p, spec))
+            multiplicative.check(
+                product_symbol == symbol_product(symbol, pi0_symbol(other)),
+                f"symbol product mismatch at sample {sample}",
+            )
+            if expected:
+                # folding frequencies cannot resurrect an element of the ideal
+                folded = pi0_symbol(terms, modulus=4)
+                membership.check(
+                    len(folded) == 4 and symbol_vanishes(folded),
+                    f"folded symbol of an ideal element does not vanish at sample {sample}",
+                )
     return [membership, multiplicative]
 
 
@@ -603,9 +596,7 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
     else:
         configs = [(3, 6), (5, 10)]
     max_len = bounds.max_len
-    for p, r in configs:
-        if p > bounds.max_p:
-            continue
+    for p, r in _within(bounds, configs):
         level = valuation(p, r)[0]
         s = p**level
         for n in range(1, max_len + 1):
@@ -680,24 +671,20 @@ def suite_ktheory(bounds: Bounds) -> list[PropertyResult]:
     k0, k1 = algebra_k_groups(verdict, 3)
     strings.check(str(k0) == "c0(Z>=0, H(2*3^inf)) (+) Z", f"K0 printed as {k0}")
     strings.check(str(k1) == "Z (+) c0(Z>=0, Z)", f"K1 printed as {k1}")
-    if bounds.max_p >= 5:
-        prime_verdict = classify(5, TeichProduct(2))
-        pk0, pk1 = primed_algebra_k_groups(prime_verdict, 5)
+    for p, spec in _within(bounds, ((5, TeichProduct(2)),)):
+        pk0, pk1 = primed_algebra_k_groups(classify(p, spec), p)
         strings.check(str(pk0) == "c0(Z>=0 x Zp, Z) (+) Z^4", f"primed K0 printed as {pk0}")
         strings.check(str(pk1) == "0", f"primed K1 printed as {pk1}")
-        hs0, hs1 = algebra_k_groups(classify(5, 10), 5)
-        strings.check(str(hs0) == "C(Z_5^x, Z)" and str(hs1) == "0", f"got {hs0} / {hs1}")
-    hs0, hs1 = algebra_k_groups(classify(3, 6), 3)
-    strings.check(str(hs0) == "C(Z_3^x, Z)" and str(hs1) == "0", f"got {hs0} / {hs1}")
+    for p, r, pinned in _within(bounds, ((5, 10, "C(Z_5^x, Z)"), (3, 6, "C(Z_3^x, Z)"))):
+        hs0, hs1 = algebra_k_groups(classify(p, r), p)
+        strings.check(str(hs0) == pinned and str(hs1) == "0", f"got {hs0} / {hs1}")
     strings.check(
         algebra_k_groups(classify(3, 18), 3) == hs_k_groups(9),
         "valuation-2 descriptors disagree with the direct construction",
     )
 
     cases = [(3, ExactInt(2)), (5, ExactInt(7)), (5, TeichProduct(2)), (3, ExactInt(-1))]
-    for p, spec in cases:
-        if p > bounds.max_p:
-            continue
+    for p, spec in _within(bounds, cases):
         verdict = classify(p, spec)
         ak0, ak1 = algebra_k_groups(verdict, p)
         ik0, ik1 = ideal_k_groups(verdict, p)

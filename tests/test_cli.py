@@ -212,6 +212,20 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     assert json.loads(out)["status"] == "fail"
 
 
+# one check per pool config (65 at --max-p 7), and two per config in quotients
+@pytest.mark.parametrize(
+    "suite, prop, count",
+    [("orders", "threshold-matches-oracle", 65), ("quotients", "index-stable-past-threshold", 130)],
+)
+@pytest.mark.parametrize("max_n", ["1", "2"])
+def test_verify_is_clean_below_the_thresholds(capsys, suite, prop, count, max_n):
+    # thresholds reach level 4 (p = 7, r = 18), above the levels these runs read
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-N", max_n, "--json")
+    assert code == 0
+    passed = {entry["property"]: entry["passed"] for entry in json.loads(out)["results"]}
+    assert passed[prop] == count
+
+
 def test_verify_with_no_checks_fails(capsys):
     # the pinned prime 7 lies above --max-p, so the digits suite checks nothing
     argv = ["verify", "--suite", "digits", "-p", "7", "-r", "14", "--max-p", "5"]

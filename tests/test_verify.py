@@ -127,9 +127,9 @@ NON_ASSOCIATIVE_LOOP = (
 @pytest.mark.parametrize(
     "table",
     [
-        ((0, 1, 2), (1, 2, 0)),
+        ((0,), (1,)),
         ((1, 0), (0, 1)),
-        ((0, 1, 2), (1, 1, 0), (2, 0, 1)),
+        ((0, 1, 2), (1, 0, 1), (2, 2, 0)),
         ((0, 1, 2), (1, 2, 0), (2, 1, 0)),
         NON_ASSOCIATIVE_LOOP,
     ],

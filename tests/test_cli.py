@@ -535,3 +535,37 @@ def test_json_output_is_pinned(capsys, argv, code, stdout):
 def test_out_of_range_digits_and_negative_precision_exit_three(capsys, argv, error):
     code, out, _ = run(capsys, *argv.split(), "--json")
     assert code == 3 and json.loads(out)["code"] == error
+
+
+def _orbit_grid(p):
+    """`quotient` and `decompose` argvs over Case I and Case II multipliers for one p."""
+    teich = [(2, 1), (2, -1), (p - 1, 1), (p - 2, -1)]
+    multipliers = ["2", str(p + 1), str(1 + p**2), "-3", "-1"] + list(dict.fromkeys(
+        f"{'-' if sign < 0 else ''}teich({i})"
+        for i, sign in teich
+        if i >= 2 and (i, sign) != (p - 1, -1)  # -teich(p-1) is 1
+    ))
+    for r in multipliers:
+        yield ["quotient", "-p", str(p), f"-r{r}"]
+        for x in (1, -7, p, -3 * p, 50 * p**2):
+            for precision in range(1, 7):
+                yield ["decompose", "-p", str(p), f"-r{r}", "-x", str(x), "--precision", str(precision)]
+
+
+# sha256 of the exit code and --json stdout of every call of _orbit_grid(p)
+ORBIT_GRID = {
+    3: "882f6cefdb3b96e13bef65a1b495dd8ae07d003a6db6b8958cbf6dc4853f6ac2",
+    5: "cdde9a10bff5906d12e2d25720dbf32252d854d5f1fffd008a20e3d3c45bd5a3",
+    7: "170ae269c40fd3b57332e1c5c2f3f74b11e69f22183a6649fafc49f6fefaa642",
+    11: "eaa00e556f0745f01953c23db14f90409acece7e4bf4c2f0da209fabb082bf5b",
+    13: "3946c3033abbf1d27a5a32fbf9ac4e123ca5b7ddf579db9047eaab6dda61a95d",
+}
+
+
+@pytest.mark.parametrize("p", sorted(ORBIT_GRID))
+def test_quotient_and_decompose_grid_is_pinned(capsys, p):
+    digest = hashlib.sha256()
+    for argv in _orbit_grid(p):
+        code, out, _ = run(capsys, *argv, "--json")
+        digest.update(f"{code} {out}".encode())
+    assert digest.hexdigest() == ORBIT_GRID[p]

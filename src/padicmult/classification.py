@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, ExcludedMultiplierError, InsufficientPrecisionError
+from .errors import DomainError, InsufficientPrecisionError
 from .padic import Multiplier, MultiplierSpec, as_prime
 from .unit_groups import _order_primes, find_nr, unit_order
 
@@ -87,14 +87,7 @@ def classify(
             precision = m.known - level
         return CaseIII(level, m.unit_residue(precision), precision, exact)
     if m.root_of_unity:
-        order = unit_order(m.p, 1, m.residue(1))
-        if order == 1:
-            raise ExcludedMultiplierError(
-                "excluded multiplier: r resolves to 1"
-                if exact
-                else "excluded multiplier: digits match 1 at every known digit"
-            )
-        return CaseII(order, exact)
+        return CaseII(unit_order(m.p, 1, m.residue(1)), exact)
     # not a root of unity at the known precision, so the known digits show the threshold
     threshold = find_nr(m.p, m, cap)
     return CaseI(threshold, unit_order(m.p, threshold, m), exact)

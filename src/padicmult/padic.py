@@ -207,7 +207,8 @@ class Multiplier:
     def of(cls, r: int | MultiplierSpec | Multiplier, p: int) -> Multiplier:
         """Resolve a multiplier against p; a resolved one passes through.
 
-        Checks the 0/1 exclusion, the Teichmuller index range and that every
+        Checks the 0/1 exclusion (also of ``-teich(p-1)`` and of a digit
+        string that spells 1), the Teichmuller index range and that every
         digit is below p.  The valuation is left to ``valuation``, so its
         errors come only from the computations that need it.
         """
@@ -224,10 +225,15 @@ class Multiplier:
                 raise ExcludedMultiplierError(
                     f"Teichmuller index must lie in [2, {p - 1}] for p={p}"
                 )
+            if (r.i, r.sign) == (p - 1, -1):  # teich(p-1) is -1
+                raise ExcludedMultiplierError("excluded multiplier: r resolves to 1")
             return cls(p, None, teich=r)
         if any(d >= p for d in r.digits):
             raise ParseError(f"digit out of range for base {p}")
-        return cls(p, sum(d * p**k for k, d in enumerate(r.digits)), len(r.digits))
+        value = sum(d * p**k for k, d in enumerate(r.digits))
+        if value == 1:
+            raise ExcludedMultiplierError("excluded multiplier: digits match 1 at every known digit")
+        return cls(p, value, len(r.digits))
 
     def residue(self, n: int) -> int:
         """r mod p^n, for 0 <= n <= known."""

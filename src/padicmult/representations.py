@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 from .classification import CaseI, CaseII, classify
 from .errors import (
     BasisMismatchError,
+    CapExceededError,
     DomainError,
     InsufficientPrecisionError,
     NotAUnitError,
@@ -35,7 +36,7 @@ from .padic import (
     valuation,
 )
 from .scalars import ONE, Scalar
-from .unit_groups import quotient_group, unit_order
+from .unit_groups import QUOTIENT_MAX_SCAN, QuotientGroup, subgroup
 
 
 # --- orbit decompositions -------------------------------------------------------
@@ -70,23 +71,6 @@ class OrbitDecomposition:
         return self.p**self.p_exponent * unit
 
 
-def _roots_quotient(p: int, generator_residue: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    """Cosets of <g> inside (Z/p)^x: smallest representatives (identity coset
-    first) and a lookup residue -> (coset index, power of g)."""
-    powers = [pow(generator_residue, k, p) for k in range(unit_order(p, 1, generator_residue))]
-    reps: list[int] = []
-    lookup: dict[int, tuple[int, int]] = {}
-    for i in range(1, p):
-        if i in lookup:
-            continue
-        index = len(reps)
-        reps.append(i)
-        for k, g in enumerate(powers):
-            lookup[i * g % p] = (index, k)
-    # the identity's coset is found first because lookup[1] is set when i = 1
-    return reps, lookup
-
-
 def orbit_decompose(
     p: int,
     r: int | MultiplierSpec,
@@ -106,20 +90,32 @@ def orbit_decompose(
     modulus = p**precision
     unit %= modulus
     if isinstance(verdict, CaseI):
-        if precision < verdict.threshold:
+        level = verdict.threshold
+        if precision < level:
             raise InsufficientPrecisionError(
-                f"precision {precision} below the threshold level {verdict.threshold}"
+                f"precision {precision} below the threshold level {level}"
             )
-        quotient = quotient_group(p, m, cap)
-        index = quotient.coset_index(unit)
-        section = quotient.section(index)
-        tail = unit * pow(section, -1, modulus) % modulus
-        return OrbitDecomposition("I", p, p_exponent, index, section, tail, precision)
-    reps, lookup = _roots_quotient(p, m.residue(1))
-    index, k = lookup[unit % p]
-    section = teichmuller(p, reps[index], precision) if precision else 0
-    omega = teichmuller(p, unit % p, precision)
-    tail = unit * pow(omega, -1, modulus) % modulus
+    else:
+        level = 1
+        if precision < 1:
+            raise InsufficientPrecisionError(f"precision {precision} below the root-of-unity level 1")
+    sub = subgroup(p, level, m)
+    if isinstance(verdict, CaseII) and sub.order > QUOTIENT_MAX_SCAN:
+        raise CapExceededError(
+            f"r has order {sub.order} mod {p}, above the listing limit {QUOTIENT_MAX_SCAN}"
+        )
+    quotient = QuotientGroup.of(sub)
+    index = quotient.coset_index(unit)
+    rep = quotient.section(index)
+    if isinstance(verdict, CaseI):
+        tail = unit * pow(rep, -1, modulus) % modulus
+        return OrbitDecomposition("I", p, p_exponent, index, rep, tail, precision)
+    # omega(x) = r^k * omega(rep): k walks the powers of r mod p up to x / rep
+    k, power, target = 0, 1, unit * pow(rep, -1, p) % p
+    while power != target:
+        k, power = k + 1, power * sub.generator % p
+    tail = unit * pow(teichmuller(p, unit, precision), -1, modulus) % modulus
+    section = teichmuller(p, rep, precision)
     return OrbitDecomposition("II", p, p_exponent, index, section, tail, precision, k=k)
 
 

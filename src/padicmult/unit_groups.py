@@ -22,7 +22,7 @@ from .padic import Multiplier, MultiplierSpec, as_prime, valuation
 # 4374 cosets (1 + 3^8) take 4 s and 150 MB, and its JSON 550 MB in all
 QUOTIENT_MAX_COSETS = 5000
 
-# quotient_group refuses to list more cosets, each about 150 bytes: on a
+# QuotientGroup.of refuses to list more cosets, each about 150 bytes: on a
 # 2-vCPU host orbit_decompose along 1 + 3^12 (354294 cosets) takes 0.6 s and
 # 75 MB, along 1 + 3^13 (1062882) 1.5 s and 185 MB, tripling per power of 3
 QUOTIENT_MAX_SCAN = 400_000
@@ -135,7 +135,9 @@ class CyclicSubgroup:
     """The subgroup of U_level generated by a single residue.
 
     Its order comes from the order tower; the elements are listed on first
-    read.  As U_level is cyclic, k lies in it exactly when k^order = 1.
+    read.  As U_level is cyclic, the subgroup is the kernel of k -> k^order,
+    so k lies in it exactly when its key k^order is 1, and two units share a
+    coset exactly when their keys agree.
     """
 
     p: int
@@ -157,8 +159,11 @@ class CyclicSubgroup:
     def element_set(self) -> frozenset[int]:
         return frozenset(self.elements)
 
+    def _key(self, k: int) -> int:
+        return pow(k, self.order, self.p**self.level)
+
     def __contains__(self, k: int) -> bool:
-        return pow(k, self.order, self.p**self.level) == 1
+        return self._key(k) == 1
 
 
 def subgroup(p: int, level: int, r: int | MultiplierSpec) -> CyclicSubgroup:
@@ -180,15 +185,12 @@ def is_in_subgroup(p: int, level: int, r: int | MultiplierSpec, k: int) -> bool:
 class QuotientGroup:
     """The quotient of U_level by a cyclic subgroup, with a fixed section.
 
-    At the threshold level the subgroup is the full preimage of its image in
-    the cyclic group U_(level-1), of order d = |subgroup| / p, so two units
-    share a coset exactly when their d-th powers mod p^(level-1), the coset
-    keys, agree.  Coset representatives are the smallest positive residue in
-    each coset, in increasing order, so the identity coset comes first; the
+    Cosets are named by the subgroup's key k -> k^|subgroup| mod p^level.
+    Coset representatives are the smallest positive residue in each coset,
+    in increasing order, so the identity coset comes first; the
     multiplication table, built on first read, is indexed accordingly and
-    refused above QUOTIENT_MAX_COSETS cosets.  The section maps coset j to the
-    integer coset_reps[j].  quotient_group refuses to list more than
-    QUOTIENT_MAX_SCAN cosets.
+    refused above QUOTIENT_MAX_COSETS cosets.  The section maps coset j to
+    the integer coset_reps[j].  Build one with ``QuotientGroup.of``.
     """
 
     p: int
@@ -196,22 +198,36 @@ class QuotientGroup:
     subgroup: CyclicSubgroup
     coset_reps: tuple[int, ...]
 
+    @classmethod
+    def of(cls, sub: CyclicSubgroup) -> QuotientGroup:
+        """The cosets of a subgroup, refused above QUOTIENT_MAX_SCAN of them."""
+        p, level = sub.p, sub.level
+        cosets = group_size(p, level) // sub.order
+        if cosets > QUOTIENT_MAX_SCAN:
+            raise CapExceededError(
+                f"the quotient has {cosets} cosets, above the listing limit {QUOTIENT_MAX_SCAN}"
+            )
+        least: dict[int, int] = {}  # coset key -> least unit with that key
+        for k in range(1, p**level):
+            if len(least) == cosets:
+                break
+            if k % p:
+                least.setdefault(sub._key(k), k)
+        return cls(p, level, sub, tuple(least.values()))
+
     @property
     def order(self) -> int:
         return len(self.coset_reps)
 
-    def _key(self, k: int) -> int:
-        return pow(k, self.subgroup.order // self.p, self.p ** (self.level - 1))
-
     @cached_property
     def _index(self) -> dict[int, int]:
-        return {self._key(rep): index for index, rep in enumerate(self.coset_reps)}
+        return {self.subgroup._key(rep): index for index, rep in enumerate(self.coset_reps)}
 
     def coset_index(self, k: int) -> int:
         """Index of the coset containing the unit k."""
         if k % self.p == 0:
             raise NotAUnitError(f"{k} is not a unit mod {self.p}")
-        return self._index[self._key(k)]
+        return self._index[self.subgroup._key(k)]
 
     def section(self, index: int) -> int:
         return self.coset_reps[index]
@@ -223,7 +239,7 @@ class QuotientGroup:
                 f"the quotient has {self.order} cosets, above the table limit {QUOTIENT_MAX_COSETS}"
             )
         # keys are multiplicative: the key of a * b is key(a) * key(b)
-        modulus = self.p ** (self.level - 1)
+        modulus = self.p**self.level
         index = self._index
         return tuple(tuple(index[a * b % modulus] for b in index) for a in index)
 
@@ -237,19 +253,4 @@ def quotient_group(
     at any higher level gives a canonically isomorphic group.
     """
     m = Multiplier.of(r, p)
-    p = m.p
-    level = find_nr(p, m, cap)
-    sub = subgroup(p, level, m)
-    cosets = group_size(p, level) // sub.order
-    if cosets > QUOTIENT_MAX_SCAN:
-        raise CapExceededError(
-            f"the quotient has {cosets} cosets, above the listing limit {QUOTIENT_MAX_SCAN}"
-        )
-    d, modulus = sub.order // p, p ** (level - 1)
-    least: dict[int, int] = {}  # coset key -> least unit with that key
-    for k in range(1, modulus):
-        if len(least) == cosets:
-            break
-        if k % p:
-            least.setdefault(pow(k, d, modulus), k)
-    return QuotientGroup(p, level, sub, tuple(least.values()))
+    return QuotientGroup.of(subgroup(m.p, find_nr(m.p, m, cap), m))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -500,6 +501,67 @@ PINNED = [
         '{"code": "domain-error", "message": "zero admits no orbit decomposition", '
         '"status": "error"}'
     ),
+    # the multiplier 1 in its other forms is refused by every command
+    (
+        "order -p 5 -r-teich(4) -N 2",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: r resolves to 1", "status": "error"}'
+    ),
+    (
+        "nr -p 5 -r-teich(4)",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: r resolves to 1", "status": "error"}'
+    ),
+    (
+        "quotient -p 5 -r-teich(4)",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: r resolves to 1", "status": "error"}'
+    ),
+    (
+        "order -p 5 -r digits:[1,0] -N 2",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: digits match 1 at every known digit", '
+        '"status": "error"}'
+    ),
+    (
+        "nr -p 5 -r digits:[1,0]",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: digits match 1 at every known digit", '
+        '"status": "error"}'
+    ),
+    (
+        "quotient -p 5 -r digits:[1,0]",
+        3,
+        '{"code": "excluded-multiplier", '
+        '"message": "excluded multiplier: digits match 1 at every known digit", '
+        '"status": "error"}'
+    ),
+    (
+        "decompose -p 3 -r -1 -x 15 --precision 0",
+        3,
+        '{"code": "insufficient-precision", '
+        '"message": "precision 0 below the root-of-unity level 1", "status": "error"}'
+    ),
+    # roots of unity with more cosets, or a longer walk, than QUOTIENT_MAX_SCAN
+    (
+        "decompose -p 1000003 -r -1 -x 5 --precision 2",
+        3,
+        '{"code": "cap-exceeded", '
+        '"message": "the quotient has 500001 cosets, above the listing limit 400000", '
+        '"status": "error"}'
+    ),
+    (
+        "decompose -p 1000003 -r teich(2) -x 5 --precision 2",
+        3,
+        '{"code": "cap-exceeded", '
+        '"message": "r has order 1000002 mod 1000003, above the listing limit 400000", '
+        '"status": "error"}'
+    ),
     (
         "classify -p 5 -r digits:[0,7]",
         3,
@@ -569,3 +631,46 @@ def test_quotient_and_decompose_grid_is_pinned(capsys, p):
         code, out, _ = run(capsys, *argv, "--json")
         digest.update(f"{code} {out}".encode())
     assert digest.hexdigest() == ORBIT_GRID[p]
+
+
+def _random_argv(rng):
+    """One call of a command other than verify, drawn over small, zero, negative and bad sizes."""
+    p = rng.choice([2, 3, 5, 7, 9, 11])
+    q = max(p, 3)
+    r = rng.choice([
+        str(rng.randint(-30, 130)),
+        rng.choice(["0", "1", "-1", str(1 + q), str(1 + q * q)]),
+        f"{rng.choice(['', '-'])}teich({rng.randint(-1, q + 1)})",
+        f"-teich({p - 1})",
+        "digits:[" + ",".join(str(rng.randint(0, q)) for _ in range(rng.randint(1, 4))) + "]",
+        "digits:[1" + ",0" * rng.randint(0, 3) + "]",
+    ])
+    size = lambda: str(rng.randint(-2, 6))  # noqa: E731
+    command = rng.choice(["classify", "order", "nr", "quotient", "teich", "decompose", "ktheory", "snumber"])
+    if command == "teich":
+        argv = [command, "-p", str(p), "-i", str(rng.randint(-3, 2 * q)), "-N", size()]
+    else:
+        argv = [command, "-p", str(p), f"-r{r}"]
+    argv += {
+        "classify": ["--precision", size()],
+        "order": ["-N", size()],
+        "decompose": ["-x", str(rng.randint(-50, 50)), "--precision", size()],
+        "ktheory": ["--precision", size(), *rng.sample(["--primed", "--ideal"], rng.randint(0, 2))],
+    }.get(command, [])
+    if command in ("nr", "quotient", "snumber") and rng.random() < 0.5:
+        argv += ["--cap", str(rng.randint(-1, 5))]
+    if rng.random() < 0.05:
+        argv[rng.randrange(1, len(argv))] = "two"  # a malformed token: a usage error or a bad spec
+    return argv + ["--json"] * rng.randint(0, 1)
+
+
+def test_random_calls_exit_cleanly(capsys):
+    rng = random.Random(2)  # draws, among others, a Case II decompose at --precision 0
+    for _ in range(500):
+        argv = _random_argv(rng)
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - anything escaping main is the failure
+            pytest.fail(f"{' '.join(argv)} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 2, 3), argv

@@ -243,6 +243,28 @@ def test_excluded_multipliers():
         ExactInt(1)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_multiplier_one_is_refused_in_every_form(p):
+    f = LocallyConstantFn(p, 1, tuple(range(p)))
+    for spec, message in [
+        (TeichProduct(p - 1, -1), "r resolves to 1"),
+        (Digits((1,)), "digits match 1 at every known digit"),
+        (Digits((1, 0, 0)), "digits match 1 at every known digit"),
+    ]:
+        for call in (
+            lambda: Multiplier.of(spec, p),
+            lambda: unit_order(p, 2, spec),
+            lambda: find_nr(p, spec),
+            lambda: classify(p, spec),
+            lambda: alpha_endo(f, spec),
+        ):
+            with pytest.raises(ExcludedMultiplierError, match=message):
+                call()
+    # -1 and a digit string that is 1 only at its first digit stay multipliers
+    assert Multiplier.of(TeichProduct(p - 1), p).residue(2) == p**2 - 1
+    assert Multiplier.of(Digits((1, 1)), p).value == 1 + p
+
+
 def test_multiplier_grammar_round_trip():
     for text, spec in [
         ("7", ExactInt(7)),
@@ -330,6 +352,10 @@ def test_teich_product_resolves_to_its_signed_lift():
     for p in (3, 5, 7):
         for i in range(2, p):
             for sign in (1, -1):
+                if (i, sign) == (p - 1, -1):  # -teich(p-1) is 1, an excluded multiplier
+                    with pytest.raises(ExcludedMultiplierError, match="resolves to 1"):
+                        Multiplier.of(TeichProduct(i, sign), p)
+                    continue
                 m = Multiplier.of(TeichProduct(i, sign), p)
                 assert m.residue(0) == 0
                 for n in range(1, 6):

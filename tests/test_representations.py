@@ -40,6 +40,7 @@ from padicmult import (
 )
 from padicmult.errors import (
     BasisMismatchError,
+    CapExceededError,
     DomainError,
     InsufficientPrecisionError,
     NotAUnitError,
@@ -111,6 +112,51 @@ def test_orbit_decompose_roundtrip(config, x):
             assert dec.tail % p**level in subgroup(p, level, spec).element_set
     else:
         assert dec.tail % p == 1
+
+
+def _closed_form_lift(p, i, precision):
+    """The Teichmuller lift of i mod p^precision, as the limit i^(p^(precision-1))."""
+    return pow(i, p ** (precision - 1), p**precision)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_case_two_decompositions_match_a_brute_force_oracle(p):
+    roots = [(ExactInt(-1), lambda n: -1)] + [
+        (TeichProduct(i, sign), lambda n, i=i, sign=sign: sign * _closed_form_lift(p, i, n))
+        for i in range(2, p)
+        for sign in (1, -1)
+        if (i, sign) != (p - 1, -1)  # -teich(p-1) is 1, an excluded multiplier
+    ]
+    xs = [*range(1, p), -5, -p, 7 * p**2, 2 * p**3 + p + 1]
+    for spec, lift in roots:
+        powers = {pow(lift(1), k, p) for k in range(p)}
+        # the cosets of <r mod p> in (Z/p)^x as sets, ordered by least element
+        cosets = sorted({frozenset(a * h % p for h in powers) for a in range(1, p)}, key=min)
+        for precision in range(1, 6):
+            modulus, rho = p**precision, lift(precision)
+            for x in xs:
+                dec = orbit_decompose(p, spec, x, precision=precision)
+                exponent = 0
+                while x % p ** (exponent + 1) == 0:
+                    exponent += 1
+                unit = x // p**exponent % modulus
+                assert dec.case == "II" and dec.p_exponent == exponent
+                assert unit % p in cosets[dec.coset_index]
+                assert dec.section_value == _closed_form_lift(p, min(cosets[dec.coset_index]), precision)
+                omega = _closed_form_lift(p, unit, precision)
+                assert pow(rho, dec.k, modulus) * dec.section_value % modulus == omega
+                assert dec.tail % p == 1
+                assert dec.recompose(spec) == x % p ** (exponent + precision)
+
+
+def test_case_two_decompositions_are_bounded():
+    # a Teichmuller section needs one known digit
+    with pytest.raises(InsufficientPrecisionError, match="root-of-unity level 1"):
+        orbit_decompose(3, -1, 15, precision=0)
+    # 500001 cosets of {1, -1}; a walk over the 1000002 powers of teich(2)
+    for r, message in [(-1, "500001 cosets"), (TeichProduct(2), "order 1000002")]:
+        with pytest.raises(CapExceededError, match=message):
+            orbit_decompose(1000003, r, 5, precision=2)
 
 
 # -- window and cyclic representations ----------------------------------------

@@ -8,6 +8,7 @@ from conftest import ODD_PRIMES
 from padicmult import (
     Digits,
     ExactInt,
+    QuotientGroup,
     TeichProduct,
     find_nr,
     find_primitive_root,
@@ -197,6 +198,21 @@ def test_quotient_partitions_units():
         for j, rep in enumerate(q.coset_reps):
             assert seen[j] == {rep * g % modulus for g in q.subgroup.elements}
             assert rep == min(seen[j])
+
+
+def test_quotient_of_any_subgroup_at_any_level():
+    # the subgroup's key k -> k^order names its cosets below, at and past the threshold
+    for p, top in [(3, 4), (5, 2), (7, 2), (11, 1), (13, 1)]:
+        for level in range(1, top + 1):
+            modulus = p**level
+            units = [k for k in range(1, modulus) if k % p]
+            for r in units:
+                q = QuotientGroup.of(subgroup(p, level, r))
+                members = q.subgroup.element_set
+                cosets = sorted({frozenset(a * h % modulus for h in members) for a in units}, key=min)
+                assert q.coset_reps == tuple(min(c) for c in cosets)
+                assert all(k in cosets[q.coset_index(k)] for k in units)
+                assert _is_group_table(q.table)
 
 
 def test_quotient_table_is_a_group():

@@ -24,7 +24,8 @@ QUOTIENT_MAX_COSETS = 5000
 
 # QuotientGroup.of refuses to list more cosets, each about 150 bytes: on a
 # 2-vCPU host orbit_decompose along 1 + 3^12 (354294 cosets) takes 0.6 s and
-# 75 MB, along 1 + 3^13 (1062882) 1.5 s and 185 MB, tripling per power of 3
+# 75 MB, along 1 + 3^13 (1062882) 1.5 s and 185 MB, tripling per power of 3;
+# orbit_decompose walks no more powers of a root of unity mod p either
 QUOTIENT_MAX_SCAN = 400_000
 
 

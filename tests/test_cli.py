@@ -645,7 +645,10 @@ def _random_argv(rng):
         "digits:[" + ",".join(str(rng.randint(0, q)) for _ in range(rng.randint(1, 4))) + "]",
         "digits:[1" + ",0" * rng.randint(0, 3) + "]",
     ])
-    size = lambda: str(rng.randint(-2, 6))  # noqa: E731
+
+    def size():
+        return str(rng.randint(-2, 6))
+
     command = rng.choice(["classify", "order", "nr", "quotient", "teich", "decompose", "ktheory", "snumber"])
     if command == "teich":
         argv = [command, "-p", str(p), "-i", str(rng.randint(-3, 2 * q)), "-N", size()]
@@ -670,7 +673,7 @@ def test_random_calls_exit_cleanly(capsys):
         argv = _random_argv(rng)
         try:
             code = main(argv)
-        except Exception as exc:  # noqa: BLE001 - anything escaping main is the failure
+        except Exception as exc:  # anything escaping main is the failure
             pytest.fail(f"{' '.join(argv)} raised {exc!r}")
         capsys.readouterr()
         assert code in (0, 2, 3), argv

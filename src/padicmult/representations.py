@@ -89,25 +89,20 @@ def orbit_decompose(
     p_exponent, unit = valuation(p, x)
     modulus = p**precision
     unit %= modulus
-    if isinstance(verdict, CaseI):
-        level = verdict.threshold
-        if precision < level:
-            raise InsufficientPrecisionError(
-                f"precision {precision} below the threshold level {level}"
-            )
-    else:
-        level = 1
-        if precision < 1:
-            raise InsufficientPrecisionError(f"precision {precision} below the root-of-unity level 1")
+    case_one = isinstance(verdict, CaseI)
+    level = verdict.threshold if case_one else 1
+    if precision < level:
+        kind = "threshold" if case_one else "root-of-unity"
+        raise InsufficientPrecisionError(f"precision {precision} below the {kind} level {level}")
     sub = subgroup(p, level, m)
-    if isinstance(verdict, CaseII) and sub.order > QUOTIENT_MAX_SCAN:
+    if not case_one and sub.order > QUOTIENT_MAX_SCAN:
         raise CapExceededError(
             f"r has order {sub.order} mod {p}, above the listing limit {QUOTIENT_MAX_SCAN}"
         )
     quotient = QuotientGroup.of(sub)
     index = quotient.coset_index(unit)
     rep = quotient.section(index)
-    if isinstance(verdict, CaseI):
+    if case_one:
         tail = unit * pow(rep, -1, modulus) % modulus
         return OrbitDecomposition("I", p, p_exponent, index, rep, tail, precision)
     # omega(x) = r^k * omega(rep): k walks the powers of r mod p up to x / rep

@@ -291,6 +291,22 @@ def test_verify_reports_are_pinned(capsys, suite, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORTS[suite, seed]
 
 
+# sha256 of `verify --suite orders --max-N N --json`: below 3 the threshold
+# oracle walks past max_level + 1, at 6 it runs to the cap
+ORDERS_REPORTS = {
+    1: "c35f5552d5afebac5238a9c225167d761d24642eab7884ab00fd2ebea186c9b1",
+    2: "e2bbd44f7356c04f1cf4e0a278dabb5259442e860836348fc7375249aca8a99e",
+    6: "02f06e2c8da9e122e42ecbb1005b79ee4358664827b051d64601f1d665159a22",
+}
+
+
+@pytest.mark.parametrize("max_level", sorted(ORDERS_REPORTS))
+def test_orders_reports_are_pinned(capsys, max_level):
+    code, out, _ = run(capsys, "verify", "--suite", "orders", "--max-N", str(max_level), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDERS_REPORTS[max_level]
+
+
 # Exact --json stdout and exit code of the README examples, and of errors of
 # every code across the three multiplier forms.  The last two rows are
 # refusals: a digit not below p, and a negative precision.

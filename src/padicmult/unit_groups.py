@@ -15,7 +15,13 @@ from functools import cached_property, lru_cache
 
 from sympy import factorint
 
-from .errors import CapExceededError, InsufficientPrecisionError, NotAUnitError, RootOfUnityError
+from .errors import (
+    CapExceededError,
+    DomainError,
+    InsufficientPrecisionError,
+    NotAUnitError,
+    RootOfUnityError,
+)
 from .padic import Multiplier, MultiplierSpec, as_prime, valuation
 
 # QuotientGroup.table refuses larger quotients, as it has cosets^2 entries:
@@ -109,10 +115,13 @@ def find_nr(p: int, r: int | MultiplierSpec, cap: int | None = None) -> int:
     """Smallest level M at which p divides the order of r in U_M: v + 1 in its tower.
 
     Beyond this threshold orders multiply by exactly p per level.  A threshold
-    above the optional ``cap`` raises CapExceededError.  One that the known
-    digits of a digit string do not show raises InsufficientPrecisionError,
-    unless the cap is at most the number of known digits.
+    above the optional ``cap`` raises CapExceededError, and a cap below 1, under
+    every threshold, raises DomainError.  A threshold that the known digits of
+    a digit string do not show raises InsufficientPrecisionError, unless the
+    cap is at most the number of known digits.
     """
+    if cap is not None and cap < 1:
+        raise DomainError("cap must be at least 1")
     m = Multiplier.of(r, p)
     if m.known is None and m.root_of_unity:
         raise RootOfUnityError("no threshold exists: r is a root of unity")
@@ -214,7 +223,10 @@ class QuotientGroup:
                 break
             if k % p:
                 least.setdefault(sub._key(k), k)
-        return cls(p, level, sub, tuple(least.values()))
+        quotient = cls(p, level, sub, tuple(least.values()))
+        # the scan met the keys in the order of coset_reps: seed the cached index
+        quotient.__dict__["_index"] = {key: index for index, key in enumerate(least)}
+        return quotient
 
     @property
     def order(self) -> int:

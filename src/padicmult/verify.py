@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classification import CaseII, classify, h_contains, HSubgroup, supernatural_order
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, NotAUnitError
 from .functions import LocallyConstantFn, alpha_endo, beta_endo, same_function
 from .ktheory import (
     C0SeqH,
@@ -67,13 +67,14 @@ from .unit_groups import (
     quotient_group,
     subgroup,
     unit_order,
-    unit_order_naive,
 )
 
 PRIMES = (3, 5, 7)
 
-# The largest sizes run_suites accepts, each near 10 s of work in-process on a
-# 2-vCPU host.  max_level: `--suite orders` took 1.9 s at 6 and 13.6 s at 7.
+# The largest sizes run_suites accepts, measured in-process on a 2-vCPU host.
+# max_level: at 6 the suites took subgroups 0.26 s, reps 0.19, quotients 0.09,
+# endos 0.04, digits 0.01, orders 0.010 and teich and ktheory under 0.01; at 7
+# no suite took more than 0.35 s (subgroups), orders 0.008 s.
 # window: `--suite reps` grows linearly with it and took 8.8 s at 2000.
 # max_len: `--suite reps` took 4.2 s at 5, its word bases growing five-fold per
 # digit, and under 1 s at 3.
@@ -169,7 +170,7 @@ def suite_orders(bounds: Bounds) -> list[PropertyResult]:
     divides = PropertyResult("orders", "orders-divide-upward")
     top = bounds.max_level + 1
     for p, r in _pool(bounds):
-        oracle = {level: unit_order_naive(p, level, r) for level in range(1, top + 1)}
+        oracle = {level: lagrange_order(p, level, r) for level in range(1, top + 1)}
         for level in range(1, top + 1):
             agree.check(
                 unit_order(p, level, r) == oracle[level],
@@ -178,9 +179,7 @@ def suite_orders(bounds: Bounds) -> list[PropertyResult]:
         threshold = find_nr(p, r)
         # the walk ends: a pool multiplier is an integer in 2..p^2, never +-1
         oracle_threshold = next(
-            m
-            for m in itertools.count(1)
-            if (oracle[m] if m <= top else unit_order_naive(p, m, r)) % p == 0
+            m for m in itertools.count(1) if lagrange_order(p, m, r) % p == 0
         )
         thresh.check(
             threshold == oracle_threshold, f"threshold mismatch for p={p}, r={r}"
@@ -293,6 +292,21 @@ def teichmuller_fixed_point(p: int, i: int, precision: int) -> int:
         if following == current:
             return current
         current = following
+
+
+def lagrange_order(p: int, level: int, r: int) -> int:
+    """Oracle for the order of a unit r in U_level, from Lagrange's theorem alone.
+
+    The order divides |U_level| = (p - 1) p^(level - 1), so it is the least
+    divisor e of that size with r^e = 1 mod p^level.  The divisors are the
+    products of a divisor of p - 1, found by trial division, and a power of p.
+    """
+    if r % p == 0:
+        raise NotAUnitError(f"{r} is not a unit mod {p}")
+    modulus = p**level
+    small = [a for a in range(1, p) if (p - 1) % a == 0]
+    divisors = sorted(a * p**j for a in small for j in range(level))
+    return next(e for e in divisors if pow(r, e, modulus) == 1)
 
 
 def suite_teich(bounds: Bounds) -> list[PropertyResult]:

@@ -578,6 +578,17 @@ PINNED = [
         '"message": "r has order 1000002 mod 1000003, above the listing limit 400000", '
         '"status": "error"}'
     ),
+    # no threshold lies below level 1, so a cap below 1 is refused
+    (
+        "nr -p 5 -r 59 --cap 0",
+        3,
+        '{"code": "domain-error", "message": "cap must be at least 1", "status": "error"}'
+    ),
+    (
+        "snumber -p 3 -r 10 --cap -1",
+        3,
+        '{"code": "domain-error", "message": "cap must be at least 1", "status": "error"}'
+    ),
     (
         "classify -p 5 -r digits:[0,7]",
         3,

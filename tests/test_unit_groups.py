@@ -16,16 +16,18 @@ from padicmult import (
     is_in_subgroup,
     quotient_group,
     subgroup,
+    supernatural_order,
     unit_order,
     unit_order_naive,
 )
 from padicmult.errors import (
     CapExceededError,
+    DomainError,
     InsufficientPrecisionError,
     NotAUnitError,
     RootOfUnityError,
 )
-from padicmult.unit_groups import QUOTIENT_MAX_COSETS, QUOTIENT_MAX_SCAN
+from padicmult.unit_groups import QUOTIENT_MAX_COSETS, QUOTIENT_MAX_SCAN, CyclicSubgroup
 from padicmult.verify import Bounds, _is_group_table, _pool
 
 
@@ -258,3 +260,32 @@ def test_order_and_subgroup_accept_exact_specs():
     assert subgroup(5, 2, TeichProduct(2)).order == 4
     with pytest.raises(InsufficientPrecisionError):
         unit_order(5, 3, Digits((2, 1)))
+
+
+def test_a_cap_below_one_is_refused():
+    # every threshold is at least 1, so such a cap could only refuse
+    for call in (
+        lambda: find_nr(5, 59, cap=0),
+        lambda: find_nr(5, 59, cap=-1),
+        lambda: find_nr(5, Digits((2, 1)), cap=0),
+        lambda: quotient_group(5, 7, cap=0),
+        lambda: supernatural_order(3, 10, cap=-1),
+    ):
+        with pytest.raises(DomainError) as refusal:
+            call()
+        assert type(refusal.value) is DomainError
+        assert str(refusal.value) == "cap must be at least 1"
+    assert find_nr(5, 7, cap=3) == 3
+
+
+def test_the_coset_index_reuses_the_keys_of_the_scan(monkeypatch):
+    calls = []
+    key = CyclicSubgroup._key
+    monkeypatch.setattr(CyclicSubgroup, "_key", lambda sub, k: calls.append(k) or key(sub, k))
+    for p, r in ((3, 2), (3, 1 + 3**4), (5, 7), (7, 1 + 2 * 7**2), (11, 12)):
+        quotient = quotient_group(p, r)
+        expected = {key(quotient.subgroup, rep): j for j, rep in enumerate(quotient.coset_reps)}
+        calls.clear()
+        assert quotient._index == expected
+        assert [quotient.coset_index(rep) for rep in quotient.coset_reps] == list(range(quotient.order))
+        assert calls == list(quotient.coset_reps)

@@ -1,7 +1,9 @@
 import pytest
 
-from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group
-from padicmult.errors import DomainError
+from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group, verify
+from padicmult import unit_groups
+from padicmult.errors import DomainError, NotAUnitError
+from padicmult.unit_groups import unit_order_naive
 from padicmult.verify import (
     SYMBOL_SAMPLES,
     Bounds,
@@ -9,8 +11,11 @@ from padicmult.verify import (
     SUITES,
     _coefficients_vanish,
     _is_group_table,
+    _pool,
     _reps_symbols,
+    lagrange_order,
     run_suites,
+    suite_orders,
 )
 
 SMALL = Bounds(max_p=5, max_level=3, max_len=3, window=4)
@@ -142,3 +147,44 @@ def test_group_table_oracle_rejects(table):
 def test_group_table_oracle_accepts_a_quotient_table():
     assert _is_group_table(quotient_group(5, 7).table)
     assert _is_group_table(((0,),))
+
+
+def test_lagrange_order_matches_the_multiplying_oracle():
+    cases = [(p, level, r) for p, r in _pool(Bounds()) for level in range(1, 5)]
+    cases += [(p, level, r) for p in (11, 13) for r in (2, p - 1, p + 1) for level in (1, 2, 3)]
+    for p, level, r in cases:
+        assert lagrange_order(p, level, r) == unit_order_naive(p, level, r), (p, level, r)
+    with pytest.raises(NotAUnitError):
+        lagrange_order(5, 2, 10)
+
+
+def test_lagrange_order_reads_no_order_tower(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the order tower was read")
+
+    monkeypatch.setattr(unit_groups, "_tower", refuse)
+    with pytest.raises(AssertionError):
+        unit_groups.unit_order(7, 3, 2)
+    assert [lagrange_order(7, level, 2) for level in (1, 2, 3)] == [3, 21, 147]
+    assert lagrange_order(13, 2, 14) == 13
+
+
+def _orders_by_name(bounds):
+    return {result.name: result for result in suite_orders(bounds)}
+
+
+def test_orders_suite_catches_a_broken_fast_path(monkeypatch):
+    bounds = Bounds(max_p=5, max_level=3)
+    configs = len(_pool(bounds))
+    assert all(result.failed == 0 for result in _orders_by_name(bounds).values())
+
+    def order_off_by_p(p, level, r):
+        order = unit_groups.unit_order(p, level, r)
+        return p * order if level == 2 else order
+
+    monkeypatch.setattr(verify, "unit_order", order_off_by_p)
+    assert _orders_by_name(bounds)["fast-path-matches-oracle"].failed == configs
+    monkeypatch.undo()
+
+    monkeypatch.setattr(verify, "find_nr", lambda p, r: unit_groups.find_nr(p, r) + 1)
+    assert _orders_by_name(bounds)["threshold-matches-oracle"].failed == configs

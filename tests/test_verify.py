@@ -1,7 +1,6 @@
 import pytest
 
-from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group, verify
-from padicmult import unit_groups
+from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group, unit_groups, verify
 from padicmult.errors import DomainError, NotAUnitError
 from padicmult.unit_groups import unit_order_naive
 from padicmult.verify import (

@@ -1,5 +1,8 @@
 import gc
+import hashlib
 import itertools
+import json
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import functions, sc
 from padicmult import (
     Cyc,
+    Digits,
     ExactInt,
     LocallyConstantFn,
     NonNeg,
@@ -24,6 +28,7 @@ from padicmult import (
     check_covariance,
     check_matrix_units,
     digit_expand,
+    function_to_doc,
     intertwiner,
     kappa,
     orbit_decompose,
@@ -497,3 +502,54 @@ def test_window_shift_edges():
     v = window_shift(2)
     assert v.apply(WinZ(1)) == {WinZ(2): ONE}
     assert v.apply(WinZ(2)) == {}
+
+
+# -- the builders' answers, pinned ------------------------------------------------
+
+
+def _seeded_fn(rng, p, level):
+    values = tuple(sc(rng.randint(-3, 3), rng.choice([0, rng.randint(-2, 2)])) for _ in range(p**level))
+    return LocallyConstantFn(p, level, values)
+
+
+def _builder_docs():
+    """The documents of every builder over a fixed grid of primes, multipliers,
+    points, sizes and seeded functions of levels 0-2."""
+    rng = random.Random(15)
+    fns = {p: [_seeded_fn(rng, p, level) for level in range(3)] for p in (3, 5, 7)}
+    for p, f in ((p, f) for p in fns for f in fns[p]):
+        for r in (2, -1, p + 1, -(p + 2)):
+            for x in (1, -4, 3 * p):
+                for window in (0, 1, 5):
+                    yield [op.to_doc() for op in build_orbit_rep(p, r, x, f, window=window)]
+            a = [(0, f), (1, fns[p][0]), (-2, fns[p][2])]
+            b = [(2, fns[p][1]), (1, f)]
+            yield [[n, function_to_doc(g)] for n, g in present_product(a, b, p, r)]
+        for i in range(2, p):
+            for sign in (1, -1):
+                if (i, sign) != (p - 1, -1):  # -teich(p-1) is 1
+                    for x in (1, -4, 3 * p):
+                        yield [op.to_doc() for op in build_cyclic_rep(p, TeichProduct(i, sign), x, f)]
+        for level in (1, 2):
+            for cutoff in range(13):
+                yield [op.to_doc() for op in build_hs_rep(p, level, f, cutoff)]
+    digit_configs = [
+        (3, 1, 6), (3, 1, -3), (3, 1, Digits((0, 2, 1))), (5, 1, 10), (7, 1, -7),
+        (3, 2, 18), (3, 2, -9),
+    ]
+    for p, level, r in digit_configs:
+        for max_len in (1, 2, 3):
+            for f in fns[p]:
+                yield [op.to_doc() for op in build_digit_rep(p, level, r, f, max_len)]
+            yield intertwiner(p, level, r, max_len).to_doc()
+    for window in range(6):
+        yield window_shift(window).to_doc()
+
+
+# sha256 of json.dumps(list(_builder_docs()), sort_keys=True)
+BUILDER_DOCS = "e5f9ddf2550caa500f79fa0fa2aa9e1649c4c564a32658f2aa5fff5965bcfa4e"
+
+
+def test_builder_documents_are_pinned():
+    text = json.dumps(list(_builder_docs()), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILDER_DOCS

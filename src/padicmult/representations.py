@@ -36,7 +36,7 @@ from .padic import (
     valuation,
 )
 from .scalars import ONE, Scalar
-from .unit_groups import QUOTIENT_MAX_SCAN, QuotientGroup, subgroup
+from .unit_groups import QUOTIENT_MAX_SCAN, CyclicSubgroup, QuotientGroup
 
 
 # --- orbit decompositions -------------------------------------------------------
@@ -94,7 +94,8 @@ def orbit_decompose(
     if precision < level:
         kind = "threshold" if case_one else "root-of-unity"
         raise InsufficientPrecisionError(f"precision {precision} below the {kind} level {level}")
-    sub = subgroup(p, level, m)
+    # the verdict's order is the order of r at the threshold (Case I), or mod p (Case II)
+    sub = CyclicSubgroup(p, level, m.residue(level), verdict.order)
     if not case_one and sub.order > QUOTIENT_MAX_SCAN:
         raise CapExceededError(
             f"r has order {sub.order} mod {p}, above the listing limit {QUOTIENT_MAX_SCAN}"
@@ -180,9 +181,16 @@ def _section(domain: Basis, codomain: Basis, targets: Iterable[int]) -> Truncate
 # --- window and cyclic representations ------------------------------------------
 
 
+def _along(m: Multiplier, f: LocallyConstantFn) -> tuple[int, int]:
+    """r mod p^k and p^k at the level k of f, which must lie over r's prime p."""
+    if f.p != m.p:
+        raise BasisMismatchError("function prime does not match")
+    return m.residue(f.level), m.p**f.level
+
+
 def _orbit_diagonal(basis: Basis, m: Multiplier, x: int, f: LocallyConstantFn) -> TruncatedOp:
     """The diagonal carrying f(r^k x) at the basis index of position k, for a unit r."""
-    rho, modulus = m.residue(f.level), m.p**f.level
+    rho, modulus = _along(m, f)
     return TruncatedOp._diagonal(*basis, (f(pow(rho, ix.k, modulus) * x) for ix in basis[0]))
 
 
@@ -204,8 +212,6 @@ def build_orbit_rep(
     m = Multiplier.of(r, p)
     if m.valuation != 0:
         raise NotAUnitError("orbit representations need an invertible multiplier")
-    if f.p != p:
-        raise BasisMismatchError("function prime does not match")
     domain = _window(-window, window)
     # domain position n holds k = n - window, and k + 1 sits at codomain position n + 1
     shift = _section(domain, _window(-window, window + 1), range(1, len(domain[0]) + 1))
@@ -281,9 +287,8 @@ def word_value(word: Word, r: int) -> int:
     return sum(d * r**i for i, d in enumerate(word.digits))
 
 
-def word_key(word: Word, s: int) -> int:
-    """The digit word read in base s; pairs words with non-negative positions."""
-    return word_value(word, s)
+# the digit word read in base s, which pairs words with non-negative positions
+word_key = word_value
 
 
 def word_from_key(key: int, s: int) -> Word:
@@ -336,18 +341,12 @@ def build_digit_rep(
     m = Multiplier.of(r, p)
     if m.valuation != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
+    rho, _ = _along(m, f)
     s = m.p**level
     domain = _words(s, max_len)
     # the word with key k is entry k, and its shift is the word with key s*k
     shift = _section(domain, _words(s, max_len + 1), range(0, s * len(domain[0]), s))
-    modulus = m.p**f.level
-    rho = m.residue(f.level)
-
-    def value_residue(word: Word) -> int:
-        return sum(d * pow(rho, i, modulus) for i, d in enumerate(word.digits)) % modulus
-
-    diag = TruncatedOp._diagonal(*domain, (f(value_residue(w)) for w in domain[0]))
-    return shift, diag
+    return shift, TruncatedOp._diagonal(*domain, (f(word_value(w, rho)) for w in domain[0]))
 
 
 def build_hs_rep(
@@ -359,6 +358,7 @@ def build_hs_rep(
     if level < 1:
         raise ValuationMismatchError("the base exponent must be at least 1")
     s = p**level
+    _along(Multiplier.of(s, p), f)  # the shift multiplies by s, so f lies over p
     domain = _non_negative(cutoff + 1)
     shift = _section(domain, _non_negative(s * cutoff + 1), range(0, s * (cutoff + 1), s))
     diag = TruncatedOp._diagonal(*domain, (f(l) for l in range(cutoff + 1)))
@@ -432,7 +432,7 @@ def present_product(
         raise NotAUnitError("re-presentation of products needs a unit multiplier")
     combined: dict[int, LocallyConstantFn] = {}
     for n_a, f in a:
-        rho, modulus = m.residue(f.level), m.p**f.level
+        rho, modulus = _along(m, f)
         for n_b, g in b:
             moved = precompose(f, pow(rho, n_b, modulus)) * g
             key = n_a + n_b

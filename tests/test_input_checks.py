@@ -14,6 +14,7 @@ from padicmult import (
     SupernaturalNumber,
     TeichProduct,
     TruncatedOp,
+    build_cyclic_rep,
     build_digit_rep,
     build_hs_rep,
     build_orbit_rep,
@@ -22,6 +23,7 @@ from padicmult import (
     find_nr,
     intertwiner,
     pi0_symbol,
+    present_product,
     quotient_group,
     unit_order,
 )
@@ -93,6 +95,27 @@ CHECKS = {
     ),
     "representations/orbit-function-prime": (
         lambda: build_orbit_rep(3, 2, 1, LocallyConstantFn.constant(5, 1), window=2),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
+    # every builder that reads a function refuses one over another prime
+    "representations/orbit-rep-function-over-3": (
+        lambda: build_orbit_rep(5, 7, 1, CONSTANT_3, window=2),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
+    "representations/cyclic-rep-function-over-3": (
+        lambda: build_cyclic_rep(5, TeichProduct(2), 1, CONSTANT_3),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
+    "representations/digit-rep-function-over-3": (
+        lambda: build_digit_rep(5, 1, 10, CONSTANT_3, 2),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
+    "representations/hs-rep-function-over-3": (
+        lambda: build_hs_rep(5, 1, CONSTANT_3, 4),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
+    "representations/product-function-over-3": (
+        lambda: present_product([(1, CONSTANT_3)], [(1, CONSTANT_3)], 5, 7),
         BasisMismatchError, "basis-mismatch", "function prime",
     ),
     "representations/digit-expand-length": (

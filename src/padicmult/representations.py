@@ -212,6 +212,8 @@ def build_orbit_rep(
     m = Multiplier.of(r, p)
     if m.valuation != 0:
         raise NotAUnitError("orbit representations need an invertible multiplier")
+    if window < 0:
+        raise DomainError("window must be non-negative")
     domain = _window(-window, window)
     # domain position n holds k = n - window, and k + 1 sits at codomain position n + 1
     shift = _section(domain, _window(-window, window + 1), range(1, len(domain[0]) + 1))
@@ -306,6 +308,8 @@ def canonical_words(s: int, max_len: int) -> tuple[Word, ...]:
 
     Not memoised: the word bases built on it are (see `_words`).
     """
+    if max_len < 1:
+        raise DomainError("max_len must be at least 1")
     return tuple(word_from_key(k, s) for k in range(s**max_len))
 
 
@@ -357,6 +361,8 @@ def build_hs_rep(
     p = as_prime(p)
     if level < 1:
         raise ValuationMismatchError("the base exponent must be at least 1")
+    if cutoff < 0:
+        raise DomainError("cutoff must be non-negative")
     s = p**level
     _along(Multiplier.of(s, p), f)  # the shift multiplies by s, so f lies over p
     domain = _non_negative(cutoff + 1)

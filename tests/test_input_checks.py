@@ -18,6 +18,7 @@ from padicmult import (
     build_digit_rep,
     build_hs_rep,
     build_orbit_rep,
+    canonical_words,
     digit_expand,
     divide_step,
     find_nr,
@@ -121,6 +122,31 @@ CHECKS = {
     "representations/digit-expand-length": (
         lambda: digit_expand(3, 1, 6, 5, 0),
         DomainError, "domain-error", "max_len",
+    ),
+    # sizes: every word basis has a word of length 1, and no window or cutoff is negative
+    "representations/digit-rep-length": (
+        lambda: build_digit_rep(3, 1, 6, CONSTANT_3, -1),
+        DomainError, "domain-error", "max_len must be at least 1",
+    ),
+    "representations/digit-rep-length-zero": (
+        lambda: build_digit_rep(3, 1, 6, CONSTANT_3, 0),
+        DomainError, "domain-error", "max_len must be at least 1",
+    ),
+    "representations/intertwiner-length": (
+        lambda: intertwiner(3, 1, 6, -1),
+        DomainError, "domain-error", "max_len must be at least 1",
+    ),
+    "representations/canonical-words-length": (
+        lambda: canonical_words(3, -1),
+        DomainError, "domain-error", "max_len must be at least 1",
+    ),
+    "representations/hs-rep-cutoff": (
+        lambda: build_hs_rep(3, 1, CONSTANT_3, -5),
+        DomainError, "domain-error", "cutoff must be non-negative",
+    ),
+    "representations/orbit-rep-window": (
+        lambda: build_orbit_rep(3, 2, 1, CONSTANT_3, window=-1),
+        DomainError, "domain-error", "window must be non-negative",
     ),
     "representations/digit-rep-valuation": (
         lambda: build_digit_rep(3, 1, 2, CONSTANT_3, 2),

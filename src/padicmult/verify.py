@@ -600,13 +600,8 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
     intertwine = PropertyResult("digits", "index-shift-conjugates-to-digit-shift")
     diagonal = PropertyResult("digits", "conjugated-diagonal-matches-composition")
     rng = _rng(bounds, "digits")
-    if bounds.p is not None or bounds.r is not None:
-        if bounds.p is None or bounds.r is None:
-            raise DomainError("pin both p and r for the digits suite, or neither")
-        spec = as_multiplier(bounds.r)
-        if not isinstance(spec, ExactInt):
-            raise DomainError("the digits suite needs an exact integer multiplier")
-        configs = [(bounds.p, spec.n)]
+    if bounds.p is not None:  # run_suites checked the pin
+        configs = [(bounds.p, as_multiplier(bounds.r).n)]
     else:
         configs = [(3, 6), (5, 10)]
     max_len = bounds.max_len
@@ -766,4 +761,9 @@ def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:
             raise DomainError(f"{name} must be at least 1")
         if size > cap:
             raise CapExceededError(f"{name} {size} is above {cap}, the largest these suites accept")
+    # only the digits suite reads the pin, but every run refuses a malformed one
+    if (bounds.p is None) != (bounds.r is None):
+        raise DomainError("pin both p and r for the digits suite, or neither")
+    if bounds.r is not None and not isinstance(as_multiplier(bounds.r), ExactInt):
+        raise DomainError("the digits suite needs an exact integer multiplier")
     return [result for n in SUITES if n in names for result in SUITES[n](bounds)]

@@ -511,6 +511,19 @@ PINNED = [
         '{"code": "valuation-mismatch", "message": "multiplier valuation mismatch", '
         '"status": "error"}'
     ),
+    # every run checks the digits pin, whether or not its suites read it
+    (
+        "verify --suite orders -p 3",
+        3,
+        '{"code": "domain-error", '
+        '"message": "pin both p and r for the digits suite, or neither", "status": "error"}'
+    ),
+    (
+        "verify --suite orders -p 5 -r teich(2)",
+        3,
+        '{"code": "domain-error", '
+        '"message": "the digits suite needs an exact integer multiplier", "status": "error"}'
+    ),
     (
         "decompose -p 5 -r 7 -x 0",
         3,

@@ -158,7 +158,8 @@ class TeichProduct:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ParseError("sign must be +1 or -1")
-        if self.i < 2:
+        # teich(1) is 1, excluded; -teich(1) is -1
+        if self.i < 2 and (self.i, self.sign) != (1, -1):
             raise ExcludedMultiplierError("Teichmuller index must be at least 2")
 
 
@@ -221,7 +222,7 @@ class Multiplier:
         if isinstance(r, ExactInt):
             return cls(p, r.n)
         if isinstance(r, TeichProduct):
-            if not 2 <= r.i <= p - 1:
+            if r.i > p - 1:  # the index is at least 2, or 1 in -teich(1)
                 raise ExcludedMultiplierError(
                     f"Teichmuller index must lie in [2, {p - 1}] for p={p}"
                 )

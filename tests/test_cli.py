@@ -511,6 +511,29 @@ PINNED = [
         '{"code": "valuation-mismatch", "message": "multiplier valuation mismatch", '
         '"status": "error"}'
     ),
+    # -teich(1) is -1 (see test_minus_teich_one_answers_as_minus_one)
+    (
+        "classify -p 5 -r-teich(1)",
+        0,
+        '{"case": "II", "exact": true, "order": 2, "p": 5, "r": "-teich(1)", "status": "ok"}'
+    ),
+    (
+        "order -p 5 -r-teich(1) -N 3",
+        0,
+        '{"level": 3, "order": 2, "p": 5, "r": "-teich(1)", "status": "ok"}'
+    ),
+    (
+        "decompose -p 5 -r-teich(1) -x 7",
+        0,
+        '{"case": "II", "coset_index": 1, "k": 0, "p": 5, "p_exponent": 0, "precision": 6, '
+        '"r": "-teich(1)", "section": 14557, "status": "ok", "tail": 7476, "x": 7}'
+    ),
+    (
+        "ktheory -p 5 -r-teich(1) --primed",
+        0,
+        '{"K0": "c0(Z>=0 x Zp, Z) (+) Z^2", "K1": "0", "case": "II", "p": 5, '
+        '"r": "-teich(1)", "status": "ok", "variant": "algebra-primed"}'
+    ),
     # every run checks the digits pin, whether or not its suites read it
     (
         "verify --suite orders -p 3",
@@ -620,6 +643,20 @@ PINNED = [
 @pytest.mark.parametrize("argv, code, stdout", PINNED, ids=[row[0] for row in PINNED])
 def test_json_output_is_pinned(capsys, argv, code, stdout):
     assert run(capsys, *argv.split(), "--json")[:2] == (code, stdout + "\n")
+
+
+@pytest.mark.parametrize(
+    "command", ["classify", "order -N 3", "decompose -x 7", "ktheory --primed", "nr", "quotient"]
+)
+def test_minus_teich_one_answers_as_minus_one(capsys, command):
+    name, *rest = command.split()
+    answers = []
+    for r in ("-teich(1)", "-1"):
+        code, out, _ = run(capsys, name, "-p", "5", f"-r{r}", *rest, "--json")
+        payload = json.loads(out)
+        assert payload.pop("r", r) == r
+        answers.append((code, payload))
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize(

@@ -291,6 +291,17 @@ def test_teich_product_resolution():
         multiplier_residue(TeichProduct(5), 5, 2)
 
 
+def test_minus_teich_one_is_minus_one():
+    for p in (3, 5, 7):
+        m = Multiplier.of(TeichProduct(1, -1), p)
+        assert [m.residue(n) for n in range(1, 5)] == [p**n - 1 for n in range(1, 5)]
+        assert m.root_of_unity and m.valuation == 0
+    assert parse_multiplier("-teich(1)") == TeichProduct(1, -1)
+    for i, sign in [(1, 1), (0, -1), (-1, -1)]:
+        with pytest.raises(ExcludedMultiplierError, match="at least 2"):
+            TeichProduct(i, sign)
+
+
 def test_digits_precision_limits():
     spec = Digits((2, 1, 2))
     assert multiplier_residue(spec, 5, 3) == 57

@@ -45,7 +45,7 @@ class CaseI:
 
 @dataclass(frozen=True)
 class CaseII:
-    """Root of unity of the given finite order (a divisor of p - 1, or twice one)."""
+    """Root of unity of the given finite order, a divisor of p - 1."""
 
     order: int
     exact: bool = True

@@ -76,14 +76,13 @@ def orbit_decompose(
     r: int | MultiplierSpec,
     x: int,
     precision: int = 6,
-    cap: int | None = None,
 ) -> OrbitDecomposition:
     """Factor a nonzero integer along the orbits of multiplication by a unit r."""
     p = as_prime(p)
     if x == 0:
         raise DomainError("zero admits no orbit decomposition")
     m = Multiplier.of(r, p)
-    verdict = classify(p, m, precision=precision, cap=cap)
+    verdict = classify(p, m, precision=precision)
     if not isinstance(verdict, (CaseI, CaseII)):
         raise NotAUnitError("orbit decompositions need a unit multiplier")
     p_exponent, unit = valuation(p, x)
@@ -436,6 +435,8 @@ def present_product(
     m = Multiplier.of(r, p)
     if m.valuation != 0:
         raise NotAUnitError("re-presentation of products needs a unit multiplier")
+    for _, g in b:
+        _along(m, g)  # refused even when a has no terms
     combined: dict[int, LocallyConstantFn] = {}
     for n_a, f in a:
         rho, modulus = _along(m, f)
@@ -476,6 +477,8 @@ def check_covariance(
 
 def window_shift(window: int) -> TruncatedOp:
     """The square bilateral-shift section on {-K..K}; the top edge maps out."""
+    if window < 0:
+        raise DomainError("window must be non-negative")
     basis = _window(-window, window)
     return _section(basis, basis, range(1, len(basis[0])))
 

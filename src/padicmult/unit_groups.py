@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 
 from sympy import factorint
 
@@ -31,7 +32,8 @@ QUOTIENT_MAX_COSETS = 5000
 # QuotientGroup.of refuses to list more cosets, each about 150 bytes: on a
 # 2-vCPU host orbit_decompose along 1 + 3^12 (354294 cosets) takes 0.6 s and
 # 75 MB, along 1 + 3^13 (1062882) 1.5 s and 185 MB, tripling per power of 3;
-# orbit_decompose walks no more powers of a root of unity mod p either
+# orbit_decompose walks no more powers of a root of unity mod p either, and
+# CyclicSubgroup.elements lists no larger subgroup
 QUOTIENT_MAX_SCAN = 400_000
 
 
@@ -144,10 +146,14 @@ def find_nr(p: int, r: int | MultiplierSpec, cap: int | None = None) -> int:
 class CyclicSubgroup:
     """The subgroup of U_level generated by a single residue.
 
-    Its order comes from the order tower; the elements are listed on first
-    read.  As U_level is cyclic, the subgroup is the kernel of k -> k^order,
-    so k lies in it exactly when its key k^order is 1, and two units share a
-    coset exactly when their keys agree.
+    Its order comes from the order tower.  As U_level is cyclic, the subgroup
+    is the kernel of k -> k^order, so k lies in it exactly when its key
+    k^order is 1, and two units share a coset exactly when their keys agree.
+    The elements are listed on first read, in closed form: a subgroup of
+    order d * p^e, with d prime to p, is the set of units congruent mod
+    p^(level - e) to a d-th root of unity there.  The generator is one of
+    order d mod p^(level - e) (its d-th power has order p^e, so is 1 there),
+    so those roots are its first d powers.
     """
 
     p: int
@@ -157,13 +163,16 @@ class CyclicSubgroup:
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
-        modulus = self.p**self.level
-        elements = [1]
-        current = self.generator
-        while current != 1:
-            elements.append(current)
-            current = current * self.generator % modulus
-        return tuple(sorted(elements))
+        """The subgroup in increasing order, refused above QUOTIENT_MAX_SCAN elements."""
+        if self.order > QUOTIENT_MAX_SCAN:
+            raise CapExceededError(
+                f"the subgroup has {self.order} elements, above the listing limit {QUOTIENT_MAX_SCAN}"
+            )
+        d = gcd(self.order, self.p - 1)
+        step = self.p**self.level * d // self.order  # p^(level - e)
+        roots = sorted(pow(self.generator, i, step) for i in range(d))
+        # each block [j, j + step) holds the sorted roots shifted by j
+        return tuple(t + j for j in range(0, self.p**self.level, step) for t in roots)
 
     @cached_property
     def element_set(self) -> frozenset[int]:

@@ -72,9 +72,9 @@ from .unit_groups import (
 PRIMES = (3, 5, 7)
 
 # The largest sizes run_suites accepts, measured in-process on a 2-vCPU host.
-# max_level: at 6 the suites took subgroups 0.26 s, reps 0.19, quotients 0.09,
-# endos 0.04, digits 0.01, orders 0.010 and teich and ktheory under 0.01; at 7
-# no suite took more than 0.35 s (subgroups), orders 0.008 s.
+# max_level: at 6 the suites took reps 0.20-0.23 s, subgroups 0.07-0.11,
+# endos 0.03, digits 0.02, quotients and orders 0.01, and teich and ktheory
+# under 0.01; at 7 no suite took more than 0.3 s (reps), subgroups 0.13.
 # window: `--suite reps` grows linearly with it and took 8.8 s at 2000.
 # max_len: `--suite reps` took 4.2 s at 5, its word bases growing five-fold per
 # digit, and under 1 s at 3.
@@ -204,22 +204,20 @@ def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
     for p, r in _pool(bounds):
         threshold = find_nr(p, r)
         for level in range(threshold, min(bounds.max_level, 4) + 1):
-            low = subgroup(p, level, r)
-            high = subgroup(p, level + 1, r)
+            low = subgroup(p, level, r).elements
             modulus = p**level
-            lifted = {
-                k
-                for k in range(1, p ** (level + 1))
-                if k % p and k % modulus in low.element_set
-            }
+            # the preimage of low mod p^(level + 1), built in increasing order
+            lifted = tuple(k + modulus * j for j in range(p) for k in low)
             lifting.check(
-                high.element_set == frozenset(lifted),
+                subgroup(p, level + 1, r).elements == lifted,
                 f"lift mismatch at p={p}, r={r}, level={level}",
             )
         for level in range(1, min(bounds.max_level, 4) + 1):
             sub = subgroup(p, level, r)
             sizes.check(
-                len(sub.elements) == sub.order and group_size(p, level) % sub.order == 0,
+                sub.elements == power_walk(p, level, r)
+                and len(sub.elements) == sub.order
+                and group_size(p, level) % sub.order == 0,
                 f"order bookkeeping broken at p={p}, r={r}, level={level}",
             )
     for p in _primes(bounds):
@@ -238,7 +236,42 @@ def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
     return [lifting, sizes, roots]
 
 
+def _generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Elements that, with the identity 0, generate the table under its product.
+
+    Each one is the least element outside the closure of those before it; the
+    closure grows by multiplying each new member with every earlier one, so
+    every pair is multiplied once.
+    """
+    inside = [False] * len(table)
+    inside[0] = True
+    members = [0]
+    generators = []
+    for s in range(len(table)):
+        if inside[s]:
+            continue
+        generators.append(s)
+        inside[s] = True
+        members.append(s)
+        i = len(members) - 1
+        while i < len(members):
+            a = members[i]
+            for b in members[: i + 1]:
+                for c in (table[a][b], table[b][a]):
+                    if not inside[c]:
+                        inside[c] = True
+                        members.append(c)
+            i += 1
+    return generators
+
+
 def _is_group_table(table: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether a table is a group with identity 0, in O(n^2 * generators).
+
+    A Latin square with an identity is a group exactly when it is associative.
+    The s with (x s) y = x (s y) for all x, y are closed under the product, so
+    checking s over a generating set suffices (Light's associativity test).
+    """
     n = len(table)
     if any(len(row) != n for row in table):
         return False
@@ -251,10 +284,10 @@ def _is_group_table(table: tuple[tuple[int, ...], ...]) -> bool:
         if sorted(table[i][j] for i in range(n)) != list(range(n)):
             return False
     return all(
-        table[table[i][j]][k] == table[i][table[j][k]]
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
+        table[table[x][s]][y] == table[x][table[s][y]]
+        for s in _generators(table)
+        for x in range(n)
+        for y in range(n)
     )
 
 
@@ -307,6 +340,19 @@ def lagrange_order(p: int, level: int, r: int) -> int:
     small = [a for a in range(1, p) if (p - 1) % a == 0]
     divisors = sorted(a * p**j for a in small for j in range(level))
     return next(e for e in divisors if pow(r, e, modulus) == 1)
+
+
+def power_walk(p: int, level: int, r: int) -> tuple[int, ...]:
+    """Oracle for CyclicSubgroup.elements: the powers of r mod p^level, sorted."""
+    if r % p == 0:
+        raise NotAUnitError(f"{r} is not a unit mod {p}")
+    modulus = p**level
+    powers = [1]
+    current = r % modulus
+    while current != 1:
+        powers.append(current)
+        current = current * r % modulus
+    return tuple(sorted(powers))
 
 
 def suite_teich(bounds: Bounds) -> list[PropertyResult]:
@@ -583,8 +629,9 @@ def _reps_decompose(bounds: Bounds) -> PropertyResult:
             f"recomposition mismatch for p={p}, r={spec}, x={x}",
         )
         if dec.case == "I":
+            # the Case I configs are exact integers
             ok = all(
-                dec.tail % p**m in subgroup(p, m, spec).element_set
+                dec.tail % p**m in power_walk(p, m, spec.n)
                 for m in range(1, min(precision, 4) + 1)
             )
             roundtrip.check(ok, f"tail escapes the subgroup tower for p={p}, x={x}")

@@ -26,10 +26,13 @@ from padicmult import (
     pi0_symbol,
     present_product,
     quotient_group,
+    subgroup,
     unit_order,
+    window_shift,
 )
 from padicmult.errors import (
     BasisMismatchError,
+    CapExceededError,
     DomainError,
     ExcludedMultiplierError,
     InsufficientPrecisionError,
@@ -119,6 +122,15 @@ CHECKS = {
         lambda: present_product([(1, CONSTANT_3)], [(1, CONSTANT_3)], 5, 7),
         BasisMismatchError, "basis-mismatch", "function prime",
     ),
+    # the right-hand functions are checked too, with or without left-hand terms
+    "representations/product-right-function-over-3": (
+        lambda: present_product([(1, LocallyConstantFn.constant(5, 1))], [(1, CONSTANT_3)], 5, 7),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
+    "representations/product-right-function-over-3-alone": (
+        lambda: present_product([], [(1, CONSTANT_3)], 5, 7),
+        BasisMismatchError, "basis-mismatch", "function prime",
+    ),
     "representations/digit-expand-length": (
         lambda: digit_expand(3, 1, 6, 5, 0),
         DomainError, "domain-error", "max_len",
@@ -148,6 +160,10 @@ CHECKS = {
         lambda: build_orbit_rep(3, 2, 1, CONSTANT_3, window=-1),
         DomainError, "domain-error", "window must be non-negative",
     ),
+    "representations/window-shift-window": (
+        lambda: window_shift(-1),
+        DomainError, "domain-error", "window must be non-negative",
+    ),
     "representations/digit-rep-valuation": (
         lambda: build_digit_rep(3, 1, 2, CONSTANT_3, 2),
         ValuationMismatchError, "valuation-mismatch", "valuation mismatch",
@@ -175,6 +191,11 @@ CHECKS = {
     "unit_groups/coset-of-non-unit": (
         lambda: quotient_group(5, 7).coset_index(10),
         NotAUnitError, "not-a-unit", "not a unit",
+    ),
+    # the order is 1,000,008,000,021,000,018: refused before anything is listed
+    "unit_groups/subgroup-listing": (
+        lambda: subgroup(1000003, 3, 2).elements,
+        CapExceededError, "cap-exceeded", "listing limit",
     ),
     "classification/denominator": (
         lambda: SupernaturalNumber.of({3: 1}).admits_denominator(0),

@@ -134,6 +134,42 @@ def test_subgroup_examples():
     assert subgroup(7, 3, 1).elements == (1,)
 
 
+def sorted_power_walk(p, level, r):
+    modulus = p**level
+    powers, current = [1], r % modulus
+    while current != 1:
+        powers.append(current)
+        current = current * r % modulus
+    return tuple(sorted(powers))
+
+
+def test_closed_form_elements_match_a_power_walk():
+    # every unit generates one: p in {3, 5, 7} at levels 1-4, p in {11, 13} at levels 1-3
+    count = 0
+    for p, top in [(3, 4), (5, 4), (7, 4), (11, 3), (13, 3)]:
+        for level in range(1, top + 1):
+            for r in range(1, p**level):
+                if r % p:
+                    assert subgroup(p, level, r).elements == sorted_power_walk(p, level, r)
+                    count += 1
+    assert count == 6630
+
+
+def test_subgroup_listing_limit():
+    # 2 * 3^11 = 354294 elements are listed, 3^12 = 531441 are refused
+    assert 354294 <= QUOTIENT_MAX_SCAN < 531441
+    assert len(subgroup(3, 12, 2).elements) == 354294
+    with pytest.raises(CapExceededError, match="listing limit"):
+        subgroup(3, 13, 4).elements
+    # 1,000,008,000,021,000,018 elements: refused before any is listed
+    huge = subgroup(1000003, 3, 2)
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match="listing limit"):
+        huge.elements
+    assert time.process_time() - start < 0.5
+    assert "elements" not in huge.__dict__
+
+
 def test_membership_examples():
     assert is_in_subgroup(5, 2, 7, 18)
     assert not is_in_subgroup(5, 2, 7, 2)

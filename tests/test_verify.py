@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group, unit_groups, verify
@@ -12,9 +14,12 @@ from padicmult.verify import (
     _is_group_table,
     _pool,
     _reps_symbols,
+    _reps_decompose,
     lagrange_order,
+    power_walk,
     run_suites,
     suite_orders,
+    suite_subgroups,
 )
 
 SMALL = Bounds(max_p=5, max_level=3, max_len=3, window=4)
@@ -146,6 +151,98 @@ def test_group_table_oracle_rejects(table):
 def test_group_table_oracle_accepts_a_quotient_table():
     assert _is_group_table(quotient_group(5, 7).table)
     assert _is_group_table(((0,),))
+
+
+def normalized_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0, 1, ..., n - 1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in rows)
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in rows[i][:j] and all(rows[a][j] != v for a in range(i)):
+                rows[i][j] = v
+                yield from fill(k + 1)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def cubic_group_table(table):
+    """Reference: Latin square, identity 0, and associativity over all n^3 triples."""
+    n = len(table)
+    full = list(range(n))
+    return (
+        all(sorted(row) == full for row in table)
+        and all(sorted(column) == full for column in zip(*table))
+        and all(table[0][j] == j and table[j][0] == j for j in full)
+        and all(
+            table[table[i][j]][k] == table[i][table[j][k]]
+            for i, j, k in itertools.product(full, repeat=3)
+        )
+    )
+
+
+@pytest.mark.parametrize("n, squares, groups", [(4, 4, 4), (5, 56, 6)])
+def test_group_table_oracle_agrees_with_the_cubic_check(n, squares, groups):
+    tables = list(normalized_latin_squares(n))
+    assert len(tables) == squares
+    verdicts = [_is_group_table(table) for table in tables]
+    assert verdicts == [cubic_group_table(table) for table in tables]
+    # Z/4 three ways and Klein four; Z/5 in 4!/4 = 6 ways
+    assert sum(verdicts) == groups
+
+
+def test_group_table_oracle_rejects_a_loop_and_accepts_klein_four():
+    loop = (
+        (0, 1, 2, 3, 4),
+        (1, 0, 3, 4, 2),
+        (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1),
+        (4, 3, 1, 2, 0),
+    )
+    assert not _is_group_table(loop) and not cubic_group_table(loop)
+    klein = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
+    assert _is_group_table(klein)
+
+
+def test_power_walk_lists_the_sorted_powers():
+    assert power_walk(5, 2, 7) == (1, 7, 18, 24)
+    assert power_walk(3, 2, 2) == (1, 2, 4, 5, 7, 8)
+    assert power_walk(7, 3, 1) == (1,)
+    with pytest.raises(NotAUnitError):
+        power_walk(5, 2, 10)
+
+
+def test_subgroups_suite_checks_the_listing_against_the_walk(monkeypatch):
+    bounds = Bounds(max_p=5, max_level=3)
+    assert all(result.failed == 0 for result in suite_subgroups(bounds))
+    # the coset 2H is sorted, of the right size and lifts as H does, but is not H
+    # where 2 lies outside H: only the power walk tells them apart
+    listed = unit_groups.CyclicSubgroup.elements.func
+    doubled = property(lambda sub: tuple(sorted(2 * k % sub.p**sub.level for k in listed(sub))))
+    monkeypatch.setattr(unit_groups.CyclicSubgroup, "elements", doubled)
+    results = {result.name: result for result in suite_subgroups(bounds)}
+    outside = sum(
+        2 not in power_walk(p, level, r) for p, r in _pool(bounds) for level in (1, 2, 3)
+    )
+    assert outside > 0
+    assert results["subgroup-order-divides-group"].failed == outside
+    assert results["lifting-by-exhaustion"].failed == 0
+
+
+def test_decompose_roundtrip_reads_no_subgroup_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a library subgroup was listed")
+
+    monkeypatch.setattr(verify, "subgroup", refuse)
+    monkeypatch.setattr(unit_groups.CyclicSubgroup, "elements", property(refuse))
+    result = _reps_decompose(Bounds())
+    assert result.failed == 0 and result.passed == 120
 
 
 def test_lagrange_order_matches_the_multiplying_oracle():

@@ -64,19 +64,13 @@ class CaseIII:
 Classification = CaseI | CaseII | CaseIII
 
 
-def classify(
-    p: int,
-    r: int | MultiplierSpec,
-    precision: int = 6,
-    cap: int | None = None,
-) -> Classification:
+def classify(p: int, r: int | MultiplierSpec, precision: int = 6) -> Classification:
     """Decide which case the multiplier falls into and compute its case data.
 
     Exact Case III data is given mod p^precision, and digit strings give it
     to as many digits as they know past the valuation.  Digit strings are
     roots of unity when r^(p-1) = 1 at the known precision, and every verdict
-    on them is flagged ``exact=False``.  ``cap`` is the optional level bound
-    of find_nr.
+    on them is flagged ``exact=False``.
     """
     m = Multiplier.of(r, p)
     if precision < 0:
@@ -89,7 +83,7 @@ def classify(
     if m.root_of_unity:
         return CaseII(unit_order(m.p, 1, m.residue(1)), exact)
     # not a root of unity at the known precision, so the known digits show the threshold
-    threshold = find_nr(m.p, m, cap)
+    threshold = find_nr(m.p, m)
     return CaseI(threshold, unit_order(m.p, threshold, m), exact)
 
 
@@ -167,11 +161,9 @@ def supernatural_from_unit_order(order: int, p: int) -> SupernaturalNumber:
     return SupernaturalNumber.of(factors)
 
 
-def supernatural_order(
-    p: int, r: int | MultiplierSpec, cap: int | None = None
-) -> SupernaturalNumber:
+def supernatural_order(p: int, r: int | MultiplierSpec) -> SupernaturalNumber:
     """lcm of the orders of r at every level, for a Case I multiplier."""
-    verdict = classify(p, r, cap=cap)
+    verdict = classify(p, r)
     if not isinstance(verdict, CaseI):
         raise DomainError("supernatural order is defined for Case I multipliers only")
     return supernatural_from_unit_order(verdict.order, p)

@@ -23,12 +23,9 @@ from .verify import SUITES, Bounds, run_suites
 
 
 # order, teich, classify and decompose answer with residues below p^N (N from
-# -N or --precision), and Python prints an int of at most 4300 digits; ktheory
-# prints no residue but runs the same classify, whose cost grows with p^N, so
-# its --precision has the same bound
+# -N or --precision), and Python prints an int of at most 4300 digits
 MAX_DIGITS = 4300
 _LIMIT = 10**MAX_DIGITS
-_UNPRINTABLE = "too many to print an answer below it"
 
 # the verify flag of each integer field of verify.Bounds, whose defaults it takes
 VERIFY_SIZES = {
@@ -37,14 +34,16 @@ VERIFY_SIZES = {
 }
 
 
-def _bounded(p: int, level: int, reason: str = _UNPRINTABLE) -> int:
+def _bounded(p: int, level: int) -> int:
     """The level itself, after refusing one with p^level at or above 10^MAX_DIGITS."""
     # (bit_length - 1) * level bounds log2(p^level) from below, so the power
     # is only formed when it has at most about twice the limit's bits
     if level > 0 and (
         (p.bit_length() - 1) * level >= _LIMIT.bit_length() or p**level >= _LIMIT
     ):
-        raise CapExceededError(f"{p}^{level} has more than {MAX_DIGITS} digits, {reason}")
+        raise CapExceededError(
+            f"{p}^{level} has more than {MAX_DIGITS} digits, too many to print an answer below it"
+        )
     return level
 
 
@@ -90,13 +89,13 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_nr(args: argparse.Namespace) -> int:
-    value = find_nr(args.p, parse_multiplier(args.r), cap=args.cap)
+    value = find_nr(args.p, parse_multiplier(args.r))
     payload = {"p": args.p, "r": args.r, "threshold": value}
     return _emit(args, payload, str(value))
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    quotient = quotient_group(args.p, parse_multiplier(args.r), cap=args.cap)
+    quotient = quotient_group(args.p, parse_multiplier(args.r))
     payload = {
         "p": args.p,
         "r": args.r,
@@ -141,10 +140,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_ktheory(args: argparse.Namespace) -> int:
-    precision = _bounded(
-        args.p, args.precision, "too large a precision for classify, whose cost grows with it"
-    )
-    verdict = classify(args.p, parse_multiplier(args.r), precision=precision)
+    verdict = classify(args.p, parse_multiplier(args.r))
     if args.ideal:
         k0, k1 = ideal_k_groups(verdict, args.p, primed=args.primed)
         variant = "ideal-primed" if args.primed else "ideal"
@@ -166,7 +162,7 @@ def cmd_ktheory(args: argparse.Namespace) -> int:
 
 
 def cmd_snumber(args: argparse.Namespace) -> int:
-    number = supernatural_order(args.p, parse_multiplier(args.r), cap=args.cap)
+    number = supernatural_order(args.p, parse_multiplier(args.r))
     factors = [[q, "inf" if e is INF else e] for q, e in number.factors]
     payload = {"p": args.p, "r": args.r, "supernatural": str(number), "factors": factors}
     return _emit(args, payload, str(number))
@@ -217,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     multiplier.add_argument(
         "-r", required=True, help='multiplier: "2", "-7", "teich(2)", "digits:[1,2,0]"'
     )
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--cap", type=int, help="optional bound on the threshold level")
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument("--precision", type=int, default=6)
 
@@ -232,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = command("order", cmd_order, "multiplicative order in U_N", multiplier)
     c.add_argument("-N", dest="level", type=int, required=True)
 
-    command("nr", cmd_nr, "threshold level where orders gain a factor of p", multiplier, cap)
-    command("quotient", cmd_quotient, "finite quotient of the unit sphere", multiplier, cap)
+    command("nr", cmd_nr, "threshold level where orders gain a factor of p", multiplier)
+    command("quotient", cmd_quotient, "finite quotient of the unit sphere", multiplier)
 
     c = command("teich", cmd_teich, "root-of-unity lift of a residue")
     c.add_argument("-p", type=int, required=True)
@@ -245,11 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("-x", type=int, required=True)
 
-    c = command("ktheory", cmd_ktheory, "symbolic K-group descriptors", multiplier, precision)
+    c = command("ktheory", cmd_ktheory, "symbolic K-group descriptors", multiplier)
     c.add_argument("--primed", action="store_true", help="finite-cyclic crossed product")
     c.add_argument("--ideal", action="store_true", help="kernel ideal instead of the algebra")
 
-    command("snumber", cmd_snumber, "supernatural order of a unit multiplier", multiplier, cap)
+    command("snumber", cmd_snumber, "supernatural order of a unit multiplier", multiplier)
 
     defaults = Bounds()
     c = command("verify", cmd_verify, "run the property suites")

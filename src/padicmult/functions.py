@@ -45,6 +45,8 @@ class LocallyConstantFn:
     def indicator(cls, p: int, level: int, residue: int) -> LocallyConstantFn:
         """Indicator of the ball residue + p^level Z_p."""
         p = as_prime(p)
+        if level < 0:
+            raise ParseError("level must be non-negative")
         residue %= p**level
         values = [ZERO] * p**level
         values[residue] = Scalar.of(1)

@@ -293,6 +293,9 @@ word_key = word_value
 
 
 def word_from_key(key: int, s: int) -> Word:
+    """The word whose digits in base s spell the key; only the zero word has base 1."""
+    if key < 0 or (key and s < 2):
+        raise DomainError(f"no base-{s} word has the key {key}")
     if key == 0:
         return Word((0,))
     digits = []

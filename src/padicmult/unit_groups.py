@@ -18,7 +18,6 @@ from sympy import factorint
 
 from .errors import (
     CapExceededError,
-    DomainError,
     InsufficientPrecisionError,
     NotAUnitError,
     RootOfUnityError,
@@ -39,6 +38,8 @@ QUOTIENT_MAX_SCAN = 400_000
 
 def group_size(p: int, level: int) -> int:
     """|U_N| = p^(N-1) (p-1)."""
+    if level < 1:
+        raise InsufficientPrecisionError("level must be at least 1")
     return p ** (level - 1) * (p - 1)
 
 
@@ -113,33 +114,25 @@ def find_primitive_root(p: int, level: int) -> int:
     raise RuntimeError("unreachable: U_N is cyclic, a generator exists")
 
 
-def find_nr(p: int, r: int | MultiplierSpec, cap: int | None = None) -> int:
+def find_nr(p: int, r: int | MultiplierSpec) -> int:
     """Smallest level M at which p divides the order of r in U_M: v + 1 in its tower.
 
     Beyond this threshold orders multiply by exactly p per level.  A threshold
-    above the optional ``cap`` raises CapExceededError, and a cap below 1, under
-    every threshold, raises DomainError.  A threshold that the known digits of
-    a digit string do not show raises InsufficientPrecisionError, unless the
-    cap is at most the number of known digits.
+    that the known digits of a digit string do not show raises
+    InsufficientPrecisionError.
     """
-    if cap is not None and cap < 1:
-        raise DomainError("cap must be at least 1")
     m = Multiplier.of(r, p)
     if m.known is None and m.root_of_unity:
         raise RootOfUnityError("no threshold exists: r is a root of unity")
     # for a digit string, value is the residue its known digits spell
     if m.value % m.p == 0:
         raise NotAUnitError(f"{m.value % m.p} is not a unit mod {m.p}")
-    known = m.known
-    _, v = _tower(m.p, m.value, known)
-    threshold = v + 1
-    if (known is None or v < known) and (cap is None or threshold <= cap):
-        return threshold
-    if known is not None and (cap is None or known < cap):
+    _, v = _tower(m.p, m.value, m.known)
+    if m.known is not None and v == m.known:
         raise InsufficientPrecisionError(
-            f"threshold not visible within {known} known digits"
+            f"threshold not visible within {m.known} known digits"
         )
-    raise CapExceededError(f"threshold not found below level cap {cap}")
+    return v + 1
 
 
 @dataclass(frozen=True)
@@ -266,13 +259,11 @@ class QuotientGroup:
         return tuple(tuple(index[a * b % modulus] for b in index) for a in index)
 
 
-def quotient_group(
-    p: int, r: int | MultiplierSpec, cap: int | None = None
-) -> QuotientGroup:
+def quotient_group(p: int, r: int | MultiplierSpec) -> QuotientGroup:
     """The finite quotient of the unit sphere by the closed group of powers of r.
 
     Computed at the threshold level, where it stabilizes: reading the quotient
     at any higher level gives a canonically isomorphic group.
     """
     m = Multiplier.of(r, p)
-    return QuotientGroup.of(subgroup(m.p, find_nr(m.p, m, cap), m))
+    return QuotientGroup.of(subgroup(m.p, find_nr(m.p, m), m))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 from padicmult import LocallyConstantFn, save_function
-from padicmult.cli import main
+from padicmult.cli import build_parser, main
 from padicmult.verify import SUITES, PropertyResult
 
 
@@ -116,14 +117,11 @@ def test_domain_errors_exit_three(capsys):
         ("teich", "-p", "3", "-i", "2", "-N", "10000"),
         ("order", "-p", "1000000007", "-r", "3", "-N", "600"),
         ("classify", "-p", "3", "-r", "-6", "--precision", "10000"),
-        ("ktheory", "-p", "3", "-r", "6", "--precision", "10000"),
         ("decompose", "-p", "3", "-r", "2", "-x", "-5", "--precision", "10000"),
     ):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 3
         assert json.loads(out)["code"] == "cap-exceeded"
-        # ktheory prints no residue: its reason is the cost of classify
-        assert ("classify" in json.loads(out)["message"]) == (argv[0] == "ktheory")
     # sizes that would make vacuous or false checks
     for args in (
         ("--suite", "reps", "--window", "-3"),
@@ -163,6 +161,37 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "classify", "-p", "3")[0] == 2  # missing -r
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys, "verify", "--suite", "nonsense")[0] == 2
+
+
+def test_removed_options_are_usage_errors(capsys):
+    # the threshold has a closed form, and ktheory prints no residue
+    for argv in ("nr -p 5 -r 7 --cap 3", "quotient -p 5 -r 7 --cap 3",
+                 "snumber -p 5 -r 7 --cap 3", "ktheory -p 3 -r 6 --precision 3"):
+        assert run(capsys, *argv.split(), "--json")[:2] == (2, "")
+
+
+# every option of every command: a new one shows up as an edit here
+OPTIONS = {
+    "classify": ["--help", "--json", "--precision", "-h", "-p", "-r"],
+    "order": ["--help", "--json", "-N", "-h", "-p", "-r"],
+    "nr": ["--help", "--json", "-h", "-p", "-r"],
+    "quotient": ["--help", "--json", "-h", "-p", "-r"],
+    "teich": ["--help", "--json", "-N", "-h", "-i", "-p"],
+    "decompose": ["--help", "--json", "--precision", "-h", "-p", "-r", "-x"],
+    "ktheory": ["--help", "--ideal", "--json", "--primed", "-h", "-p", "-r"],
+    "snumber": ["--help", "--json", "-h", "-p", "-r"],
+    "verify": ["--fn", "--help", "--json", "--max-N", "--max-len", "--max-p", "--seed",
+               "--suite", "--window", "-h", "-p", "-r"],
+}
+
+
+def test_option_surface_is_pinned():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {
+        name: sorted(flag for action in command._actions for flag in action.option_strings)
+        for name, command in commands.choices.items()
+    } == OPTIONS
 
 
 def test_identical_invocations_are_byte_identical(capsys):
@@ -481,18 +510,6 @@ PINNED = [
         '"message": "threshold not visible within 2 known digits", "status": "error"}'
     ),
     (
-        "nr -p 5 -r 7 --cap 2",
-        3,
-        '{"code": "cap-exceeded", "message": "threshold not found below level cap 2", '
-        '"status": "error"}'
-    ),
-    (
-        "nr -p 5 -r digits:[2,1] --cap 2",
-        3,
-        '{"code": "cap-exceeded", "message": "threshold not found below level cap 2", '
-        '"status": "error"}'
-    ),
-    (
         "classify -p 5 -r 2.5",
         3,
         '{"code": "parse-error", "message": "unrecognized multiplier spec: \'2.5\'", '
@@ -614,17 +631,6 @@ PINNED = [
         '"message": "r has order 1000002 mod 1000003, above the listing limit 400000", '
         '"status": "error"}'
     ),
-    # no threshold lies below level 1, so a cap below 1 is refused
-    (
-        "nr -p 5 -r 59 --cap 0",
-        3,
-        '{"code": "domain-error", "message": "cap must be at least 1", "status": "error"}'
-    ),
-    (
-        "snumber -p 3 -r 10 --cap -1",
-        3,
-        '{"code": "domain-error", "message": "cap must be at least 1", "status": "error"}'
-    ),
     (
         "classify -p 5 -r digits:[0,7]",
         3,
@@ -667,7 +673,6 @@ def test_minus_teich_one_answers_as_minus_one(capsys, command):
         ("order -p 5 -r digits:[2,5] -N 1", "parse-error"),
         ("classify -p 5 -r teich(2) --precision -1", "insufficient-precision"),
         ("classify -p 3 -r 2 --precision -1", "insufficient-precision"),
-        ("ktheory -p 3 -r 6 --precision -1", "insufficient-precision"),
         ("decompose -p 5 -r 7 -x 3 --precision -1", "insufficient-precision"),
     ],
 )
@@ -735,10 +740,8 @@ def _random_argv(rng):
         "classify": ["--precision", size()],
         "order": ["-N", size()],
         "decompose": ["-x", str(rng.randint(-50, 50)), "--precision", size()],
-        "ktheory": ["--precision", size(), *rng.sample(["--primed", "--ideal"], rng.randint(0, 2))],
+        "ktheory": rng.sample(["--primed", "--ideal"], rng.randint(0, 2)),
     }.get(command, [])
-    if command in ("nr", "quotient", "snumber") and rng.random() < 0.5:
-        argv += ["--cap", str(rng.randint(-1, 5))]
     if rng.random() < 0.05:
         argv[rng.randrange(1, len(argv))] = "two"  # a malformed token: a usage error or a bad spec
     return argv + ["--json"] * rng.randint(0, 1)

@@ -22,6 +22,8 @@ from padicmult import (
     digit_expand,
     divide_step,
     find_nr,
+    find_primitive_root,
+    group_size,
     intertwiner,
     pi0_symbol,
     present_product,
@@ -29,6 +31,7 @@ from padicmult import (
     subgroup,
     unit_order,
     window_shift,
+    word_from_key,
 )
 from padicmult.errors import (
     BasisMismatchError,
@@ -83,6 +86,10 @@ CHECKS = {
     ),
     "functions/level": (
         lambda: LocallyConstantFn(3, -1, ()),
+        ParseError, "parse-error", "non-negative",
+    ),
+    "functions/indicator-level": (
+        lambda: LocallyConstantFn.indicator(3, -1, 0),
         ParseError, "parse-error", "non-negative",
     ),
     "functions/call-prime": (
@@ -164,6 +171,19 @@ CHECKS = {
         lambda: window_shift(-1),
         DomainError, "domain-error", "window must be non-negative",
     ),
+    # a word's key is its digits read in base s: no negative key, no base below 2
+    "representations/word-key-negative": (
+        lambda: word_from_key(-1, 3),
+        DomainError, "domain-error", "key -1",
+    ),
+    "representations/word-base-one": (
+        lambda: word_from_key(5, 1),
+        DomainError, "domain-error", "base-1",
+    ),
+    "representations/word-base-zero": (
+        lambda: word_from_key(5, 0),
+        DomainError, "domain-error", "base-0",
+    ),
     "representations/digit-rep-valuation": (
         lambda: build_digit_rep(3, 1, 2, CONSTANT_3, 2),
         ValuationMismatchError, "valuation-mismatch", "valuation mismatch",
@@ -183,6 +203,18 @@ CHECKS = {
     "unit_groups/order-level": (
         lambda: unit_order(3, 0, 2),
         InsufficientPrecisionError, "insufficient-precision", "level",
+    ),
+    "unit_groups/group-size-level": (
+        lambda: group_size(3, 0),
+        InsufficientPrecisionError, "insufficient-precision", "level must be at least 1",
+    ),
+    "unit_groups/primitive-root-level": (
+        lambda: find_primitive_root(3, 0),
+        InsufficientPrecisionError, "insufficient-precision", "level must be at least 1",
+    ),
+    "unit_groups/primitive-root-negative-level": (
+        lambda: find_primitive_root(3, -2),
+        InsufficientPrecisionError, "insufficient-precision", "level must be at least 1",
     ),
     "unit_groups/threshold-of-non-unit": (
         lambda: find_nr(5, 10),

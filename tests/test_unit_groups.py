@@ -10,6 +10,7 @@ from padicmult import (
     ExactInt,
     QuotientGroup,
     TeichProduct,
+    classify,
     find_nr,
     find_primitive_root,
     group_size,
@@ -22,7 +23,6 @@ from padicmult import (
 )
 from padicmult.errors import (
     CapExceededError,
-    DomainError,
     InsufficientPrecisionError,
     NotAUnitError,
     RootOfUnityError,
@@ -95,7 +95,6 @@ def test_find_nr_examples():
     assert find_nr(5, 7) == 3
     assert find_nr(5, 2) == 2
     assert find_nr(7, 1 + 3 * 7**60) == 61
-    assert find_nr(7, 1 + 3 * 7**60, cap=61) == 61
     big = 1_000_000_007
     assert find_nr(big, 3) == 2
     assert find_nr(big, 1 + 5 * big**200) == 201
@@ -107,23 +106,14 @@ def test_find_nr_errors():
         find_nr(5, -1)
     with pytest.raises(RootOfUnityError):
         find_nr(5, TeichProduct(2))
-    with pytest.raises(CapExceededError):
-        find_nr(5, 7, cap=2)
-    # 7 mod 25: the threshold 3 lies past the two known digits, so the
-    # verdict is insufficient precision unless the cap is at most 2
-    with pytest.raises(InsufficientPrecisionError):
-        find_nr(5, Digits((2, 1)), cap=10)
-    with pytest.raises(InsufficientPrecisionError):
+    # 7 mod 25: the threshold 3 lies past the two known digits
+    with pytest.raises(InsufficientPrecisionError, match="not visible within 2 known digits"):
         find_nr(5, Digits((2, 1)))
-    with pytest.raises(CapExceededError):
-        find_nr(5, Digits((2, 1)), cap=2)
-    with pytest.raises(CapExceededError):
-        find_nr(5, Digits((2, 1, 0)), cap=2)
 
 
 def test_find_nr_accepts_digit_multipliers_with_enough_digits():
     # digits of 7 mod 5^3: 7 = 2 + 1*5
-    assert find_nr(5, Digits((2, 1, 0)), cap=10) == 3
+    assert find_nr(5, Digits((2, 1, 0))) == 3
 
 
 def test_subgroup_examples():
@@ -205,7 +195,7 @@ def lifted_set(p, level, generator):
 def test_subgroup_lifting_past_threshold(p, r):
     if r % p == 0:
         r += 1
-    threshold = find_nr(p, r, cap=10)
+    threshold = find_nr(p, r)
     for level in range(threshold, 4):
         assert subgroup(p, level + 1, r).element_set == lifted_set(p, level, r)
 
@@ -283,7 +273,7 @@ def test_quotient_scan_limit():
 
 def test_quotient_index_stability():
     for p, r in [(3, 2), (5, 7), (7, 3)]:
-        threshold = find_nr(p, r, cap=10)
+        threshold = find_nr(p, r)
         indexes = {
             group_size(p, level) // unit_order(p, level, r)
             for level in range(threshold, threshold + 4)
@@ -298,20 +288,17 @@ def test_order_and_subgroup_accept_exact_specs():
         unit_order(5, 3, Digits((2, 1)))
 
 
-def test_a_cap_below_one_is_refused():
-    # every threshold is at least 1, so such a cap could only refuse
+def test_the_threshold_takes_no_cap():
+    # the tower gives the threshold in closed form, so no level bound is taken
     for call in (
         lambda: find_nr(5, 59, cap=0),
-        lambda: find_nr(5, 59, cap=-1),
-        lambda: find_nr(5, Digits((2, 1)), cap=0),
-        lambda: quotient_group(5, 7, cap=0),
-        lambda: supernatural_order(3, 10, cap=-1),
+        lambda: quotient_group(5, 7, cap=3),
+        lambda: classify(5, 7, cap=3),
+        lambda: supernatural_order(3, 10, cap=3),
     ):
-        with pytest.raises(DomainError) as refusal:
+        with pytest.raises(TypeError, match="cap"):
             call()
-        assert type(refusal.value) is DomainError
-        assert str(refusal.value) == "cap must be at least 1"
-    assert find_nr(5, 7, cap=3) == 3
+    assert find_nr(5, 59) == 2 and find_nr(5, 7) == 3
 
 
 def test_the_coset_index_reuses_the_keys_of_the_scan(monkeypatch):

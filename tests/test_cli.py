@@ -336,6 +336,21 @@ def test_orders_reports_are_pinned(capsys, max_level):
     assert hashlib.sha256(out.encode()).hexdigest() == ORDERS_REPORTS[max_level]
 
 
+# these suites draw no randomness, so one report at --max-N 6 stands for every seed
+UNSEEDED_REPORTS = {
+    "subgroups": "814a47d5abdd15d36b5c6e917902a5282100d2d1b470f7480e5660f074d7f5cd",
+    "quotients": "d72271cf8b3f95ed42e5a447fbbec393c21fab38cbb742648c02080e008bb044",
+    "teich": "01e582a617e722d87b8a78bfc2017bcced1660497ff286580c7227d00d8731b3",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(UNSEEDED_REPORTS))
+def test_unseeded_suite_reports_are_pinned(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-N", "6", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == UNSEEDED_REPORTS[suite]
+
+
 # Exact --json stdout and exit code of the README examples, and of errors of
 # every code across the three multiplier forms.  The last two rows are
 # refusals: a digit not below p, and a negative precision.

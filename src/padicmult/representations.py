@@ -294,7 +294,7 @@ word_key = word_value
 
 def word_from_key(key: int, s: int) -> Word:
     """The word whose digits in base s spell the key; only the zero word has base 1."""
-    if key < 0 or (key and s < 2):
+    if key < 0 or s < 1 or (key and s < 2):
         raise DomainError(f"no base-{s} word has the key {key}")
     if key == 0:
         return Word((0,))
@@ -312,6 +312,8 @@ def canonical_words(s: int, max_len: int) -> tuple[Word, ...]:
     """
     if max_len < 1:
         raise DomainError("max_len must be at least 1")
+    if s < 1:
+        raise DomainError(f"a word base must be at least 1, got {s}")
     return tuple(word_from_key(k, s) for k in range(s**max_len))
 
 

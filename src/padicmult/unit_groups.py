@@ -16,8 +16,10 @@ from math import gcd
 
 from sympy import factorint
 
+from . import oracles
 from .errors import (
     CapExceededError,
+    DomainError,
     InsufficientPrecisionError,
     NotAUnitError,
     RootOfUnityError,
@@ -38,6 +40,7 @@ QUOTIENT_MAX_SCAN = 400_000
 
 def group_size(p: int, level: int) -> int:
     """|U_N| = p^(N-1) (p-1)."""
+    p = as_prime(p)
     if level < 1:
         raise InsufficientPrecisionError("level must be at least 1")
     return p ** (level - 1) * (p - 1)
@@ -92,16 +95,9 @@ def unit_order(p: int, level: int, r: int | MultiplierSpec) -> int:
 
 
 def unit_order_naive(p: int, level: int, r: int | MultiplierSpec) -> int:
-    """Oracle for unit_order: multiply until the power returns to 1."""
+    """Oracle for unit_order: count the powers of r until one returns to 1."""
     p = as_prime(p)
-    residue = _unit_residue(r, p, level)
-    modulus = p**level
-    current = residue % modulus
-    order = 1
-    while current != 1:
-        current = current * residue % modulus
-        order += 1
-    return order
+    return len(oracles.power_walk(p, level, _unit_residue(r, p, level)))
 
 
 def find_primitive_root(p: int, level: int) -> int:
@@ -245,6 +241,8 @@ class QuotientGroup:
         return self._index[self.subgroup._key(k)]
 
     def section(self, index: int) -> int:
+        if not 0 <= index < self.order:
+            raise DomainError(f"coset index {index} is outside 0..{self.order - 1}")
         return self.coset_reps[index]
 
     @cached_property

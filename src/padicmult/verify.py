@@ -1,5 +1,5 @@
 """Named property suites: every algebraic law the library promises, checked
-with exact arithmetic against independent oracles where one exists.
+with exact arithmetic against the independent `oracles` where one exists.
 
 The suites power the `verify` CLI command and the acceptance tests.  All
 randomness is drawn from per-property seeded generators, so identical bounds
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classification import CaseII, classify, h_contains, HSubgroup, supernatural_order
-from .errors import CapExceededError, DomainError, NotAUnitError
+from . import oracles
+from .errors import CapExceededError, DomainError
 from .functions import LocallyConstantFn, alpha_endo, beta_endo, same_function
 from .ktheory import (
     C0SeqH,
@@ -170,7 +171,7 @@ def suite_orders(bounds: Bounds) -> list[PropertyResult]:
     divides = PropertyResult("orders", "orders-divide-upward")
     top = bounds.max_level + 1
     for p, r in _pool(bounds):
-        oracle = {level: lagrange_order(p, level, r) for level in range(1, top + 1)}
+        oracle = {level: oracles.lagrange_order(p, level, r) for level in range(1, top + 1)}
         for level in range(1, top + 1):
             agree.check(
                 unit_order(p, level, r) == oracle[level],
@@ -179,7 +180,7 @@ def suite_orders(bounds: Bounds) -> list[PropertyResult]:
         threshold = find_nr(p, r)
         # the walk ends: a pool multiplier is an integer in 2..p^2, never +-1
         oracle_threshold = next(
-            m for m in itertools.count(1) if lagrange_order(p, m, r) % p == 0
+            m for m in itertools.count(1) if oracles.lagrange_order(p, m, r) % p == 0
         )
         thresh.check(
             threshold == oracle_threshold, f"threshold mismatch for p={p}, r={r}"
@@ -215,7 +216,7 @@ def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
         for level in range(1, min(bounds.max_level, 4) + 1):
             sub = subgroup(p, level, r)
             sizes.check(
-                sub.elements == power_walk(p, level, r)
+                sub.elements == oracles.power_walk(p, level, r)
                 and len(sub.elements) == sub.order
                 and group_size(p, level) % sub.order == 0,
                 f"order bookkeeping broken at p={p}, r={r}, level={level}",
@@ -236,61 +237,6 @@ def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
     return [lifting, sizes, roots]
 
 
-def _generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Elements that, with the identity 0, generate the table under its product.
-
-    Each one is the least element outside the closure of those before it; the
-    closure grows by multiplying each new member with every earlier one, so
-    every pair is multiplied once.
-    """
-    inside = [False] * len(table)
-    inside[0] = True
-    members = [0]
-    generators = []
-    for s in range(len(table)):
-        if inside[s]:
-            continue
-        generators.append(s)
-        inside[s] = True
-        members.append(s)
-        i = len(members) - 1
-        while i < len(members):
-            a = members[i]
-            for b in members[: i + 1]:
-                for c in (table[a][b], table[b][a]):
-                    if not inside[c]:
-                        inside[c] = True
-                        members.append(c)
-            i += 1
-    return generators
-
-
-def _is_group_table(table: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether a table is a group with identity 0, in O(n^2 * generators).
-
-    A Latin square with an identity is a group exactly when it is associative.
-    The s with (x s) y = x (s y) for all x, y are closed under the product, so
-    checking s over a generating set suffices (Light's associativity test).
-    """
-    n = len(table)
-    if any(len(row) != n for row in table):
-        return False
-    if any(table[0][j] != j or table[j][0] != j for j in range(n)):
-        return False
-    for row in table:
-        if sorted(row) != list(range(n)):
-            return False
-    for j in range(n):
-        if sorted(table[i][j] for i in range(n)) != list(range(n)):
-            return False
-    return all(
-        table[table[x][s]][y] == table[x][table[s][y]]
-        for s in _generators(table)
-        for x in range(n)
-        for y in range(n)
-    )
-
-
 def suite_quotients(bounds: Bounds) -> list[PropertyResult]:
     stable = PropertyResult("quotients", "index-stable-past-threshold")
     spot = PropertyResult("quotients", "spot-quotient-orders")
@@ -308,51 +254,12 @@ def suite_quotients(bounds: Bounds) -> list[PropertyResult]:
             f"coset count mismatch for p={p}, r={r}",
         )
         axioms.check(
-            _is_group_table(quotient.table) and quotient.coset_reps[0] == 1,
+            oracles.is_group_table(quotient.table) and quotient.coset_reps[0] == 1,
             f"table axioms fail for p={p}, r={r}",
         )
     for p, r, order in _within(bounds, ((3, 2, 1), (5, 7, 5), (5, 2, 1))):
         spot.check(quotient_group(p, r).order == order, f"quotient order at ({p}, {r})")
     return [stable, spot, axioms]
-
-
-def teichmuller_fixed_point(p: int, i: int, precision: int) -> int:
-    """Oracle for the root-of-unity lift: iterate a -> a^p until it stabilizes."""
-    modulus = p**precision
-    current = i % modulus
-    while True:
-        following = pow(current, p, modulus)
-        if following == current:
-            return current
-        current = following
-
-
-def lagrange_order(p: int, level: int, r: int) -> int:
-    """Oracle for the order of a unit r in U_level, from Lagrange's theorem alone.
-
-    The order divides |U_level| = (p - 1) p^(level - 1), so it is the least
-    divisor e of that size with r^e = 1 mod p^level.  The divisors are the
-    products of a divisor of p - 1, found by trial division, and a power of p.
-    """
-    if r % p == 0:
-        raise NotAUnitError(f"{r} is not a unit mod {p}")
-    modulus = p**level
-    small = [a for a in range(1, p) if (p - 1) % a == 0]
-    divisors = sorted(a * p**j for a in small for j in range(level))
-    return next(e for e in divisors if pow(r, e, modulus) == 1)
-
-
-def power_walk(p: int, level: int, r: int) -> tuple[int, ...]:
-    """Oracle for CyclicSubgroup.elements: the powers of r mod p^level, sorted."""
-    if r % p == 0:
-        raise NotAUnitError(f"{r} is not a unit mod {p}")
-    modulus = p**level
-    powers = [1]
-    current = r % modulus
-    while current != 1:
-        powers.append(current)
-        current = current * r % modulus
-    return tuple(sorted(powers))
 
 
 def suite_teich(bounds: Bounds) -> list[PropertyResult]:
@@ -368,7 +275,7 @@ def suite_teich(bounds: Bounds) -> list[PropertyResult]:
                 w = teichmuller(p, i, precision)
                 lifts[i] = w
                 agree.check(
-                    w == teichmuller_fixed_point(p, i, precision)
+                    w == oracles.teichmuller_fixed_point(p, i, precision)
                     and w == pow(i, p ** (precision - 1), modulus),
                     f"oracle mismatch at p={p}, i={i}, precision={precision}",
                 )
@@ -569,14 +476,6 @@ def _random_presentation(rng: random.Random, p: int, vanish: bool) -> list:
     return terms
 
 
-def _coefficients_vanish(terms: list) -> bool:
-    """Whether the values at 0 sum to zero at every frequency, where terms can cancel."""
-    sums: dict[int, Scalar] = {}
-    for n, f in terms:
-        sums[n] = sums.get(n, Scalar()) + f(0)
-    return not any(sums.values())
-
-
 def _reps_symbols(bounds: Bounds) -> list[PropertyResult]:
     membership = PropertyResult("reps", "symbol-vanishes-iff-coefficients-do")
     multiplicative = PropertyResult("reps", "symbol-of-product-is-product-of-symbols")
@@ -586,7 +485,7 @@ def _reps_symbols(bounds: Bounds) -> list[PropertyResult]:
             vanish = sample % 2 == 0
             terms = _random_presentation(rng, p, vanish)
             symbol = pi0_symbol(terms)
-            expected = _coefficients_vanish(terms)
+            expected = oracles.coefficients_vanish(terms)
             membership.check(
                 symbol_vanishes(symbol) == expected,
                 f"membership mismatch at sample {sample}",
@@ -631,7 +530,7 @@ def _reps_decompose(bounds: Bounds) -> PropertyResult:
         if dec.case == "I":
             # the Case I configs are exact integers
             ok = all(
-                dec.tail % p**m in power_walk(p, m, spec.n)
+                dec.tail % p**m in oracles.power_walk(p, m, spec.n)
                 for m in range(1, min(precision, 4) + 1)
             )
             roundtrip.check(ok, f"tail escapes the subgroup tower for p={p}, x={x}")

@@ -20,13 +20,13 @@ from padicmult import (
     unit_order,
 )
 from padicmult.ktheory import Free
+from padicmult.oracles import is_group_table
 from padicmult.verify import (
     COVARIANCE_SAMPLES,
     ENDO_SAMPLES,
     SYMBOL_SAMPLES,
     Bounds,
     run_suites,
-    _is_group_table,
 )
 
 BOUNDS = Bounds(max_p=7, max_level=6, max_len=3, window=8, seed=0)
@@ -72,7 +72,7 @@ def test_criterion_03_quotient_finiteness_and_stability():
     spots = (
         quotient_group(3, 2).order == 1
         and quotient_group(5, 7).order == 5
-        and _is_group_table(quotient_group(5, 7).table)
+        and is_group_table(quotient_group(5, 7).table)
     )
     ok = spots and all(_clean(r) for r in results.values())
     _report(3, "quotient finiteness and stability", ok)

@@ -40,6 +40,7 @@ from padicmult.errors import (
     ExcludedMultiplierError,
     InsufficientPrecisionError,
     NotAUnitError,
+    NotPrimeError,
     ParseError,
     ValuationMismatchError,
 )
@@ -184,6 +185,23 @@ CHECKS = {
         lambda: word_from_key(5, 0),
         DomainError, "domain-error", "base-0",
     ),
+    # not even the zero word has a base below 1, and no word basis is empty
+    "representations/zero-word-base-zero": (
+        lambda: word_from_key(0, 0),
+        DomainError, "domain-error", "base-0",
+    ),
+    "representations/zero-word-negative-base": (
+        lambda: word_from_key(0, -5),
+        DomainError, "domain-error", "base--5",
+    ),
+    "representations/canonical-words-base-zero": (
+        lambda: canonical_words(0, 2),
+        DomainError, "domain-error", "word base must be at least 1",
+    ),
+    "representations/canonical-words-negative-base": (
+        lambda: canonical_words(-3, 1),
+        DomainError, "domain-error", "word base must be at least 1",
+    ),
     "representations/digit-rep-valuation": (
         lambda: build_digit_rep(3, 1, 2, CONSTANT_3, 2),
         ValuationMismatchError, "valuation-mismatch", "valuation mismatch",
@@ -208,6 +226,15 @@ CHECKS = {
         lambda: group_size(3, 0),
         InsufficientPrecisionError, "insufficient-precision", "level must be at least 1",
     ),
+    # |U_2| for 9^2 = 81 is 54, not the 72 that the formula gives at p = 9
+    "unit_groups/group-size-composite": (
+        lambda: group_size(9, 2),
+        NotPrimeError, "not-an-odd-prime", "odd prime",
+    ),
+    "unit_groups/group-size-one": (
+        lambda: group_size(1, 3),
+        NotPrimeError, "not-an-odd-prime", "odd prime",
+    ),
     "unit_groups/primitive-root-level": (
         lambda: find_primitive_root(3, 0),
         InsufficientPrecisionError, "insufficient-precision", "level must be at least 1",
@@ -223,6 +250,15 @@ CHECKS = {
     "unit_groups/coset-of-non-unit": (
         lambda: quotient_group(5, 7).coset_index(10),
         NotAUnitError, "not-a-unit", "not a unit",
+    ),
+    # quotient_group(5, 7) has 5 cosets: no index from the end, none past the last
+    "unit_groups/section-negative-index": (
+        lambda: quotient_group(5, 7).section(-1),
+        DomainError, "domain-error", "coset index -1 is outside 0..4",
+    ),
+    "unit_groups/section-past-the-last": (
+        lambda: quotient_group(5, 7).section(5),
+        DomainError, "domain-error", "coset index 5 is outside 0..4",
     ),
     # the order is 1,000,008,000,021,000,018: refused before anything is listed
     "unit_groups/subgroup-listing": (

@@ -1,6 +1,9 @@
+import ast
+import importlib
 import inspect
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -38,6 +41,7 @@ from padicmult.errors import (
     ValuationMismatchError,
     ZeroValuationError,
 )
+from padicmult.oracles import teichmuller_fixed_point
 from padicmult.padic import Multiplier
 
 
@@ -79,6 +83,35 @@ def test_public_names_are_pinned():
     assert public == PUBLIC_NAMES
 
 
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _resolves(module_name, attribute):
+    """Whether the benchmark tracer can patch padicmult.<module>.<attribute>: a
+    "Class.method" name must be defined on the class itself."""
+    module = importlib.import_module(f"padicmult.{module_name}")
+    owner, _, method = attribute.rpartition(".")
+    if owner:
+        return hasattr(module, owner) and method in vars(getattr(module, owner))
+    return hasattr(module, attribute)
+
+
+def test_traced_names_resolve():
+    # the tracer patches these by name, so a name dropped here breaks a traced run
+    if not TRACING.exists():
+        pytest.skip("no benchmark tracer in this checkout")
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(TRACING.read_text()).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANS", "COUNTERS")
+    }
+    names = [(module, attribute) for module, attribute, _ in tables["SPANS"] + tables["COUNTERS"]]
+    assert names
+    assert [name for name in names if not _resolves(*name)] == []
+
+
 # -- valuation --------------------------------------------------------------
 
 
@@ -111,19 +144,11 @@ def test_valuation_reconstructs(p, x):
 # -- Teichmuller lifts -------------------------------------------------------
 
 
-def power_fixed_point(p, i, precision):
-    modulus = p**precision
-    current = i % modulus
-    while pow(current, p, modulus) != current:
-        current = pow(current, p, modulus)
-    return current
-
-
 def test_teichmuller_examples():
     assert teichmuller(5, 1, 4) == 1
     assert teichmuller(5, 4, 2) == 24
     # oracle: iterate a -> a^p from 2; 2^5 = 32 = 7 mod 25 and 7^5 = 7 mod 25
-    assert power_fixed_point(5, 2, 2) == 7
+    assert teichmuller_fixed_point(5, 2, 2) == 7
     assert teichmuller(5, 2, 2) == 7
 
 
@@ -165,7 +190,7 @@ def test_teichmuller_laws(p, precision, lower, data):
     lower = min(lower, precision)
     w = teichmuller(p, i, precision)
     modulus = p**precision
-    assert w == power_fixed_point(p, i, precision)
+    assert w == teichmuller_fixed_point(p, i, precision)
     assert pow(w, p - 1, modulus) == 1
     assert w % p == i
     assert w % p**lower == teichmuller(p, i, lower)

@@ -1,22 +1,21 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
 from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group, unit_groups, verify
 from padicmult.errors import DomainError, NotAUnitError
+from padicmult.oracles import coefficients_vanish, is_group_table, lagrange_order, power_walk
 from padicmult.unit_groups import unit_order_naive
 from padicmult.verify import (
     SYMBOL_SAMPLES,
     Bounds,
     PropertyResult,
     SUITES,
-    _coefficients_vanish,
-    _is_group_table,
     _pool,
     _reps_symbols,
     _reps_decompose,
-    lagrange_order,
-    power_walk,
     run_suites,
     suite_orders,
     suite_subgroups,
@@ -36,8 +35,8 @@ def test_each_suite_is_clean_at_small_bounds(name):
 def test_symbol_membership_counts_cancelling_terms():
     f = LocallyConstantFn(3, 1, (1, 2, 0))
     g = LocallyConstantFn.constant(3, -1)
-    assert _coefficients_vanish([(3, f), (3, g)])
-    assert not _coefficients_vanish([(3, f), (2, g)])
+    assert coefficients_vanish([(3, f), (3, g)])
+    assert not coefficients_vanish([(3, f), (2, g)])
     # seed 11 draws two terms of frequency 3 whose values at 0 cancel
     membership, _ = _reps_symbols(Bounds(seed=11))
     assert membership.failed == 0 and membership.passed > SYMBOL_SAMPLES
@@ -145,12 +144,12 @@ NON_ASSOCIATIVE_LOOP = (
     ids=["not-square", "wrong-identity", "row-repeats", "column-repeats", "not-associative"],
 )
 def test_group_table_oracle_rejects(table):
-    assert not _is_group_table(table)
+    assert not is_group_table(table)
 
 
 def test_group_table_oracle_accepts_a_quotient_table():
-    assert _is_group_table(quotient_group(5, 7).table)
-    assert _is_group_table(((0,),))
+    assert is_group_table(quotient_group(5, 7).table)
+    assert is_group_table(((0,),))
 
 
 def normalized_latin_squares(n):
@@ -191,7 +190,7 @@ def cubic_group_table(table):
 def test_group_table_oracle_agrees_with_the_cubic_check(n, squares, groups):
     tables = list(normalized_latin_squares(n))
     assert len(tables) == squares
-    verdicts = [_is_group_table(table) for table in tables]
+    verdicts = [is_group_table(table) for table in tables]
     assert verdicts == [cubic_group_table(table) for table in tables]
     # Z/4 three ways and Klein four; Z/5 in 4!/4 = 6 ways
     assert sum(verdicts) == groups
@@ -205,9 +204,9 @@ def test_group_table_oracle_rejects_a_loop_and_accepts_klein_four():
         (3, 2, 4, 0, 1),
         (4, 3, 1, 2, 0),
     )
-    assert not _is_group_table(loop) and not cubic_group_table(loop)
+    assert not is_group_table(loop) and not cubic_group_table(loop)
     klein = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
-    assert _is_group_table(klein)
+    assert is_group_table(klein)
 
 
 def test_power_walk_lists_the_sorted_powers():
@@ -284,3 +283,19 @@ def test_orders_suite_catches_a_broken_fast_path(monkeypatch):
 
     monkeypatch.setattr(verify, "find_nr", lambda p, r: unit_groups.find_nr(p, r) + 1)
     assert _orders_by_name(bounds)["threshold-matches-oracle"].failed == configs
+
+
+def _package_imports(tree):
+    """The padicmult modules a syntax tree imports, relative ones by their bare name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "padicmult":
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.partition(".")[0] == "padicmult")
+
+
+def test_the_oracles_import_nothing_they_check():
+    tree = ast.parse(Path(verify.__file__).with_name("oracles.py").read_text())
+    assert set(_package_imports(tree)) <= {"errors", "scalars"}

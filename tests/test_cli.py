@@ -730,6 +730,21 @@ def test_quotient_and_decompose_grid_is_pinned(capsys, p):
     assert digest.hexdigest() == ORBIT_GRID[p]
 
 
+# sha256 of the stdout of `quotient -p 3 -r 730` (486 cosets, so table entries
+# above 255 appear), in text and in --json
+LARGE_QUOTIENT = {
+    (): "bda36c468ac13a4411d9fcee8d2d174e9531b6780c13f1a33b2f5b45cca481c4",
+    ("--json",): "02b7c44d45cc3b17d84a8ed3e9afe318340c0e4e449439de6ee9e391f1de956d",
+}
+
+
+@pytest.mark.parametrize("form", sorted(LARGE_QUOTIENT))
+def test_large_quotient_output_is_pinned(capsys, form):
+    code, out, _ = run(capsys, "quotient", "-p", "3", "-r", "730", *form)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_QUOTIENT[form]
+
+
 def _random_argv(rng):
     """One call of a command other than verify, drawn over small, zero, negative and bad sizes."""
     p = rng.choice([2, 3, 5, 7, 9, 11])

@@ -96,24 +96,27 @@ def cmd_nr(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     quotient = quotient_group(args.p, parse_multiplier(args.r))
-    payload = {
-        "p": args.p,
-        "r": args.r,
-        "level": quotient.level,
-        "subgroup_order": quotient.subgroup.order,
-        "order": quotient.order,
-        "coset_reps": list(quotient.coset_reps),
-        "table": [list(row) for row in quotient.table],
-    }
-    lines = [
-        f"level: {quotient.level}",
-        f"subgroup order: {quotient.subgroup.order}",
-        f"quotient order: {quotient.order}",
-        f"coset representatives: {' '.join(str(c) for c in quotient.coset_reps)}",
-        "table:",
-    ]
-    lines += ["  " + " ".join(str(v) for v in row) for row in quotient.table]
-    return _emit(args, payload, "\n".join(lines))
+    table = quotient.table  # built, or refused, before anything is printed
+    if args.json:
+        names = list(range(quotient.order))  # one int object per coset, shared by all rows
+        payload = {
+            "p": args.p,
+            "r": args.r,
+            "level": quotient.level,
+            "subgroup_order": quotient.subgroup.order,
+            "order": quotient.order,
+            "coset_reps": list(quotient.coset_reps),
+            "table": [list(map(names.__getitem__, row)) for row in table],
+        }
+        return _emit(args, payload, "")
+    print(f"level: {quotient.level}")
+    print(f"subgroup order: {quotient.subgroup.order}")
+    print(f"quotient order: {quotient.order}")
+    print(f"coset representatives: {' '.join(map(str, quotient.coset_reps))}")
+    print("table:")
+    for row in table:
+        print("  " + " ".join(map(str, row)))
+    return 0
 
 
 def cmd_teich(args: argparse.Namespace) -> int:

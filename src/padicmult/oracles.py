@@ -7,6 +7,8 @@ standard library, the error types and the scalars.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .errors import NotAUnitError
 from .scalars import Scalar
 
@@ -50,7 +52,7 @@ def teichmuller_fixed_point(p: int, i: int, precision: int) -> int:
         current = following
 
 
-def _generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
+def _generators(table: Sequence[Sequence[int]]) -> list[int]:
     """Elements that, with the identity 0, generate the table under its product.
 
     Each one is the least element outside the closure of those before it; the
@@ -79,7 +81,7 @@ def _generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
     return generators
 
 
-def is_group_table(table: tuple[tuple[int, ...], ...]) -> bool:
+def is_group_table(table: Sequence[Sequence[int]]) -> bool:
     """Whether a table is a group with identity 0, in O(n^2 * generators).
 
     A Latin square with an identity is a group exactly when it is associative.

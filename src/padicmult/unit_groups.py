@@ -10,6 +10,8 @@ v = v_p(r^d - 1), its order in U_N is d * p^max(0, N - v).
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
@@ -95,9 +97,18 @@ def unit_order(p: int, level: int, r: int | MultiplierSpec) -> int:
 
 
 def unit_order_naive(p: int, level: int, r: int | MultiplierSpec) -> int:
-    """Oracle for unit_order: count the powers of r until one returns to 1."""
+    """Oracle for unit_order: count the powers of r until one returns to 1.
+
+    The walk lists every power, so U_level above QUOTIENT_MAX_SCAN units is refused.
+    """
     p = as_prime(p)
-    return len(oracles.power_walk(p, level, _unit_residue(r, p, level)))
+    residue = _unit_residue(r, p, level)
+    units = group_size(p, level)
+    if units > QUOTIENT_MAX_SCAN:
+        raise CapExceededError(
+            f"U_{level} has {units} units, above the listing limit {QUOTIENT_MAX_SCAN}"
+        )
+    return len(oracles.power_walk(p, level, residue))
 
 
 def find_primitive_root(p: int, level: int) -> int:
@@ -246,15 +257,24 @@ class QuotientGroup:
         return self.coset_reps[index]
 
     @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        if self.order > QUOTIENT_MAX_COSETS:
+    def table(self) -> Sequence[Sequence[int]]:
+        """The multiplication table of coset indexes, as read-only rows."""
+        n = self.order
+        if n > QUOTIENT_MAX_COSETS:
             raise CapExceededError(
-                f"the quotient has {self.order} cosets, above the table limit {QUOTIENT_MAX_COSETS}"
+                f"the quotient has {n} cosets, above the table limit {QUOTIENT_MAX_COSETS}"
             )
-        # keys are multiplicative: the key of a * b is key(a) * key(b)
+        # keys are multiplicative: the key of a * b is key(a) * key(b); the
+        # cells are one array of 2-byte "H" entries, which hold every coset
+        # index as the table limit is below 2^16, filled one row at a time
         modulus = self.p**self.level
         index = self._index
-        return tuple(tuple(index[a * b % modulus] for b in index) for a in index)
+        starts = range(0, n * n, n)
+        cells = array("H", [0]) * (n * n)
+        for start, a in zip(starts, index):
+            cells[start : start + n] = array("H", [index[a * b % modulus] for b in index])
+        view = memoryview(cells).toreadonly()
+        return tuple(view[start : start + n] for start in starts)
 
 
 def quotient_group(p: int, r: int | MultiplierSpec) -> QuotientGroup:

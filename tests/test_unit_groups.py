@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,16 @@ def test_subgroup_listing_limit():
     assert "elements" not in huge.__dict__
 
 
+def test_unit_order_oracle_listing_limit():
+    # the oracle lists every power: U_12 at p = 3 (354294 units) is walked,
+    # a group of about 10^18 units is refused before any power is listed
+    assert unit_order_naive(3, 12, 2) == 354294
+    start = time.process_time()
+    with pytest.raises(CapExceededError, match="listing limit"):
+        unit_order_naive(1000003, 3, 2)
+    assert time.process_time() - start < 0.5
+
+
 def test_membership_examples():
     assert is_in_subgroup(5, 2, 7, 18)
     assert not is_in_subgroup(5, 2, 7, 2)
@@ -250,6 +261,43 @@ def test_quotient_size_limit():
     assert q.order == 39366 and q.coset_index(q.section(7)) == 7
     with pytest.raises(CapExceededError):
         q.table
+
+
+def test_quotient_table_is_two_bytes_per_cell():
+    # 1458^2 cells in 2-byte entries are 4.25 MB; tuples of ints held 16.3 MB
+    q = quotient_group(3, 1 + 3**7)
+    tracemalloc.start()
+    try:
+        q.table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert sum(len(row) for row in q.table) == q.order**2 == 1458**2
+
+
+def test_quotient_table_is_read_only():
+    q = quotient_group(5, 7)
+    with pytest.raises(TypeError):
+        q.table[0][0] = 1
+    with pytest.raises(TypeError):
+        q.table[0] = (0,) * q.order
+    assert q.table[0][0] == 0
+
+
+def test_quotient_table_is_the_key_product():
+    # the key k -> k^|subgroup| is multiplicative, so the coset of a * b is
+    # the one whose key is key(a) * key(b)
+    for p, top in [(3, 4), (5, 2), (7, 2), (11, 1), (13, 1)]:
+        for level in range(1, top + 1):
+            modulus = p**level
+            for r in (k for k in range(1, modulus) if k % p):
+                q = QuotientGroup.of(subgroup(p, level, r))
+                keys = [pow(rep, q.subgroup.order, modulus) for rep in q.coset_reps]
+                index = {key: i for i, key in enumerate(keys)}
+                expected = tuple(tuple(index[a * b % modulus] for b in keys) for a in keys)
+                assert tuple(map(tuple, q.table)) == expected
+                assert sum(len(row) for row in q.table) == q.order**2
 
 
 def test_quotient_scan_limit():

@@ -114,8 +114,9 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     print(f"quotient order: {quotient.order}")
     print(f"coset representatives: {' '.join(map(str, quotient.coset_reps))}")
     print("table:")
+    names = list(map(str, range(quotient.order)))  # one string per coset, shared by all rows
     for row in table:
-        print("  " + " ".join(map(str, row)))
+        print("  " + " ".join(map(names.__getitem__, row)))
     return 0
 
 

@@ -28,8 +28,10 @@ from .errors import (
 )
 from .padic import Multiplier, MultiplierSpec, as_prime, valuation
 
-# QuotientGroup.table refuses larger quotients, as it has cosets^2 entries:
-# 4374 cosets (1 + 3^8) take 4 s and 150 MB, and its JSON 550 MB in all
+# QuotientGroup.table refuses larger quotients, as it has cosets^2 entries,
+# each a 2-byte cell, so this limit must stay below 2^16: on a 2-vCPU host
+# 4374 cosets (1 + 3^8) take 2.0-2.5 s and 38 MB, and the quotient command
+# peaks at 90 MB RSS printing them as text and at 456 MB as JSON
 QUOTIENT_MAX_COSETS = 5000
 
 # QuotientGroup.of refuses to list more cosets, each about 150 bytes: on a
@@ -103,11 +105,8 @@ def unit_order_naive(p: int, level: int, r: int | MultiplierSpec) -> int:
     """
     p = as_prime(p)
     residue = _unit_residue(r, p, level)
-    units = group_size(p, level)
-    if units > QUOTIENT_MAX_SCAN:
-        raise CapExceededError(
-            f"U_{level} has {units} units, above the listing limit {QUOTIENT_MAX_SCAN}"
-        )
+    if group_size(p, level) > QUOTIENT_MAX_SCAN:
+        raise CapExceededError(f"U_{level} has more units than the listing limit {QUOTIENT_MAX_SCAN}")
     return len(oracles.power_walk(p, level, residue))
 
 
@@ -237,6 +236,10 @@ class QuotientGroup:
         quotient.__dict__["_index"] = {key: index for index, key in enumerate(least)}
         return quotient
 
+    def __getstate__(self) -> dict:
+        # memoryview rows do not pickle or copy; the table is built again on read
+        return {name: value for name, value in self.__dict__.items() if name != "table"}
+
     @property
     def order(self) -> int:
         return len(self.coset_reps)
@@ -265,8 +268,7 @@ class QuotientGroup:
                 f"the quotient has {n} cosets, above the table limit {QUOTIENT_MAX_COSETS}"
             )
         # keys are multiplicative: the key of a * b is key(a) * key(b); the
-        # cells are one array of 2-byte "H" entries, which hold every coset
-        # index as the table limit is below 2^16, filled one row at a time
+        # 2-byte "H" cells hold every index below the limit, one row at a time
         modulus = self.p**self.level
         index = self._index
         starts = range(0, n * n, n)

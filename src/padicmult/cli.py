@@ -97,24 +97,28 @@ def cmd_nr(args: argparse.Namespace) -> int:
 def cmd_quotient(args: argparse.Namespace) -> int:
     quotient = quotient_group(args.p, parse_multiplier(args.r))
     table = quotient.table  # built, or refused, before anything is printed
+    names = list(map(str, range(quotient.order)))  # one string per coset, shared by all rows
     if args.json:
-        names = list(range(quotient.order))  # one int object per coset, shared by all rows
-        payload = {
+        head = {
+            "status": "ok",
             "p": args.p,
             "r": args.r,
             "level": quotient.level,
             "subgroup_order": quotient.subgroup.order,
             "order": quotient.order,
             "coset_reps": list(quotient.coset_reps),
-            "table": [list(map(names.__getitem__, row)) for row in table],
         }
-        return _emit(args, payload, "")
+        # "table" sorts last among the keys, so the rows follow the head one at a time
+        print(json.dumps(head, sort_keys=True)[:-1] + ', "table": [', end="")
+        for i, row in enumerate(table):
+            print(", [" if i else "[", ", ".join(map(names.__getitem__, row)), "]", sep="", end="")
+        print("]}")
+        return 0
     print(f"level: {quotient.level}")
     print(f"subgroup order: {quotient.subgroup.order}")
     print(f"quotient order: {quotient.order}")
     print(f"coset representatives: {' '.join(map(str, quotient.coset_reps))}")
     print("table:")
-    names = list(map(str, range(quotient.order)))  # one string per coset, shared by all rows
     for row in table:
         print("  " + " ".join(map(names.__getitem__, row)))
     return 0

@@ -5,14 +5,15 @@ orders, primitive roots, the cyclic subgroup generated by a multiplier, the
 threshold level at which orders start gaining factors of p, and the finite
 quotient of the full unit sphere by the closure of the multiplier's powers.
 All follow from the order tower of a unit r: with d its order mod p and
-v = v_p(r^d - 1), its order in U_N is d * p^max(0, N - v).
+v = v_p(r^d - 1) = v_p(r^(p-1) - 1), its order in U_N is d * p^max(0, N - v),
+and its threshold v + 1 needs no factoring, while d reads the primes of p - 1.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -28,10 +29,9 @@ from .errors import (
 )
 from .padic import Multiplier, MultiplierSpec, as_prime, valuation
 
-# QuotientGroup.table refuses larger quotients, as it has cosets^2 entries,
-# each a 2-byte cell, so this limit must stay below 2^16: on a 2-vCPU host
-# 4374 cosets (1 + 3^8) take 2.0-2.5 s and 38 MB, and the quotient command
-# peaks at 90 MB RSS printing them as text and at 456 MB as JSON
+# QuotientGroup.table refuses larger quotients, as it has cosets^2 2-byte
+# cells, so this limit must stay below 2^16: on a 2-vCPU host 4374 cosets
+# (1 + 3^8) take 2.0-2.5 s and 38 MB, and quotient peaks at 91 MB RSS in either form
 QUOTIENT_MAX_COSETS = 5000
 
 # QuotientGroup.of refuses to list more cosets, each about 150 bytes: on a
@@ -67,23 +67,30 @@ def _order_primes(p: int) -> tuple[int, ...]:
     return tuple(factorint(p - 1))
 
 
-def _tower(p: int, r: int, known: int | None) -> tuple[int, int]:
-    """The order tower (d, v) of a unit r: d is its order mod p, v = v_p(r^d - 1).
-
-    r is a residue known mod p^known, and v is capped at ``known``.  When
-    ``known`` is None, r is an exact integer other than +-1, so r^d != 1 and
-    doubling the working precision until r^d - 1 shows a nonzero digit ends.
-    """
+def _residue_order(p: int, r: int) -> int:
+    """The order d of a unit r mod p: p - 1 with each prime removed while r^d = 1."""
     d = p - 1
     for q in _order_primes(p):
         while d % q == 0 and pow(r, d // q, p) == 1:
             d //= q
+    return d
+
+
+def _depth(p: int, r: int, known: int | None) -> int:
+    """v_p(r^(p-1) - 1) for a unit r known mod p^known, capped at ``known``.
+
+    By lifting the exponent it equals v_p(r^d - 1) but reads no factoring.  An exact
+    r (``known`` None) is not +-1, so doubling the precision until r^(p-1) - 1 != 0 ends.
+    """
     digits = 64 if known is None else known
-    rest = pow(r, d, p**digits) - 1
-    while not rest and known is None:
+    while not (rest := pow(r, p - 1, p**digits) - 1) and known is None:
         digits *= 2
-        rest = pow(r, d, p**digits) - 1
-    return d, valuation(p, rest)[0] if rest else known
+    return valuation(p, rest)[0] if rest else known
+
+
+def _tower(p: int, r: int, known: int | None) -> tuple[int, int]:
+    """The order tower (d, v) of a unit r: its order mod p and its depth v_p(r^d - 1)."""
+    return _residue_order(p, r), _depth(p, r, known)
 
 
 def _order(p: int, residue: int, level: int) -> int:
@@ -111,20 +118,19 @@ def unit_order_naive(p: int, level: int, r: int | MultiplierSpec) -> int:
 
 
 def find_primitive_root(p: int, level: int) -> int:
-    """Smallest positive residue generating U_level."""
-    p = as_prime(p)
-    target = group_size(p, level)
-    for a in range(2, p**level):
-        if a % p and unit_order(p, level, a) == target:
-            return a
-    raise RuntimeError("unreachable: U_N is cyclic, a generator exists")
+    """Smallest positive residue generating U_level; it lies below p^min(level, 2)."""
+    group_size(p, level)  # refuses a composite p and a level below 1
+    # a unit generates U_level exactly when its tower at min(level, 2) is (p - 1, 1)
+    top = min(level, 2)
+    return next(a for a in range(2, p**top) if a % p and _tower(p, a, top) == (p - 1, 1))
 
 
 def find_nr(p: int, r: int | MultiplierSpec) -> int:
     """Smallest level M at which p divides the order of r in U_M: v + 1 in its tower.
 
-    Beyond this threshold orders multiply by exactly p per level.  A threshold
-    that the known digits of a digit string do not show raises
+    Beyond this threshold orders multiply by exactly p per level.  It reads
+    the depth v = v_p(r^(p-1) - 1) alone, so no factoring of p - 1.  A
+    threshold the known digits of a digit string do not show raises
     InsufficientPrecisionError.
     """
     m = Multiplier.of(r, p)
@@ -133,11 +139,9 @@ def find_nr(p: int, r: int | MultiplierSpec) -> int:
     # for a digit string, value is the residue its known digits spell
     if m.value % m.p == 0:
         raise NotAUnitError(f"{m.value % m.p} is not a unit mod {m.p}")
-    _, v = _tower(m.p, m.value, m.known)
+    v = _depth(m.p, m.value, m.known)
     if m.known is not None and v == m.known:
-        raise InsufficientPrecisionError(
-            f"threshold not visible within {m.known} known digits"
-        )
+        raise InsufficientPrecisionError(f"threshold not visible within {m.known} known digits")
     return v + 1
 
 
@@ -215,6 +219,7 @@ class QuotientGroup:
     level: int
     subgroup: CyclicSubgroup
     coset_reps: tuple[int, ...]
+    _index: dict[int, int] = field(compare=False, repr=False)  # coset key -> index, from `of`
 
     @classmethod
     def of(cls, sub: CyclicSubgroup) -> QuotientGroup:
@@ -231,10 +236,7 @@ class QuotientGroup:
                 break
             if k % p:
                 least.setdefault(sub._key(k), k)
-        quotient = cls(p, level, sub, tuple(least.values()))
-        # the scan met the keys in the order of coset_reps: seed the cached index
-        quotient.__dict__["_index"] = {key: index for index, key in enumerate(least)}
-        return quotient
+        return cls(p, level, sub, tuple(least.values()), {key: j for j, key in enumerate(least)})
 
     def __getstate__(self) -> dict:
         # memoryview rows do not pickle or copy; the table is built again on read
@@ -243,10 +245,6 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return len(self.coset_reps)
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {self.subgroup._key(rep): index for index, rep in enumerate(self.coset_reps)}
 
     def coset_index(self, k: int) -> int:
         """Index of the coset containing the unit k."""
@@ -286,4 +284,6 @@ def quotient_group(p: int, r: int | MultiplierSpec) -> QuotientGroup:
     at any higher level gives a canonically isomorphic group.
     """
     m = Multiplier.of(r, p)
-    return QuotientGroup.of(subgroup(m.p, find_nr(m.p, m), m))
+    level = find_nr(m.p, m)  # the order of r there is d * p
+    sub = CyclicSubgroup(m.p, level, m.residue(level), _residue_order(m.p, m.value) * m.p)
+    return QuotientGroup.of(sub)

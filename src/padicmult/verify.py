@@ -699,6 +699,7 @@ def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:
     if bounds.max_p < PRIMES[0]:
         raise DomainError(f"max_p must be at least {PRIMES[0]}, the smallest odd prime")
     for name, size, cap in (
+        ("max_p", bounds.max_p, PRIMES[-1]),
         ("max_level", bounds.max_level, MAX_LEVEL),
         ("window", bounds.window, MAX_WINDOW),
         ("max_len", bounds.max_len, MAX_WORD_LEN),

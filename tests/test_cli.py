@@ -566,6 +566,13 @@ PINNED = [
         '{"K0": "c0(Z>=0 x Zp, Z) (+) Z^2", "K1": "0", "case": "II", "p": 5, '
         '"r": "-teich(1)", "status": "ok", "variant": "algebra-primed"}'
     ),
+    # the prime pool stops at 7, so a larger max_p would only repeat that run
+    (
+        "verify --max-p 13",
+        3,
+        '{"code": "cap-exceeded", '
+        '"message": "max_p 13 is above 7, the largest these suites accept", "status": "error"}'
+    ),
     # every run checks the digits pin, whether or not its suites read it
     (
         "verify --suite orders -p 3",

@@ -1,5 +1,6 @@
 """Every input check of the library raises its own error class and code."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,10 +30,12 @@ from padicmult import (
     present_product,
     quotient_group,
     subgroup,
+    unit_groups,
     unit_order,
     window_shift,
     word_from_key,
 )
+from padicmult.cli import main
 from padicmult.errors import (
     BasisMismatchError,
     CapExceededError,
@@ -285,3 +288,21 @@ def test_input_check_raises_its_error(call, error, code, message):
     with pytest.raises(error, match=message) as info:
         call()
     assert type(info.value) is error and info.value.code == code
+
+
+# an 81-digit prime with p - 1 = 2 * Q1 * Q2, both factors prime, too hard to
+# factor in a test's time; the threshold reads no factoring, so it answers
+P81 = 144000000000000000000000000000000000262882000000000000000000000000000000002646919
+Q1, Q2 = 8000000000000000000000000000000000000081, 9000000000000000000000000000000000016339
+
+
+def test_the_threshold_answers_for_a_prime_whose_p_minus_1_is_not_factored(monkeypatch, capsys):
+    assert P81 - 1 == 2 * Q1 * Q2
+
+    def refuse(p):
+        raise AssertionError(f"{p} - 1 was factored")
+
+    monkeypatch.setattr(unit_groups, "_order_primes", refuse)
+    assert find_nr(P81, 2) == 2
+    assert main(["nr", "-p", str(P81), "-r", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 2

@@ -13,6 +13,7 @@ from padicmult import (
     ExactInt,
     QuotientGroup,
     TeichProduct,
+    classification,
     classify,
     find_nr,
     find_primitive_root,
@@ -21,16 +22,18 @@ from padicmult import (
     quotient_group,
     subgroup,
     supernatural_order,
+    unit_groups,
     unit_order,
     unit_order_naive,
 )
+from padicmult.classification import CaseI, CaseII, CaseIII
 from padicmult.errors import (
     CapExceededError,
     InsufficientPrecisionError,
     NotAUnitError,
     RootOfUnityError,
 )
-from padicmult.oracles import is_group_table, power_walk
+from padicmult.oracles import is_group_table, lagrange_order, power_walk
 from padicmult.unit_groups import QUOTIENT_MAX_COSETS, QUOTIENT_MAX_SCAN, CyclicSubgroup
 from padicmult.verify import Bounds, _pool
 
@@ -92,6 +95,18 @@ def test_primitive_roots():
         for level in (1, 2, 3):
             a = find_primitive_root(p, level)
             assert unit_order(p, level, a) == group_size(p, level)
+            target = group_size(p, level)
+            assert a == next(b for b in range(1, p**level) if b % p and lagrange_order(p, level, b) == target)
+
+
+def test_the_least_primitive_root_mod_p_need_not_generate_mod_p_squared():
+    # 5 generates U_1 at p = 40487, but 5^(p-1) = 1 mod p^2, so U_2 needs a
+    # residue of depth 1: the least is 10, which then generates every U_level
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    assert [find_primitive_root(p, level) for level in (1, 2, 3)] == [5, 10, 10]
+    assert lagrange_order(p, 2, 10) == group_size(p, 2)
+    assert all(lagrange_order(p, 2, b) < group_size(p, 2) for b in range(2, 10))
 
 
 def test_find_nr_examples():
@@ -352,3 +367,50 @@ def test_the_coset_index_reuses_the_keys_of_the_scan(monkeypatch):
         assert quotient._index == expected
         assert [quotient.coset_index(rep) for rep in quotient.coset_reps] == list(range(quotient.order))
         assert calls == list(quotient.coset_reps)
+
+
+def _exact_valuation(p, x):
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def test_the_threshold_is_one_past_the_depth_of_r_to_its_order_mod_p():
+    # find_nr reads v_p(r^(p-1) - 1); by lifting the exponent it equals
+    # v_p(r^d - 1) for the order d of r mod p, computed here with exact integers
+    pairs = 0
+    for p in (3, 5, 7, 11, 13, 101, 1009):
+        deep = [1 + (1 + k % 3) * p**k for k in range(1, 71)]
+        for r in (*range(2, 400), *deep, -1 + p**5):
+            if r % p:
+                d = lagrange_order(p, 1, r)
+                assert find_nr(p, r) - 1 == _exact_valuation(p, r**d - 1), (p, r)
+                pairs += 1
+    assert pairs == 2945
+
+
+def test_classify_reads_the_order_tower_once_per_verdict(monkeypatch):
+    calls = []
+    tower = unit_groups._tower
+
+    def counted(*args):
+        calls.append(args)
+        return tower(*args)
+
+    monkeypatch.setattr(unit_groups, "_tower", counted)
+    monkeypatch.setattr(classification, "_tower", counted)
+    for p, r, case, reads in (
+        (3, 2, CaseI, 1),
+        (5, 7, CaseI, 1),
+        (7, 1 + 3 * 7**60, CaseI, 1),
+        (3, 1 + 3**64, CaseI, 1),
+        (5, Digits((2, 1, 0)), CaseI, 1),
+        (5, -1, CaseII, 1),
+        (5, TeichProduct(2), CaseII, 1),
+        (5, Digits((4, 4)), CaseII, 1),
+        (3, 6, CaseIII, 0),
+    ):
+        calls.clear()
+        assert type(classify(p, r)) is case
+        assert len(calls) == reads, (p, r)

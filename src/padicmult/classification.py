@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError
 from .padic import Multiplier, MultiplierSpec, as_prime
-from .unit_groups import _order_primes, _tower
+from .unit_groups import _order_primes, find_nr, unit_order
 
 
 class Infinite(Enum):
@@ -81,10 +81,10 @@ def classify(p: int, r: int | MultiplierSpec, precision: int = 6) -> Classificat
             precision = m.known - level
         return CaseIII(level, m.unit_residue(precision), precision, exact)
     if m.root_of_unity:
-        return CaseII(_tower(m.p, m.residue(1), 1)[0], exact)
-    # not a root of unity at the known precision, so v is below it; at v + 1 the order is d * p
-    d, v = _tower(m.p, m.value, m.known)
-    return CaseI(v + 1, d * m.p, exact)
+        return CaseII(unit_order(m.p, 1, m.residue(1)), exact)
+    # not a root of unity at the known precision, so the known digits show the threshold
+    threshold = find_nr(m.p, m)
+    return CaseI(threshold, unit_order(m.p, threshold, m), exact)
 
 
 @dataclass(frozen=True)

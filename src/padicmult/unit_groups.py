@@ -141,7 +141,9 @@ def find_nr(p: int, r: int | MultiplierSpec) -> int:
         raise NotAUnitError(f"{m.value % m.p} is not a unit mod {m.p}")
     v = _depth(m.p, m.value, m.known)
     if m.known is not None and v == m.known:
-        raise InsufficientPrecisionError(f"threshold not visible within {m.known} known digits")
+        raise InsufficientPrecisionError(
+            f"threshold not visible within {m.known} known digits"
+        )
     return v + 1
 
 
@@ -284,6 +286,4 @@ def quotient_group(p: int, r: int | MultiplierSpec) -> QuotientGroup:
     at any higher level gives a canonically isomorphic group.
     """
     m = Multiplier.of(r, p)
-    level = find_nr(m.p, m)  # the order of r there is d * p
-    sub = CyclicSubgroup(m.p, level, m.residue(level), _residue_order(m.p, m.value) * m.p)
-    return QuotientGroup.of(sub)
+    return QuotientGroup.of(subgroup(m.p, find_nr(m.p, m), m))

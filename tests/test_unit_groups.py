@@ -13,7 +13,6 @@ from padicmult import (
     ExactInt,
     QuotientGroup,
     TeichProduct,
-    classification,
     classify,
     find_nr,
     find_primitive_root,
@@ -390,16 +389,16 @@ def test_the_threshold_is_one_past_the_depth_of_r_to_its_order_mod_p():
     assert pairs == 2945
 
 
-def test_classify_reads_the_order_tower_once_per_verdict(monkeypatch):
+def test_classify_and_quotient_factor_p_minus_1_once(monkeypatch):
+    # the threshold reads no factoring, so only the order mod p factors p - 1
     calls = []
-    tower = unit_groups._tower
+    order_primes = unit_groups._order_primes
 
-    def counted(*args):
-        calls.append(args)
-        return tower(*args)
+    def counted(p):
+        calls.append(p)
+        return order_primes(p)
 
-    monkeypatch.setattr(unit_groups, "_tower", counted)
-    monkeypatch.setattr(classification, "_tower", counted)
+    monkeypatch.setattr(unit_groups, "_order_primes", counted)
     for p, r, case, reads in (
         (3, 2, CaseI, 1),
         (5, 7, CaseI, 1),
@@ -414,3 +413,7 @@ def test_classify_reads_the_order_tower_once_per_verdict(monkeypatch):
         calls.clear()
         assert type(classify(p, r)) is case
         assert len(calls) == reads, (p, r)
+    for p, r in ((3, 2), (5, 7), (7, 1 + 3 * 7**2)):
+        calls.clear()
+        quotient_group(p, r)
+        assert calls == [p]

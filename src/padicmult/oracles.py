@@ -89,6 +89,7 @@ def is_group_table(table: Sequence[Sequence[int]]) -> bool:
     checking s over a generating set suffices (Light's associativity test).
     """
     n = len(table)
+    table = [table[i] for i in range(n)]  # each row read once, as rows may be built on read
     if any(len(row) != n for row in table):
         return False
     if any(table[0][j] != j or table[j][0] != j for j in range(n)):

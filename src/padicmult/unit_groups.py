@@ -11,7 +11,6 @@ and its threshold v + 1 needs no factoring, while d reads the primes of p - 1.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -29,9 +28,9 @@ from .errors import (
 )
 from .padic import Multiplier, MultiplierSpec, as_prime, valuation
 
-# QuotientGroup.table refuses larger quotients, as it has cosets^2 2-byte
-# cells, so this limit must stay below 2^16: on a 2-vCPU host 4374 cosets
-# (1 + 3^8) take 2.0-2.5 s and 38 MB, and quotient peaks at 91 MB RSS in either form
+# QuotientGroup.table refuses larger quotients: it keeps two lists of cosets entries and
+# builds rows on read, but quotient prints all cosets^2 cells; on a 2-vCPU host 4374 cosets
+# (1 + 3^8) print in 3.1-3.5 s (text) or 2.6-3.1 s (--json), both at 52 MB peak RSS
 QUOTIENT_MAX_COSETS = 5000
 
 # QuotientGroup.of refuses to list more cosets, each about 150 bytes: on a
@@ -206,6 +205,22 @@ def is_in_subgroup(p: int, level: int, r: int | MultiplierSpec, k: int) -> bool:
 
 
 @dataclass(frozen=True)
+class _CyclicTable(Sequence):
+    """A cyclic group's table: cell (a, b) is exp[(log a + log b) mod n], rows built on read."""
+
+    exp: tuple[int, ...]  # exp[k] is the element g^k, for a generator g
+    log: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.log)
+
+    def __getitem__(self, a: int | slice):
+        if isinstance(a, slice):
+            return tuple(map(self.__getitem__, range(len(self))[a]))
+        return tuple(map((self.exp * 2)[self.log[a] : self.log[a] + len(self)].__getitem__, self.log))
+
+
+@dataclass(frozen=True)
 class QuotientGroup:
     """The quotient of U_level by a cyclic subgroup, with a fixed section.
 
@@ -240,10 +255,6 @@ class QuotientGroup:
                 least.setdefault(sub._key(k), k)
         return cls(p, level, sub, tuple(least.values()), {key: j for j, key in enumerate(least)})
 
-    def __getstate__(self) -> dict:
-        # memoryview rows do not pickle or copy; the table is built again on read
-        return {name: value for name, value in self.__dict__.items() if name != "table"}
-
     @property
     def order(self) -> int:
         return len(self.coset_reps)
@@ -261,22 +272,15 @@ class QuotientGroup:
 
     @cached_property
     def table(self) -> Sequence[Sequence[int]]:
-        """The multiplication table of coset indexes, as read-only rows."""
+        """The multiplication table of coset indexes, as read-only rows built on read."""
         n = self.order
         if n > QUOTIENT_MAX_COSETS:
             raise CapExceededError(
                 f"the quotient has {n} cosets, above the table limit {QUOTIENT_MAX_COSETS}"
             )
-        # keys are multiplicative: the key of a * b is key(a) * key(b); the
-        # 2-byte "H" cells hold every index below the limit, one row at a time
-        modulus = self.p**self.level
-        index = self._index
-        starts = range(0, n * n, n)
-        cells = array("H", [0]) * (n * n)
-        for start, a in zip(starts, index):
-            cells[start : start + n] = array("H", [index[a * b % modulus] for b in index])
-        view = memoryview(cells).toreadonly()
-        return tuple(view[start : start + n] for start in starts)
+        g = find_primitive_root(self.p, self.level)  # its first n powers meet every coset
+        exp = tuple(self.coset_index(pow(g, k, self.p**self.level)) for k in range(n))
+        return _CyclicTable(exp, tuple(sorted(range(n), key=exp.__getitem__)))
 
 
 def quotient_group(p: int, r: int | MultiplierSpec) -> QuotientGroup:

@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,17 @@ def test_classify_human(capsys):
     code, out, _ = run(capsys, "classify", "-p", "3", "-r", "2")
     assert code == 0
     assert "case I" in out and "threshold level 2" in out
+
+
+def test_the_module_runs_as_a_program(capsys):
+    # python -m padicmult.cli exits with main's code and prints what main prints
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["classify", "-p", "3", "-r", "2"]
+    command = [sys.executable, "-m", "padicmult.cli", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+    code, out, _ = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
 
 
 def test_classify_json(capsys):

@@ -126,3 +126,12 @@ def test_canonicalization_is_idempotent(atoms):
 def test_smallest_shift_base():
     k0, k1 = hs_k_groups(2)
     assert str(k0) == "C(Z_2^x, Z)" and str(k1) == "0"
+
+
+def test_a_descriptor_is_immutable_and_unequal_to_other_types():
+    group = descriptor(Free(2), C0SeqZ())
+    assert group != "Z^2 (+) c0(Z>=0, Z)" and group != group.atoms
+    assert repr(group) == "KGroupDescriptor((Free(rank=2), C0SeqZ()))"
+    with pytest.raises(AttributeError, match="immutable"):
+        group.atoms = ()
+    assert group == descriptor(Free(2), C0SeqZ())

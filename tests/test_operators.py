@@ -345,3 +345,12 @@ def test_agrees_at_refuses_an_index_outside_a_domain():
     for first, second in ((wide, narrow), (narrow, wide)):
         with pytest.raises(BasisMismatchError):
             first._agrees_at(second, [WinZ(4)])
+
+
+def test_an_operator_is_unequal_to_other_types_and_shows_its_fields():
+    shift, _ = shift_pair()
+    assert shift != shift.entries and shift != 0
+    text = repr(shift)
+    assert text.startswith("TruncatedOp(domain=(NonNeg(l=0), ")
+    assert ", codomain=(NonNeg(l=0), " in text
+    assert text.endswith(f", entries={dict(shift.entries)!r})")

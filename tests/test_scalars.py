@@ -94,3 +94,8 @@ def test_canonical_text_forms():
 def test_malformed_text_rejected(text):
     with pytest.raises(ParseError):
         Scalar.parse(text)
+
+
+def test_an_int_minus_a_scalar_is_a_scalar():
+    assert 3 - Scalar(1) == Scalar(2)
+    assert 0 - sc(1, 2) == sc(-1, -2)

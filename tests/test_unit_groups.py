@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import time
 import tracemalloc
 
@@ -312,6 +313,36 @@ def test_a_quotient_with_its_table_read_pickles_and_copies():
     rows = tuple(map(tuple, q.table))
     for twin in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
         assert twin == q and tuple(map(tuple, twin.table)) == rows
+
+
+def test_quotient_table_reads_like_a_tuple_of_rows():
+    rng = random.Random(22)
+    for p, r in [(5, 7), (3, 1 + 3**7)]:
+        q = quotient_group(p, r)
+        table, n, modulus = q.table, q.order, p**q.level
+        assert table[-1] == table[n - 1]
+        with pytest.raises(IndexError):
+            table[n]
+        assert table[2:5] == (table[2], table[3], table[4])
+        assert quotient_group(p, r).table == quotient_group(p, r).table
+        # the key-product reference: the coset of a * b has the key key(a) * key(b)
+        keys = [pow(rep, q.subgroup.order, modulus) for rep in q.coset_reps]
+        index = {key: i for i, key in enumerate(keys)}
+        for a in [0, 1, n - 1, *(rng.randrange(n) for _ in range(20))]:
+            assert table[a] == tuple(index[keys[a] * key % modulus] for key in keys)
+
+
+def test_quotient_table_keeps_no_cells():
+    # 4374 cosets: two lists of 4374 entries and one row, where 4374^2 stored cells took 38 MB
+    q = quotient_group(3, 1 + 3**8)
+    tracemalloc.start()
+    try:
+        q.table[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert q.table[0] == tuple(range(q.order)) and q.order == 4374
 
 
 def test_quotient_scan_limit():

@@ -1,5 +1,6 @@
 import ast
 import itertools
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,25 @@ def test_group_table_oracle_rejects(table):
 def test_group_table_oracle_accepts_a_quotient_table():
     assert is_group_table(quotient_group(5, 7).table)
     assert is_group_table(((0,),))
+
+
+def test_group_table_oracle_reads_each_row_once():
+    # quotient rows are built on read, so a row read per cell would rebuild each row n times
+    table = quotient_group(7, 19).table
+
+    class Counted(Sequence):
+        reads = 0
+
+        def __len__(self):
+            return len(table)
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return table[i]
+
+    counted = Counted()
+    assert len(table) == 49 and is_group_table(counted)
+    assert counted.reads <= 49
 
 
 def normalized_latin_squares(n):

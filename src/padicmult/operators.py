@@ -112,6 +112,10 @@ def _same(a: tuple[BasisIndex, ...], b: tuple[BasisIndex, ...]) -> bool:
     return a is b or a == b
 
 
+# the empty column every operator may share; no column is changed once built
+_EMPTY: Column = {}
+
+
 def _accumulate(column: Column, row: int, s: Scalar) -> None:
     """Add s at a row of a column under construction, dropping a sum of zero."""
     if row in column:
@@ -136,6 +140,13 @@ class TruncatedOp:
     first read.  The constructor ``TruncatedOp(domain, codomain, entries)``
     converts each entry to a ``Scalar``, drops the zeros and checks every
     label against both bases at once; ``build`` is the same constructor.
+
+    No column is changed once it is built, so operators share columns: every
+    empty column may be one shared dict, ``restricted`` keeps self's columns,
+    and ``compose`` keeps the right factor's empty columns and takes a
+    left-factor column as it is where the right factor's column is a single
+    ``ONE``.  Code that fills a column writes only into a dict it has just
+    made.
     """
 
     domain: tuple[BasisIndex, ...]
@@ -229,7 +240,7 @@ class TruncatedOp:
         values: Iterable[Scalar | int],
     ) -> TruncatedOp:
         """The diagonal with the given values, in basis order, on a basis and its position map."""
-        cols = tuple({n: s} if s else {} for n, s in enumerate(map(Scalar.of, values)))
+        cols = tuple({n: s} if s else _EMPTY for n, s in enumerate(map(Scalar.of, values)))
         return cls._of_columns(basis, basis, positions, positions, cols)
 
     @classmethod
@@ -265,8 +276,12 @@ class TruncatedOp:
         through other's position map, and a row outside other's codomain is
         a difference.
         """
+        dom_pos = self._dom_pos
         try:
-            pairs = [(self._dom_pos[ix], other._dom_pos[ix]) for ix in indices]
+            if dom_pos is other._dom_pos:
+                pairs = [(n, n) for n in map(dom_pos.__getitem__, indices)]
+            else:
+                pairs = [(dom_pos[ix], other._dom_pos[ix]) for ix in indices]
         except KeyError:
             raise BasisMismatchError("compared index outside a domain") from None
         mine, theirs = self._cols, other._cols
@@ -288,11 +303,18 @@ class TruncatedOp:
         left = self._cols
         cols = []
         for column in other._cols:
-            out: Column = {}
-            for mid, s in column.items():
-                for row, t in left[mid].items():
-                    _accumulate(out, row, t * s)
-            cols.append(out)
+            if len(column) > 1:
+                out: Column = {}
+                for mid, s in column.items():
+                    for row, t in left[mid].items():
+                        _accumulate(out, row, t * s)
+                cols.append(out)
+            elif column:
+                # a product of two nonzero scalars is nonzero, so nothing cancels
+                ((mid, s),) = column.items()
+                cols.append(left[mid] if s is ONE else {row: t * s for row, t in left[mid].items()})
+            else:
+                cols.append(column)
         return TruncatedOp._of_columns(
             other.domain, self.codomain, other._dom_pos, self._cod_pos, tuple(cols)
         )
@@ -301,10 +323,13 @@ class TruncatedOp:
         return self.compose(other)
 
     def adjoint(self) -> TruncatedOp:
-        cols: list[Column] = [{} for _ in self.codomain]
+        cols = [_EMPTY] * len(self.codomain)
         for col, column in enumerate(self._cols):
             for row, s in column.items():
-                cols[row][col] = s.conjugate()
+                target = cols[row]
+                if target is _EMPTY:
+                    cols[row] = target = {}
+                target[col] = s.conjugate()
         return TruncatedOp._of_columns(
             self.codomain, self.domain, self._cod_pos, self._dom_pos, tuple(cols)
         )
@@ -334,7 +359,7 @@ class TruncatedOp:
     def scale(self, value: Scalar | int) -> TruncatedOp:
         value = Scalar.of(value)
         if not value:
-            return self._with_columns({} for _ in self.domain)
+            return self._with_columns([_EMPTY] * len(self.domain))
         return self._with_columns(
             {row: value * s for row, s in column.items()} for column in self._cols
         )
@@ -377,7 +402,7 @@ class TruncatedOp:
             row_at = [cod_pos[ix] for ix in self.codomain]
         except KeyError:
             raise BasisMismatchError("extension must contain the original bases") from None
-        cols: list[Column] = [{} for _ in domain]
+        cols = [_EMPTY] * len(domain)
         for col, column in zip(col_at, self._cols):
             cols[col] = {row_at[row]: s for row, s in column.items()}
         return TruncatedOp._of_columns(domain, codomain, dom_pos, cod_pos, tuple(cols))
@@ -415,10 +440,12 @@ class TruncatedOp:
         try:
             domain = tuple(parse_label(t) for t in doc["domain"])
             codomain = tuple(parse_label(t) for t in doc["codomain"])
-            entries = {
-                (parse_label(r), parse_label(c)): Scalar.parse(s)
-                for r, c, s in doc["entries"]
-            }
+            entries = {}
+            for r, c, s in doc["entries"]:
+                key = (parse_label(r), parse_label(c))
+                if key in entries:
+                    raise ParseError(f"operator document repeats the entry at ({r}, {c})")
+                entries[key] = Scalar.parse(s)
         except (KeyError, TypeError, ValueError):
             raise ParseError("operator document needs domain, codomain, entries") from None
         return cls.build(domain, codomain, entries)

@@ -353,8 +353,15 @@ def build_digit_rep(
     s = m.p**level
     domain = _words(s, max_len)
     # the word with key k is entry k, and its shift is the word with key s*k
-    shift = _section(domain, _words(s, max_len + 1), range(0, s * len(domain[0]), s))
-    return shift, TruncatedOp._diagonal(*domain, (f(word_value(w, rho)) for w in domain[0]))
+    size = len(domain[0])
+    shift = _section(domain, _words(s, max_len + 1), range(0, s * size, s))
+    # the word with key q*s + d prepends the digit d to the word with key q, so its
+    # value is d + rho * value[q]: value[k] = k % s + rho * value[k // s]
+    values = list(range(s))
+    for q in range(1, size // s):
+        head = rho * values[q]
+        values.extend(range(head, head + s))
+    return shift, TruncatedOp._diagonal(*domain, map(f, values))
 
 
 def build_hs_rep(

@@ -29,7 +29,7 @@ def _frac(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
     """A Gaussian rational ``real + imag*i``."""
 

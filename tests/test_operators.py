@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sc, scalars
-from padicmult import Cyc, NonNeg, TruncatedOp, WinZ, Word, label, parse_label
+from padicmult import Cyc, NonNeg, TruncatedOp, WinZ, Word, label, parse_label, window_shift
 from padicmult.errors import BasisMismatchError, ParseError
 from padicmult.scalars import ONE, ZERO, Scalar
 
@@ -354,3 +354,150 @@ def test_an_operator_is_unequal_to_other_types_and_shows_its_fields():
     assert text.startswith("TruncatedOp(domain=(NonNeg(l=0), ")
     assert ", codomain=(NonNeg(l=0), " in text
     assert text.endswith(f", entries={dict(shift.entries)!r})")
+
+
+# --- compose on one-entry columns, and columns shared between operators --------
+
+
+def weight(rng: random.Random) -> Scalar | int:
+    """ONE, 1, -1 or a random nonzero scalar."""
+    return rng.choice((ONE, 1, -1, random_scalar(rng))) or ONE
+
+
+def weighted_partial_permutation(rng: random.Random, domain, codomain) -> TruncatedOp:
+    """Each column empty or one entry, each row hit at most once."""
+    cols = rng.sample(domain, rng.randint(0, min(len(domain), len(codomain))))
+    rows = rng.sample(codomain, len(cols))
+    return TruncatedOp.build(domain, codomain, {key: weight(rng) for key in zip(rows, cols)})
+
+
+def sized_columns(rng: random.Random, domain, codomain) -> TruncatedOp:
+    """Column j holds j mod 4 entries (at most one per row), so 0, 1 and several occur."""
+    entries = {}
+    for j, col in enumerate(domain):
+        for row in rng.sample(codomain, min(j % 4, len(codomain))):
+            entries[(row, col)] = weight(rng)
+    return TruncatedOp.build(domain, codomain, entries)
+
+
+def dense_product(a: TruncatedOp, b: TruncatedOp) -> list[list[Scalar]]:
+    left, right = dense(a), dense(b)
+    middle = range(len(b.codomain))
+    return [
+        [sum((row[k] * right[k][j] for k in middle), ZERO) for j in range(len(b.domain))]
+        for row in left
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compose_of_weighted_partial_permutations_matches_the_dense_product(seed):
+    rng = random.Random(seed)
+    b = weighted_partial_permutation(rng, DOMAIN, MIDDLE)
+    assert all(len(b.apply(ix)) <= 1 for ix in DOMAIN)
+    lefts = (sized_columns(rng, MIDDLE, CODOMAIN), weighted_partial_permutation(rng, MIDDLE, CODOMAIN))
+    for a in lefts:
+        agrees_with(a @ b, DOMAIN, CODOMAIN, dense_product(a, b))
+        a_star, b_star = a.adjoint(), b.adjoint()
+        agrees_with(b_star @ a_star, CODOMAIN, DOMAIN, dense_product(b_star, a_star))
+    square = weighted_partial_permutation(rng, MIDDLE, MIDDLE)
+    agrees_with(square @ square, MIDDLE, MIDDLE, dense_product(square, square))
+    agrees_with(square.power(3), MIDDLE, MIDDLE, dense_product(square, square @ square))
+
+
+def snapshot(op: TruncatedOp) -> tuple[list, dict]:
+    """op's columns read afresh, and its document."""
+    return [op.apply(ix) for ix in op.domain], op.to_doc()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_operators_built_from_a_product_change_no_factor(seed):
+    rng = random.Random(seed)
+    a = sized_columns(rng, MIDDLE, CODOMAIN)
+    b = weighted_partial_permutation(rng, DOMAIN, MIDDLE)
+    c = a @ b
+    before = [snapshot(op) for op in (a, b, c)]
+    other = random_op(rng, DOMAIN, CODOMAIN)
+    derived = [
+        c + other,
+        other + c,
+        c - c,
+        c.scale(random_scalar(rng)),
+        c.scale(-1),
+        c.scale(0),
+        c.adjoint(),
+        c.adjoint() + c.adjoint().scale(2),
+        c.extended(domain=DOMAIN + (Word((3,)),), codomain=CODOMAIN + (WinZ(9),)),
+        c.restricted(DOMAIN[1:4]),
+        c.restricted(DOMAIN[1:4]) + c.restricted(DOMAIN[1:4]),
+        c.adjoint() @ c,
+    ]
+    for op in derived:
+        for index in op.domain:
+            image = op.apply(index)
+            image[WinZ(99)] = ONE
+            assert WinZ(99) not in op.apply(index)
+    for index in c.domain:
+        image = c.apply(index)
+        image.clear()
+        assert c.apply(index) == scanned(c, index)
+    assert [snapshot(op) for op in (a, b, c)] == before
+    # the empty column the operators share is still empty
+    assert TruncatedOp.diagonal(DOMAIN, lambda ix: 0).apply(DOMAIN[0]) == {}
+    assert TruncatedOp.zero(DOMAIN, CODOMAIN).to_doc()["entries"] == []
+
+
+@st.composite
+def operators_on_one_position_map(draw):
+    """An operator on WINDOW and one that holds its domain position map: a scaled
+    copy, or the operator (or its extension to WIDER) plus a few entries."""
+    codomain = draw(st.sampled_from([WINDOW, WIDER]))
+    keys = st.tuples(st.sampled_from(codomain), st.sampled_from(WINDOW))
+    a = TruncatedOp(WINDOW, codomain, draw(st.dictionaries(keys, scalars(), max_size=12)))
+    how = draw(st.sampled_from(["scale", "add", "extend"]))
+    if how == "scale":
+        b = a.scale(draw(st.sampled_from([1, -1, ONE, sc(2, 1)])))
+    else:
+        base = a if how == "add" else a.extended(codomain=codomain + (WinZ(9),))
+        delta_keys = st.tuples(st.sampled_from(base.codomain), st.sampled_from(WINDOW))
+        delta = draw(st.dictionaries(delta_keys, scalars(), max_size=2))
+        b = base + TruncatedOp(WINDOW, base.codomain, delta)
+    return a, b, draw(st.lists(st.sampled_from(WINDOW), max_size=len(WINDOW)))
+
+
+@given(operators_on_one_position_map())
+def test_agrees_at_on_one_position_map_matches_the_label_reference(pair):
+    a, b, indices = pair
+    assert a._dom_pos is b._dom_pos
+    want = all(column(a, ix) == column(b, ix) for ix in indices)
+    assert a._agrees_at(b, indices) is want
+    assert b._agrees_at(a, indices) is want
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(BasisMismatchError):
+            first._agrees_at(second, [WinZ(4)])
+
+
+def test_agrees_at_on_sections_of_one_cached_basis():
+    v = window_shift(4)
+    square = v @ v
+    assert v._dom_pos is square._dom_pos is v.scale(-1)._dom_pos
+    inner = v.domain[2:-2]
+    assert v._agrees_at(v.scale(ONE), v.domain) and not v._agrees_at(v.scale(-1), inner)
+    assert not v._agrees_at(square, inner)
+    assert square._agrees_at(v @ v.extended(), v.domain)
+    # v v* misses the bottom index and v* v the top one, where v maps out
+    range_projection, domain_projection = v @ v.adjoint(), v.adjoint() @ v
+    assert range_projection._agrees_at(domain_projection, v.domain[1:-1])
+    for end in (v.domain[:1], v.domain[-1:]):
+        assert not range_projection._agrees_at(domain_projection, end)
+    with pytest.raises(BasisMismatchError):
+        v._agrees_at(square, [WinZ(5)])
+
+
+def test_from_doc_refuses_a_repeated_entry():
+    doc = {"domain": ["N:0"], "codomain": ["N:0", "N:1"], "entries": [["N:0", "N:0", "1/1"]]}
+    assert TruncatedOp.from_doc(doc).entries == {(NonNeg(0), NonNeg(0)): ONE}
+    for second in (["N:0", "N:0", "2/1"], ["N:0", "N:0", "1/1"], ["N:00", "N:0", "0/1"]):
+        with pytest.raises(ParseError, match="repeats the entry"):
+            TruncatedOp.from_doc({**doc, "entries": doc["entries"] + [second]})
+    two = {**doc, "entries": doc["entries"] + [["N:1", "N:0", "2/1"]]}
+    assert TruncatedOp.from_doc(two).apply(NonNeg(0)) == {NonNeg(0): ONE, NonNeg(1): sc(2)}

@@ -280,6 +280,33 @@ def test_digit_rep_shift_and_diagonal():
     assert word_value(Word((1, 2)), 6) == 13
 
 
+@pytest.mark.parametrize(
+    "p, level, r, lengths",
+    [
+        (3, 1, -3 * 2, (1, 2, 3, 4)),
+        (3, 1, 3 * 7, (1, 2, 3, 4)),
+        (5, 1, -5 * 3, (1, 2, 3, 4)),
+        (7, 1, 7 * 5, (1, 2, 3)),
+        (3, 2, -9 * 2, (1, 2, 3, 4)),
+        (3, 2, 9 * 4, (1, 2, 3)),
+        (5, 2, -25 * 2, (1, 2)),
+    ],
+)
+def test_digit_diagonal_is_f_of_each_word_value(p, level, r, lengths):
+    rng = random.Random(p * 100 + level * 10 + (r > 0))
+    for max_len in lengths:
+        # f at level L reads the digits below p^L, so level * max_len reads them all
+        for f_level in (0, 1, level * max_len):
+            f = LocallyConstantFn(p, f_level, tuple(
+                rng.choice((ZERO, ONE, sc(rng.randint(-5, 5), rng.randint(-1, 1))))
+                for _ in range(p**f_level)
+            ))
+            _, diag = build_digit_rep(p, level, r, f, max_len)
+            assert len(diag.domain) == (p**level) ** max_len
+            want = {(w, w): f(word_value(w, r)) for w in diag.domain}
+            assert diag.entries == {key: value for key, value in want.items() if value}
+
+
 def test_hs_rep_examples():
     f = LocallyConstantFn(3, 2, tuple(sc(j) for j in range(9)))
     shift, diag = build_hs_rep(3, 1, f, cutoff=10)

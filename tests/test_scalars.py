@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -99,3 +102,47 @@ def test_malformed_text_rejected(text):
 def test_an_int_minus_a_scalar_is_a_scalar():
     assert 3 - Scalar(1) == Scalar(2)
     assert 0 - sc(1, 2) == sc(-1, -2)
+
+
+def test_a_scalar_is_slotted_and_frozen():
+    a = sc(Fraction(1, 3), Fraction(-2, 5))
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.real = Fraction(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.imag
+    # a name that is no field has no slot; Python 3.11's frozen __setattr__
+    # then raises TypeError, not FrozenInstanceError
+    with pytest.raises((AttributeError, TypeError)):
+        a.extra = 1
+    assert a == sc(Fraction(1, 3), Fraction(-2, 5))
+    assert repr(Scalar(1, 2)) == "Scalar(real=Fraction(1, 1), imag=Fraction(2, 1))"
+
+
+@given(scalars())
+def test_a_scalar_survives_pickle_and_copy(a):
+    for copied in (
+        pickle.loads(pickle.dumps(a)),
+        pickle.loads(pickle.dumps(a, protocol=0)),
+        copy.copy(a),
+        copy.deepcopy(a),
+    ):
+        assert copied == a and hash(copied) == hash(a)
+        assert type(copied.real) is Fraction and type(copied.imag) is Fraction
+
+
+def test_a_public_construction_runs_post_init(monkeypatch):
+    calls = []
+    post_init = Scalar.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Scalar, "__post_init__", counted)
+    made = Scalar(1, 2)
+    assert type(made.real) is Fraction and len(calls) == 1
+    assert Scalar.of(5) == sc(5) and len(calls) == 3  # sc builds one more
+    assert Scalar.of(1) is ONE and ONE * made is made and len(calls) == 3
+    made * made
+    assert len(calls) == 4

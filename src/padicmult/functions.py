@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .errors import InsufficientPrecisionError, ParseError
@@ -29,13 +30,16 @@ class LocallyConstantFn:
         p = as_prime(self.p)
         if self.level < 0:
             raise ParseError("level must be non-negative")
-        coerced = tuple(Scalar.of(v) for v in self.values)
-        if len(coerced) != p**self.level:
+        values = self.values
+        # the library passes tuples of Scalars, which need no coercion
+        if type(values) is not tuple or not all(map(isinstance, values, repeat(Scalar))):
+            values = tuple(map(Scalar.of, values))
+            object.__setattr__(self, "values", values)
+        if len(values) != p**self.level:
             raise ParseError(
                 f"level {self.level} over p={p} needs {p**self.level} values, "
-                f"got {len(coerced)}"
+                f"got {len(values)}"
             )
-        object.__setattr__(self, "values", coerced)
 
     @classmethod
     def constant(cls, p: int, value: Scalar | RationalLike) -> LocallyConstantFn:

@@ -230,17 +230,9 @@ class TruncatedOp:
         cls, basis: Iterable[BasisIndex], value: Callable[[BasisIndex], Scalar | int]
     ) -> TruncatedOp:
         basis = tuple(basis)
-        return cls._diagonal(basis, _positions(basis), map(value, basis))
-
-    @classmethod
-    def _diagonal(
-        cls,
-        basis: tuple[BasisIndex, ...],
-        positions: dict[BasisIndex, int],
-        values: Iterable[Scalar | int],
-    ) -> TruncatedOp:
-        """The diagonal with the given values, in basis order, on a basis and its position map."""
-        cols = tuple({n: s} if s else _EMPTY for n, s in enumerate(map(Scalar.of, values)))
+        positions = _positions(basis)
+        values = map(Scalar.of, map(value, basis))
+        cols = tuple({n: s} if s else _EMPTY for n, s in enumerate(values))
         return cls._of_columns(basis, basis, positions, positions, cols)
 
     @classmethod
@@ -413,10 +405,13 @@ class TruncatedOp:
         For the shift sections built here this is exactly the set of basis
         vectors whose adjoint image is not lost to the truncation edge.
         """
-        projector = self @ self.adjoint()
+        return (self @ self.adjoint())._identity_columns()
+
+    def _identity_columns(self) -> tuple[BasisIndex, ...]:
+        """Domain indices of a square operator whose column is their own unit vector."""
         return tuple(
             ix
-            for ix, (n, column) in zip(self.codomain, enumerate(projector._cols))
+            for ix, (n, column) in zip(self.domain, enumerate(self._cols))
             if len(column) == 1 and column.get(n) == ONE
         )
 

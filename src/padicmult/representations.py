@@ -24,7 +24,7 @@ from .errors import (
     ValuationMismatchError,
 )
 from .functions import LocallyConstantFn, precompose
-from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word, _positions
+from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word, _EMPTY, _positions
 from .padic import (
     Multiplier,
     MultiplierSpec,
@@ -187,10 +187,31 @@ def _along(m: Multiplier, f: LocallyConstantFn) -> tuple[int, int]:
     return m.residue(f.level), m.p**f.level
 
 
+def _ball_diagonal(basis: Basis, f: LocallyConstantFn, points: Iterable[int]) -> TruncatedOp:
+    """The diagonal carrying f(x) at position n for the n-th integer point x.
+
+    Reads f's ball table: the value at x is the entry of the ball x mod p^level,
+    and each ball is tested for zero once, not once per position.
+    """
+    modulus = f.p**f.level
+    balls = [value or None for value in f.values]
+    cols = tuple(
+        _EMPTY if (value := balls[x % modulus]) is None else {n: value}
+        for n, x in enumerate(points)
+    )
+    return TruncatedOp._of_columns(basis[0], basis[0], basis[1], basis[1], cols)
+
+
 def _orbit_diagonal(basis: Basis, m: Multiplier, x: int, f: LocallyConstantFn) -> TruncatedOp:
-    """The diagonal carrying f(r^k x) at the basis index of position k, for a unit r."""
+    """The diagonal carrying f(r^k x) at the basis index of position k, for a unit r.
+
+    The basis holds consecutive k, so the orbit is walked by one product per position.
+    """
     rho, modulus = _along(m, f)
-    return TruncatedOp._diagonal(*basis, (f(pow(rho, ix.k, modulus) * x) for ix in basis[0]))
+    points = [pow(rho, basis[0][0].k, modulus) * x % modulus]
+    for _ in range(len(basis[0]) - 1):
+        points.append(points[-1] * rho % modulus)
+    return _ball_diagonal(basis, f, points)
 
 
 def build_orbit_rep(
@@ -361,7 +382,7 @@ def build_digit_rep(
     for q in range(1, size // s):
         head = rho * values[q]
         values.extend(range(head, head + s))
-    return shift, TruncatedOp._diagonal(*domain, map(f, values))
+    return shift, _ball_diagonal(domain, f, values)
 
 
 def build_hs_rep(
@@ -378,8 +399,12 @@ def build_hs_rep(
     _along(Multiplier.of(s, p), f)  # the shift multiplies by s, so f lies over p
     domain = _non_negative(cutoff + 1)
     shift = _section(domain, _non_negative(s * cutoff + 1), range(0, s * (cutoff + 1), s))
-    diag = TruncatedOp._diagonal(*domain, (f(l) for l in range(cutoff + 1)))
-    return shift, diag
+    return shift, _index_diagonal(f, cutoff + 1)
+
+
+def _index_diagonal(f: LocallyConstantFn, size: int) -> TruncatedOp:
+    """The diagonal of f at the integer points 0..size-1 of l^2(Z>=0)."""
+    return _ball_diagonal(_non_negative(size), f, range(size))
 
 
 def intertwiner(p: int, level: int, r: int, max_len: int) -> TruncatedOp:
@@ -478,10 +503,12 @@ def check_covariance(
     """
     if diag.domain != shift.domain or diag.codomain != shift.domain:
         raise BasisMismatchError("the middle diagonal must be square on the shift's domain")
-    lhs = shift @ diag @ shift.adjoint()
+    adjoint = shift.adjoint()
+    lhs = shift @ diag @ adjoint
     if interior is None:
+        # shift.range_fixed_points(), on the adjoint already built
         rhs_domain = diag_alpha._dom_pos
-        interior = [ix for ix in shift.range_fixed_points() if ix in rhs_domain]
+        interior = [ix for ix in (shift @ adjoint)._identity_columns() if ix in rhs_domain]
     # lhs's domain is the shift's codomain; an interior index outside it or
     # outside diag_alpha's domain raises BasisMismatchError
     return lhs._agrees_at(diag_alpha, interior)

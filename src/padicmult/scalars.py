@@ -49,7 +49,7 @@ class Scalar:
         return Scalar(_frac(value))
 
     def __bool__(self) -> bool:
-        return bool(self.real or self.imag)
+        return True if self.real else bool(self.imag)
 
     def __add__(self, other: Scalar | RationalLike) -> Scalar:
         other = Scalar.of(other)

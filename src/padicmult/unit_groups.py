@@ -175,8 +175,12 @@ class CyclicSubgroup:
         d = gcd(self.order, self.p - 1)
         step = self.p**self.level * d // self.order  # p^(level - e)
         roots = sorted(pow(self.generator, i, step) for i in range(d))
-        # each block [j, j + step) holds the sorted roots shifted by j
-        return tuple(t + j for j in range(0, self.p**self.level, step) for t in roots)
+        # each block [j, j + step) holds the sorted roots shifted by j, so the
+        # i-th root's lifts fill every d-th place from place i
+        out = [0] * self.order
+        for i, t in enumerate(roots):
+            out[i::d] = range(t, self.p**self.level, step)
+        return tuple(out)
 
     @cached_property
     def element_set(self) -> frozenset[int]:

@@ -41,6 +41,7 @@ from .padic import (
     valuation,
 )
 from .representations import (
+    _index_diagonal,
     build_cyclic_rep,
     build_digit_rep,
     build_hs_rep,
@@ -135,10 +136,21 @@ def _pool(bounds: Bounds) -> list[tuple[int, int]]:
     return [(p, r) for p in _primes(bounds) for r in range(2, p * p + 1) if r % p]
 
 
+# every scalar random_scalar draws, keyed by its draws: 21 real parts, each alone
+# or with one of 10 imaginary parts
+_RANDOM_SCALARS = {
+    (a, b, *imag): Scalar(Fraction(a, b), Fraction(*imag) if imag else Fraction(0))
+    for a in range(-3, 4)
+    for b in range(1, 4)
+    for imag in [(), *itertools.product(range(-2, 3), range(1, 3))]
+}
+
+
 def random_scalar(rng: random.Random) -> Scalar:
-    real = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    imag = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.3 else Fraction(0)
-    return Scalar(real, imag)
+    draws = (rng.randint(-3, 3), rng.randint(1, 3))
+    if rng.random() < 0.3:
+        draws += (rng.randint(-2, 2), rng.randint(1, 2))
+    return _RANDOM_SCALARS[draws]
 
 
 def random_function(rng: random.Random, p: int, max_level: int) -> LocallyConstantFn:
@@ -202,19 +214,24 @@ def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
     lifting = PropertyResult("subgroups", "lifting-by-exhaustion")
     sizes = PropertyResult("subgroups", "subgroup-order-divides-group")
     roots = PropertyResult("subgroups", "primitive-root-lifting")
+    top = min(bounds.max_level, 4)
     for p, r in _pool(bounds):
         threshold = find_nr(p, r)
-        for level in range(threshold, min(bounds.max_level, 4) + 1):
-            low = subgroup(p, level, r).elements
-            modulus = p**level
+        # each level's subgroup is built and listed once; the lifting check
+        # reads one level past the top
+        subs = [subgroup(p, level, r) for level in range(1, top + 1)]
+        if threshold <= top:
+            subs.append(subgroup(p, top + 1, r))
+        for level in range(threshold, top + 1):
+            low, high = subs[level - 1], subs[level]
             # the preimage of low mod p^(level + 1), built in increasing order
-            lifted = tuple(k + modulus * j for j in range(p) for k in low)
+            modulus = p**level
+            lifts = (map(j.__add__, low.elements) for j in range(0, p * modulus, modulus))
+            lifted = tuple(itertools.chain.from_iterable(lifts))
             lifting.check(
-                subgroup(p, level + 1, r).elements == lifted,
-                f"lift mismatch at p={p}, r={r}, level={level}",
+                high.elements == lifted, f"lift mismatch at p={p}, r={r}, level={level}"
             )
-        for level in range(1, min(bounds.max_level, 4) + 1):
-            sub = subgroup(p, level, r)
+        for level, sub in enumerate(subs[:top], start=1):
             sizes.check(
                 sub.elements == oracles.power_walk(p, level, r)
                 and len(sub.elements) == sub.order
@@ -385,8 +402,7 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
         p, level = hs_configs[sample % len(hs_configs)]
         if (f := _function(bounds, rng, p)) is not None:
             shift, diag = build_hs_rep(p, level, f, cutoff=40)
-            alpha_f = alpha_endo(f, ExactInt(p**level))
-            diag_alpha = TruncatedOp.diagonal(shift.codomain, lambda ix: alpha_f(ix.l))
+            diag_alpha = _index_diagonal(alpha_endo(f, ExactInt(p**level)), len(shift.codomain))
             index.check(
                 check_covariance(shift, diag, diag_alpha, interior=shift.codomain),
                 f"index-shift covariance fails at p={p}, level={level}, sample={sample}",

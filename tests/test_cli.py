@@ -366,6 +366,25 @@ def test_unseeded_suite_reports_are_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == UNSEEDED_REPORTS[suite]
 
 
+# sha256 of `verify --suite all --max-N 6 --seed SEED --json`, the call the
+# benchmark's verify workload makes
+ALL_SUITE_REPORTS = {
+    0: "37d99529878caf003daf0271f497b37815efcf9fe084feb580cb5c5282b4b141",
+    1: "bd2bf777bca6be8fb12fb4032961b8f17659e16307773293f56d71d0f29e5d25",
+    2: "07644791e451d54773996c950cf1fe0eca1f6ddef766bbc10222046bb1010de2",
+    3: "06fa0b798b363f05e18d2fefb4b8ee38e669b5b75277e78e6f42b10119a09a57",
+    4: "89e4ff0d028bb0c30cbbb9e2bbba8a9f2ee027eefa36ab6405f5335331accbe4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ALL_SUITE_REPORTS))
+def test_all_suite_reports_are_pinned(capsys, seed):
+    argv = ("verify", "--suite", "all", "--max-N", "6", "--seed", str(seed), "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_SUITE_REPORTS[seed]
+
+
 # Exact --json stdout and exit code of the README examples, and of errors of
 # every code across the three multiplier forms.  The last two rows are
 # refusals: a digit not below p, and a negative precision.

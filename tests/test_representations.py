@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import functions, sc
+from conftest import functions, scalars, sc
 from padicmult import (
     Cyc,
     Digits,
@@ -31,6 +31,7 @@ from padicmult import (
     function_to_doc,
     intertwiner,
     kappa,
+    multiplier_residue,
     orbit_decompose,
     pi0_symbol,
     present_product,
@@ -307,6 +308,53 @@ def test_digit_diagonal_is_f_of_each_word_value(p, level, r, lengths):
             assert diag.entries == {key: value for key, value in want.items() if value}
 
 
+# root-of-unity multipliers of the cyclic orders 2-6; order 1 is r = 1, which
+# every builder refuses
+CYCLIC_CONFIGS = [
+    (3, ExactInt(-1)), (7, TeichProduct(2)), (5, TeichProduct(2)),
+    (11, TeichProduct(3)), (7, TeichProduct(3, -1)), (7, TeichProduct(3)),
+]
+
+
+@st.composite
+def ball_functions(draw, p: int, max_level: int):
+    """Functions whose ball values mix zero, one, and real and imaginary scalars."""
+    level = draw(st.integers(0, max_level))
+    value = st.one_of(st.just(ZERO), st.just(ONE), scalars())
+    return LocallyConstantFn(p, level, tuple(draw(value) for _ in range(p**level)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_builder_diagonals_read_f_at_each_point(data):
+    """Each builder's diagonal is f at the integer point of each basis index."""
+    kind = data.draw(st.sampled_from(["orbit", "cyclic", "digit", "index"]))
+    if kind in ("orbit", "cyclic"):
+        orbit = kind == "orbit"
+        configs = [(3, 2), (5, 7), (7, 3), (5, TeichProduct(2))] if orbit else CYCLIC_CONFIGS
+        p, r = data.draw(st.sampled_from(configs))
+        x = data.draw(st.integers(-200, 200).filter(bool))
+        f = data.draw(ball_functions(p, 3))
+        if orbit:
+            _, diag = build_orbit_rep(p, r, x, f, window=data.draw(st.integers(0, 12)))
+        else:
+            _, diag = build_cyclic_rep(p, r, x, f)
+        rho, modulus = multiplier_residue(r, p, f.level), p**f.level
+        want = TruncatedOp.diagonal(diag.domain, lambda ix: f(pow(rho, ix.k, modulus) * x))
+    elif kind == "digit":
+        p, r = data.draw(st.sampled_from([(3, 6), (3, -3), (5, 10), (3, 21)]))
+        max_len = data.draw(st.integers(1, 3))
+        f = data.draw(ball_functions(p, max_len + 1))
+        _, diag = build_digit_rep(p, 1, r, f, max_len)
+        want = TruncatedOp.diagonal(diag.domain, lambda w: f(word_value(w, r)))
+    else:
+        p, level = data.draw(st.sampled_from([(3, 1), (5, 1), (3, 2)]))
+        f = data.draw(ball_functions(p, 3))
+        _, diag = build_hs_rep(p, level, f, cutoff=data.draw(st.integers(0, 40)))
+        want = TruncatedOp.diagonal(diag.domain, lambda ix: f(ix.l))
+    assert diag == want
+
+
 def test_hs_rep_examples():
     f = LocallyConstantFn(3, 2, tuple(sc(j) for j in range(9)))
     shift, diag = build_hs_rep(3, 1, f, cutoff=10)
@@ -424,6 +472,23 @@ def test_covariance_constant_function_interior_geometry():
     lhs = shift @ diag @ shift.adjoint()
     assert lhs.apply(WinZ(-3)) == {}  # lost edge: projection kills the bottom index
     assert diag_alpha.apply(WinZ(-3)) == {WinZ(-3): sc(4)}
+
+
+def test_covariance_builds_one_adjoint(monkeypatch):
+    """Without an interior, the range fixed points reuse the adjoint of the shift."""
+    f = LocallyConstantFn(5, 1, tuple(sc(j) for j in range(5)))
+    shift, diag = build_orbit_rep(5, 7, 1, f, window=8)
+    _, diag_alpha = build_orbit_rep(5, 7, 1, alpha_endo(f, ExactInt(7)), window=8)
+    calls = []
+    adjoint = TruncatedOp.adjoint
+
+    def counted(self):
+        calls.append(self)
+        return adjoint(self)
+
+    monkeypatch.setattr(TruncatedOp, "adjoint", counted)
+    assert check_covariance(shift, diag, diag_alpha)
+    assert calls == [shift]
 
 
 def test_covariance_detects_wrong_rhs():

@@ -1,11 +1,14 @@
 import ast
 import itertools
+import random
+from collections import Counter
 from collections.abc import Sequence
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from padicmult import ExactInt, LocallyConstantFn, TeichProduct, quotient_group, unit_groups, verify
+from padicmult import ExactInt, LocallyConstantFn, Scalar, TeichProduct, quotient_group, unit_groups, verify
 from padicmult.errors import DomainError, NotAUnitError
 from padicmult.oracles import coefficients_vanish, is_group_table, lagrange_order, power_walk
 from padicmult.unit_groups import unit_order_naive
@@ -17,6 +20,7 @@ from padicmult.verify import (
     _pool,
     _reps_symbols,
     _reps_decompose,
+    random_scalar,
     run_suites,
     suite_orders,
     suite_subgroups,
@@ -252,6 +256,31 @@ def test_subgroups_suite_checks_the_listing_against_the_walk(monkeypatch):
     assert outside > 0
     assert results["subgroup-order-divides-group"].failed == outside
     assert results["lifting-by-exhaustion"].failed == 0
+
+
+def test_subgroups_suite_builds_each_subgroup_once(monkeypatch):
+    built = Counter()
+    original = verify.subgroup
+
+    def counted(p, level, r):
+        built[p, level, r] += 1
+        return original(p, level, r)
+
+    monkeypatch.setattr(verify, "subgroup", counted)
+    assert all(result.failed == 0 for result in suite_subgroups(Bounds(max_level=6)))
+    assert built and max(built.values()) == 1
+
+
+def test_random_scalar_draws_as_the_fraction_form():
+    def fraction_form(rng):
+        real = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        imag = Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.3 else Fraction(0)
+        return Scalar(real, imag)
+
+    fast, slow = random.Random("scalars"), random.Random("scalars")
+    for _ in range(10_000):
+        assert random_scalar(fast) == fraction_form(slow)
+    assert fast.getstate() == slow.getstate()
 
 
 def test_decompose_roundtrip_reads_no_subgroup_listing(monkeypatch):

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InsufficientPrecisionError
 from .padic import Multiplier, MultiplierSpec, as_prime
+from .scalars import _frac
 from .unit_groups import _order_primes, find_nr, unit_order
 
 
@@ -180,6 +181,7 @@ class HSubgroup:
 
 
 def h_contains(h: HSubgroup, q: Fraction | int) -> bool:
-    """Membership test: q = k/l in lowest terms lies in H iff l divides S."""
-    q = Fraction(q)
-    return h.s.admits_denominator(q.denominator)
+    """Membership test: q = k/l in lowest terms lies in H iff l divides S.
+
+    q is an int or a Fraction, as for ``Scalar.of``; anything else is a TypeError."""
+    return h.s.admits_denominator(_frac(q).denominator)

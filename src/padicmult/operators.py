@@ -100,12 +100,34 @@ Vector = dict[BasisIndex, Scalar]
 Column = dict[int, Scalar]
 
 
-def _positions(basis: tuple[BasisIndex, ...]) -> dict[BasisIndex, int]:
-    """The label -> position map of a basis, refusing a repeated label."""
-    positions = dict(zip(basis, range(len(basis))))
-    if len(positions) != len(basis):
-        raise BasisMismatchError("duplicate labels in a basis")
-    return positions
+class _Basis(tuple):
+    """A basis: a tuple of distinct labels that carries its label -> position map.
+
+    The map is built, and a repeated label refused, once per basis; wrapping a
+    _Basis returns it unchanged, so operators built from others share their
+    bases and hash no label.  A basis is immutable, map included.
+    """
+
+    def __new__(cls, labels: Iterable[BasisIndex]) -> _Basis:
+        if isinstance(labels, _Basis):
+            return labels
+        basis = super().__new__(cls, labels)
+        pos = dict(zip(basis, range(len(basis))))
+        if len(pos) != len(basis):
+            raise BasisMismatchError("duplicate labels in a basis")
+        vars(basis)["_pos"] = pos
+        return basis
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a basis is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a basis is immutable")
+
+
+def _places(part: tuple[BasisIndex, ...], basis: _Basis) -> Iterable[int]:
+    """The position in basis of each label of part; none is hashed when part is basis."""
+    return range(len(basis)) if part is basis else [basis._pos[ix] for ix in part]
 
 
 def _same(a: tuple[BasisIndex, ...], b: tuple[BasisIndex, ...]) -> bool:
@@ -132,14 +154,15 @@ class TruncatedOp:
     """A sparse exact matrix from an ordered domain basis to a codomain basis.
 
     The operator is stored by position: one column ``{row position: entry}``
-    per domain index, nonzero entries only, next to the label -> position
-    maps of both bases.  Every operator built from others (``compose``,
-    ``adjoint``, ``+``, ``scale``, ``restricted``, ``extended``) passes those
-    maps on and works on positions, so no label is hashed again.  ``entries``,
-    the label-keyed ``{(row, col): entry}`` view, is read-only and built on
-    first read.  The constructor ``TruncatedOp(domain, codomain, entries)``
-    converts each entry to a ``Scalar``, drops the zeros and checks every
-    label against both bases at once; ``build`` is the same constructor.
+    per domain index, nonzero entries only, between two bases that carry
+    their label -> position maps.  Every operator built from others
+    (``compose``, ``adjoint``, ``+``, ``scale``, ``restricted``,
+    ``extended``) passes those bases on and works on positions, so no label
+    is hashed again.  ``entries``, the label-keyed ``{(row, col): entry}``
+    view, is read-only and built on first read.  The constructor
+    ``TruncatedOp(domain, codomain, entries)`` converts each entry to a
+    ``Scalar``, drops the zeros and checks every label against both bases at
+    once; ``build`` is the same constructor.
 
     No column is changed once it is built, so operators share columns: every
     empty column may be one shared dict, ``restricted`` keeps self's columns,
@@ -149,8 +172,8 @@ class TruncatedOp:
     made.
     """
 
-    domain: tuple[BasisIndex, ...]
-    codomain: tuple[BasisIndex, ...]
+    domain: _Basis
+    codomain: _Basis
 
     def __init__(
         self,
@@ -158,37 +181,24 @@ class TruncatedOp:
         codomain: Iterable[BasisIndex],
         entries: Mapping[tuple[BasisIndex, BasisIndex], Scalar | int],
     ) -> None:
-        domain = tuple(domain)
-        codomain = tuple(codomain)
-        dom_pos = _positions(domain)
-        cod_pos = dom_pos if codomain is domain else _positions(codomain)
-        cols: list[Column] = [{} for _ in domain]
+        dom = _Basis(domain)
+        cod = dom if codomain is domain else _Basis(codomain)
+        cols: list[Column] = [{} for _ in dom]
         for (row, col), value in entries.items():
             value = Scalar.of(value)
             if not value:
                 continue
             try:
-                cols[dom_pos[col]][cod_pos[row]] = value
+                cols[dom._pos[col]][cod._pos[row]] = value
             except KeyError:
                 raise BasisMismatchError(f"entry at ({label(row)}, {label(col)}) off basis") from None
-        vars(self).update(
-            domain=domain, codomain=codomain, _dom_pos=dom_pos, _cod_pos=cod_pos, _cols=tuple(cols)
-        )
+        vars(self).update(domain=dom, codomain=cod, _cols=tuple(cols))
 
     @classmethod
-    def _of_columns(
-        cls,
-        domain: tuple[BasisIndex, ...],
-        codomain: tuple[BasisIndex, ...],
-        dom_pos: dict[BasisIndex, int],
-        cod_pos: dict[BasisIndex, int],
-        cols: tuple[Column, ...],
-    ) -> TruncatedOp:
-        """An operator from checked columns and the position maps of its bases."""
+    def _of_columns(cls, domain: _Basis, codomain: _Basis, cols: tuple[Column, ...]) -> TruncatedOp:
+        """An operator from checked columns between two bases."""
         op = object.__new__(cls)
-        vars(op).update(
-            domain=domain, codomain=codomain, _dom_pos=dom_pos, _cod_pos=cod_pos, _cols=cols
-        )
+        vars(op).update(domain=domain, codomain=codomain, _cols=cols)
         return op
 
     def __setattr__(self, name, value):
@@ -196,6 +206,10 @@ class TruncatedOp:
 
     def __delattr__(self, name):
         raise AttributeError("TruncatedOp is immutable")
+
+    def __reduce__(self):
+        # the bases and columns only: the cached ``entries`` view cannot be pickled
+        return TruncatedOp._of_columns, (self.domain, self.codomain, self._cols)
 
     def __repr__(self) -> str:
         return (
@@ -229,11 +243,10 @@ class TruncatedOp:
     def diagonal(
         cls, basis: Iterable[BasisIndex], value: Callable[[BasisIndex], Scalar | int]
     ) -> TruncatedOp:
-        basis = tuple(basis)
-        positions = _positions(basis)
+        basis = _Basis(basis)
         values = map(Scalar.of, map(value, basis))
         cols = tuple({n: s} if s else _EMPTY for n, s in enumerate(values))
-        return cls._of_columns(basis, basis, positions, positions, cols)
+        return cls._of_columns(basis, basis, cols)
 
     @classmethod
     def zero(
@@ -254,7 +267,7 @@ class TruncatedOp:
 
     def apply(self, index: BasisIndex) -> Vector:
         """The image of a domain basis vector, as a fresh sparse coefficient map."""
-        position = self._dom_pos.get(index)
+        position = self.domain._pos.get(index)
         if position is None:
             raise BasisMismatchError(f"{label(index)} is not a domain index")
         codomain = self.codomain
@@ -268,18 +281,18 @@ class TruncatedOp:
         through other's position map, and a row outside other's codomain is
         a difference.
         """
-        dom_pos = self._dom_pos
+        dom_pos = self.domain._pos
         try:
-            if dom_pos is other._dom_pos:
+            if self.domain is other.domain:
                 pairs = [(n, n) for n in map(dom_pos.__getitem__, indices)]
             else:
-                pairs = [(dom_pos[ix], other._dom_pos[ix]) for ix in indices]
+                pairs = [(dom_pos[ix], other.domain._pos[ix]) for ix in indices]
         except KeyError:
             raise BasisMismatchError("compared index outside a domain") from None
         mine, theirs = self._cols, other._cols
         if _same(self.codomain, other.codomain):
             return all(mine[a] == theirs[b] for a, b in pairs)
-        codomain, rows = self.codomain, other._cod_pos
+        codomain, rows = self.codomain, other.codomain._pos
         for a, b in pairs:
             column, target = mine[a], theirs[b]
             if len(column) != len(target) or any(
@@ -307,9 +320,7 @@ class TruncatedOp:
                 cols.append(left[mid] if s is ONE else {row: t * s for row, t in left[mid].items()})
             else:
                 cols.append(column)
-        return TruncatedOp._of_columns(
-            other.domain, self.codomain, other._dom_pos, self._cod_pos, tuple(cols)
-        )
+        return TruncatedOp._of_columns(other.domain, self.codomain, tuple(cols))
 
     def __matmul__(self, other: TruncatedOp) -> TruncatedOp:
         return self.compose(other)
@@ -322,18 +333,14 @@ class TruncatedOp:
                 if target is _EMPTY:
                     cols[row] = target = {}
                 target[col] = s.conjugate()
-        return TruncatedOp._of_columns(
-            self.codomain, self.domain, self._cod_pos, self._dom_pos, tuple(cols)
-        )
+        return TruncatedOp._of_columns(self.codomain, self.domain, tuple(cols))
 
     def _require_same_shape(self, other: TruncatedOp) -> None:
         if not (_same(self.domain, other.domain) and _same(self.codomain, other.codomain)):
             raise BasisMismatchError("operator shapes do not match")
 
     def _with_columns(self, cols: Iterable[Column]) -> TruncatedOp:
-        return TruncatedOp._of_columns(
-            self.domain, self.codomain, self._dom_pos, self._cod_pos, tuple(cols)
-        )
+        return TruncatedOp._of_columns(self.domain, self.codomain, tuple(cols))
 
     def __add__(self, other: TruncatedOp) -> TruncatedOp:
         self._require_same_shape(other)
@@ -371,13 +378,12 @@ class TruncatedOp:
 
     def restricted(self, domain: Iterable[BasisIndex]) -> TruncatedOp:
         """Drop columns outside the given sub-basis."""
-        domain = tuple(domain)
-        dom_pos, cols = self._dom_pos, self._cols
+        domain = _Basis(domain)
         try:
-            kept = tuple(cols[dom_pos[ix]] for ix in domain)
+            kept = tuple(map(self._cols.__getitem__, _places(domain, self.domain)))
         except KeyError:
             raise BasisMismatchError("restriction is not a sub-basis of the domain") from None
-        return TruncatedOp._of_columns(domain, self.codomain, _positions(domain), self._cod_pos, kept)
+        return TruncatedOp._of_columns(domain, self.codomain, kept)
 
     def extended(
         self,
@@ -385,19 +391,17 @@ class TruncatedOp:
         codomain: Iterable[BasisIndex] | None = None,
     ) -> TruncatedOp:
         """Enlarge bases (supersets only); new rows and columns are zero."""
-        domain = self.domain if domain is None else tuple(domain)
-        codomain = self.codomain if codomain is None else tuple(codomain)
-        dom_pos = self._dom_pos if domain is self.domain else _positions(domain)
-        cod_pos = self._cod_pos if codomain is self.codomain else _positions(codomain)
+        domain = _Basis(self.domain if domain is None else domain)
+        codomain = _Basis(self.codomain if codomain is None else codomain)
         try:
-            col_at = [dom_pos[ix] for ix in self.domain]
-            row_at = [cod_pos[ix] for ix in self.codomain]
+            col_at = _places(self.domain, domain)
+            row_at = _places(self.codomain, codomain)
         except KeyError:
             raise BasisMismatchError("extension must contain the original bases") from None
         cols = [_EMPTY] * len(domain)
         for col, column in zip(col_at, self._cols):
             cols[col] = {row_at[row]: s for row, s in column.items()}
-        return TruncatedOp._of_columns(domain, codomain, dom_pos, cod_pos, tuple(cols))
+        return TruncatedOp._of_columns(domain, codomain, tuple(cols))
 
     def range_fixed_points(self) -> tuple[BasisIndex, ...]:
         """Codomain indices on which self . self* acts as the identity.

@@ -24,7 +24,7 @@ from .errors import (
     ValuationMismatchError,
 )
 from .functions import LocallyConstantFn, precompose
-from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word, _EMPTY, _positions
+from .operators import Cyc, NonNeg, TruncatedOp, WinZ, Word, _Basis, _EMPTY
 from .padic import (
     Multiplier,
     MultiplierSpec,
@@ -116,14 +116,6 @@ def orbit_decompose(
 
 # --- shared bases and shift sections ----------------------------------------------
 
-# a basis and its label -> position map
-Basis = tuple[tuple[BasisIndex, ...], dict[BasisIndex, int]]
-
-
-def _indexed(basis: tuple[BasisIndex, ...]) -> Basis:
-    return basis, _positions(basis)
-
-
 # A basis of up to BASIS_CACHE_LABELS labels is built once per size and shared, so
 # sections of one size compose on one basis object; a larger one is built on each
 # call and dies with its operators.  The limit is above every basis `verify` builds
@@ -147,34 +139,33 @@ def _cached_up_to(size: Callable[..., int]):
 
 
 @_cached_up_to(lambda lo, hi: hi - lo + 1)
-def _window(lo: int, hi: int) -> Basis:
+def _window(lo: int, hi: int) -> _Basis:
     """The window {lo..hi} of the bilateral basis."""
-    return _indexed(tuple(WinZ(k) for k in range(lo, hi + 1)))
+    return _Basis(WinZ(k) for k in range(lo, hi + 1))
 
 
 @_cached_up_to(lambda n: n)
-def _cyclic(n: int) -> Basis:
-    return _indexed(tuple(Cyc(k, n) for k in range(n)))
+def _cyclic(n: int) -> _Basis:
+    return _Basis(Cyc(k, n) for k in range(n))
 
 
 @_cached_up_to(lambda size: size)
-def _non_negative(size: int) -> Basis:
+def _non_negative(size: int) -> _Basis:
     """The first `size` positions {0..size-1} of l^2(Z>=0)."""
-    return _indexed(tuple(NonNeg(l) for l in range(size)))
+    return _Basis(NonNeg(l) for l in range(size))
 
 
 @_cached_up_to(lambda s, max_len: s**max_len)
-def _words(s: int, max_len: int) -> Basis:
-    return _indexed(canonical_words(s, max_len))
+def _words(s: int, max_len: int) -> _Basis:
+    return _Basis(canonical_words(s, max_len))
 
 
-def _section(domain: Basis, codomain: Basis, targets: Iterable[int]) -> TruncatedOp:
+def _section(domain: _Basis, codomain: _Basis, targets: Iterable[int]) -> TruncatedOp:
     """The shift section sending domain position n to codomain position targets[n];
     the domain positions past the end of targets map to zero."""
-    (dom, dom_pos), (cod, cod_pos) = domain, codomain
     cols = [{row: ONE} for row in targets]
-    cols.extend({} for _ in range(len(dom) - len(cols)))
-    return TruncatedOp._of_columns(dom, cod, dom_pos, cod_pos, tuple(cols))
+    cols.extend({} for _ in range(len(domain) - len(cols)))
+    return TruncatedOp._of_columns(domain, codomain, tuple(cols))
 
 
 # --- window and cyclic representations ------------------------------------------
@@ -187,7 +178,7 @@ def _along(m: Multiplier, f: LocallyConstantFn) -> tuple[int, int]:
     return m.residue(f.level), m.p**f.level
 
 
-def _ball_diagonal(basis: Basis, f: LocallyConstantFn, points: Iterable[int]) -> TruncatedOp:
+def _ball_diagonal(basis: _Basis, f: LocallyConstantFn, points: Iterable[int]) -> TruncatedOp:
     """The diagonal carrying f(x) at position n for the n-th integer point x.
 
     Reads f's ball table: the value at x is the entry of the ball x mod p^level,
@@ -199,17 +190,17 @@ def _ball_diagonal(basis: Basis, f: LocallyConstantFn, points: Iterable[int]) ->
         _EMPTY if (value := balls[x % modulus]) is None else {n: value}
         for n, x in enumerate(points)
     )
-    return TruncatedOp._of_columns(basis[0], basis[0], basis[1], basis[1], cols)
+    return TruncatedOp._of_columns(basis, basis, cols)
 
 
-def _orbit_diagonal(basis: Basis, m: Multiplier, x: int, f: LocallyConstantFn) -> TruncatedOp:
+def _orbit_diagonal(basis: _Basis, m: Multiplier, x: int, f: LocallyConstantFn) -> TruncatedOp:
     """The diagonal carrying f(r^k x) at the basis index of position k, for a unit r.
 
     The basis holds consecutive k, so the orbit is walked by one product per position.
     """
     rho, modulus = _along(m, f)
-    points = [pow(rho, basis[0][0].k, modulus) * x % modulus]
-    for _ in range(len(basis[0]) - 1):
+    points = [pow(rho, basis[0].k, modulus) * x % modulus]
+    for _ in range(len(basis) - 1):
         points.append(points[-1] * rho % modulus)
     return _ball_diagonal(basis, f, points)
 
@@ -236,7 +227,7 @@ def build_orbit_rep(
         raise DomainError("window must be non-negative")
     domain = _window(-window, window)
     # domain position n holds k = n - window, and k + 1 sits at codomain position n + 1
-    shift = _section(domain, _window(-window, window + 1), range(1, len(domain[0]) + 1))
+    shift = _section(domain, _window(-window, window + 1), range(1, len(domain) + 1))
     return shift, _orbit_diagonal(domain, m, x, f)
 
 
@@ -374,7 +365,7 @@ def build_digit_rep(
     s = m.p**level
     domain = _words(s, max_len)
     # the word with key k is entry k, and its shift is the word with key s*k
-    size = len(domain[0])
+    size = len(domain)
     shift = _section(domain, _words(s, max_len + 1), range(0, s * size, s))
     # the word with key q*s + d prepends the digit d to the word with key q, so its
     # value is d + rho * value[q]: value[k] = k % s + rho * value[k // s]
@@ -416,7 +407,7 @@ def intertwiner(p: int, level: int, r: int, max_len: int) -> TruncatedOp:
     if multiplier_valuation(r, p) != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
     codomain = _words(p**level, max_len)
-    size = len(codomain[0])
+    size = len(codomain)
     return _section(_non_negative(size), codomain, range(size))
 
 
@@ -507,7 +498,7 @@ def check_covariance(
     lhs = shift @ diag @ adjoint
     if interior is None:
         # shift.range_fixed_points(), on the adjoint already built
-        rhs_domain = diag_alpha._dom_pos
+        rhs_domain = diag_alpha.domain._pos
         interior = [ix for ix in (shift @ adjoint)._identity_columns() if ix in rhs_domain]
     # lhs's domain is the shift's codomain; an interior index outside it or
     # outside diag_alpha's domain raises BasisMismatchError
@@ -519,7 +510,7 @@ def window_shift(window: int) -> TruncatedOp:
     if window < 0:
         raise DomainError("window must be non-negative")
     basis = _window(-window, window)
-    return _section(basis, basis, range(1, len(basis[0])))
+    return _section(basis, basis, range(1, len(basis)))
 
 
 def check_matrix_units(

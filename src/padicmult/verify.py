@@ -30,7 +30,7 @@ from .ktheory import (
     ideal_k_groups,
     primed_algebra_k_groups,
 )
-from .operators import NonNeg, TruncatedOp, WinZ
+from .operators import TruncatedOp, WinZ
 from .padic import (
     ExactInt,
     MultiplierSpec,
@@ -605,9 +605,7 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
         pairing_up = intertwiner(p, level, r, max_len + 1)
         constant = LocallyConstantFn.constant(p, 1)
         index_shift, _ = build_hs_rep(p, level, constant, cutoff=s**max_len - 1)
-        index_shift = index_shift.extended(
-            codomain=tuple(NonNeg(l) for l in range(s ** (max_len + 1)))
-        )
+        index_shift = index_shift.extended(codomain=pairing_up.domain)
         word_shift, _ = build_digit_rep(p, level, ExactInt(r), constant, max_len)
         intertwine.check(
             pairing_up @ index_shift == word_shift @ pairing,

@@ -149,6 +149,15 @@ def test_h_membership_examples():
     assert Fraction(1, 8) not in h
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, "1/2", "1", True, None, 1j])
+def test_h_membership_takes_only_ints_and_fractions(q):
+    h = HSubgroup(SupernaturalNumber.of({2: 1, 3: INF}))
+    with pytest.raises(TypeError):
+        h_contains(h, q)
+    with pytest.raises(TypeError):
+        q in h
+
+
 @given(
     st.fractions(min_value=-50, max_value=50, max_denominator=40),
     st.fractions(min_value=-50, max_value=50, max_denominator=40),

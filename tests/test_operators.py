@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,8 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import sc, scalars
-from padicmult import Cyc, NonNeg, TruncatedOp, WinZ, Word, label, parse_label, window_shift
+from padicmult import (
+    Cyc,
+    LocallyConstantFn,
+    NonNeg,
+    TruncatedOp,
+    WinZ,
+    Word,
+    build_orbit_rep,
+    label,
+    parse_label,
+    window_shift,
+)
 from padicmult.errors import BasisMismatchError, ParseError
+from padicmult.operators import _Basis
 from padicmult.scalars import ONE, ZERO, Scalar
 
 
@@ -467,7 +481,7 @@ def operators_on_one_position_map(draw):
 @given(operators_on_one_position_map())
 def test_agrees_at_on_one_position_map_matches_the_label_reference(pair):
     a, b, indices = pair
-    assert a._dom_pos is b._dom_pos
+    assert a.domain is b.domain
     want = all(column(a, ix) == column(b, ix) for ix in indices)
     assert a._agrees_at(b, indices) is want
     assert b._agrees_at(a, indices) is want
@@ -479,7 +493,7 @@ def test_agrees_at_on_one_position_map_matches_the_label_reference(pair):
 def test_agrees_at_on_sections_of_one_cached_basis():
     v = window_shift(4)
     square = v @ v
-    assert v._dom_pos is square._dom_pos is v.scale(-1)._dom_pos
+    assert v.domain is square.domain is v.scale(-1).domain
     inner = v.domain[2:-2]
     assert v._agrees_at(v.scale(ONE), v.domain) and not v._agrees_at(v.scale(-1), inner)
     assert not v._agrees_at(square, inner)
@@ -501,3 +515,58 @@ def test_from_doc_refuses_a_repeated_entry():
             TruncatedOp.from_doc({**doc, "entries": doc["entries"] + [second]})
     two = {**doc, "entries": doc["entries"] + [["N:1", "N:0", "2/1"]]}
     assert TruncatedOp.from_doc(two).apply(NonNeg(0)) == {NonNeg(0): ONE, NonNeg(1): sc(2)}
+
+
+def test_operators_on_a_cached_basis_hash_no_label(monkeypatch):
+    op, _ = build_orbit_rep(3, 2, 1, LocallyConstantFn.constant(3, 1), window=4)
+    hashed = []
+    plain = WinZ.__hash__
+
+    def counting(ix):
+        hashed.append(ix)
+        return plain(ix)
+
+    monkeypatch.setattr(WinZ, "__hash__", counting)
+    built = [
+        TruncatedOp(op.domain, op.codomain, {}),
+        TruncatedOp.identity(op.domain),
+        TruncatedOp.diagonal(op.domain, lambda ix: ix.k),
+        op.extended(codomain=op.codomain),
+    ]
+    assert hashed == []
+    assert all(new.domain is op.domain for new in built)
+    assert built[0].codomain is built[3].codomain is op.codomain
+    assert built[1].codomain is built[2].codomain is op.domain
+    assert built[3] == op
+
+
+def copied(op, how):
+    if how == "copy":
+        return copy.copy(op)
+    if how == "deepcopy":
+        return copy.deepcopy(op)
+    return pickle.loads(pickle.dumps(op, how))
+
+
+@pytest.mark.parametrize("how", [*range(6), "copy", "deepcopy"])
+def test_a_copied_operator_is_equal_and_keeps_its_bases(how):
+    square = window_shift(3)
+    rectangular = TruncatedOp(WINDOW, WIDER, {(WinZ(4), WinZ(3)): sc(1, 2), (WinZ(0), WinZ(1)): 3})
+    rectangular.entries  # a cached view is not part of the copy
+    for op in (square, rectangular):
+        twin = copied(op, how)
+        assert twin == op
+        for mine, theirs in ((twin.domain, op.domain), (twin.codomain, op.codomain)):
+            assert type(mine) is _Basis and mine._pos == theirs._pos
+        assert [twin.apply(ix) for ix in twin.domain] == [op.apply(ix) for ix in op.domain]
+        assert (twin.domain is twin.codomain) is (op is square)
+
+
+def test_a_basis_refuses_attribute_assignment():
+    basis = window_shift(3).domain
+    for name in ("_pos", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(basis, name, {})
+    with pytest.raises(AttributeError):
+        del basis._pos
+    assert basis._pos == {ix: n for n, ix in enumerate(basis)}

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -110,6 +111,16 @@ def test_traced_names_resolve():
     names = [(module, attribute) for module, attribute, _ in tables["SPANS"] + tables["COUNTERS"]]
     assert names
     assert [name for name in names if not _resolves(*name)] == []
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    root = Path(__file__).resolve().parents[1]
+    floor = re.search(r'requires-python\s*=\s*">=\s*3\.(\d+)"', (root / "pyproject.toml").read_text())
+    assert floor is not None
+    sources = sorted((root / "src" / "padicmult").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor[1])))
 
 
 # -- valuation --------------------------------------------------------------

@@ -44,6 +44,7 @@ from padicmult import (
     word_key,
     word_value,
 )
+import padicmult.operators as operators
 from padicmult.errors import (
     BasisMismatchError,
     CapExceededError,
@@ -564,7 +565,8 @@ def test_sections_of_one_size_share_their_bases():
     cyclic, _ = build_cyclic_rep(5, TeichProduct(2), 1, g)
     assert cyclic.domain is cyclic.codomain is build_cyclic_rep(5, TeichProduct(3), 2, g)[0].domain
     for op in (orbit, index, words, pairing, cyclic):
-        assert type(op.domain) is tuple and type(op.codomain) is tuple
+        for basis in (op.domain, op.codomain):
+            assert type(basis) is operators._Basis and basis == tuple(basis)
 
 
 def test_large_bases_are_not_kept_after_their_operators():

@@ -84,8 +84,8 @@ def classify(p: int, r: int | MultiplierSpec, precision: int = 6) -> Classificat
     if m.root_of_unity:
         return CaseII(unit_order(m.p, 1, m.residue(1)), exact)
     # not a root of unity at the known precision, so the known digits show the threshold
-    threshold = find_nr(m.p, m)
-    return CaseI(threshold, unit_order(m.p, threshold, m), exact)
+    # v + 1, where its order is d * p for d its order mod p
+    return CaseI(find_nr(m.p, m), unit_order(m.p, 1, m.residue(1)) * m.p, exact)
 
 
 @dataclass(frozen=True)

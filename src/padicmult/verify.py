@@ -365,49 +365,50 @@ def suite_reps(bounds: Bounds) -> list[PropertyResult]:
 
 
 def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
-    orbit = PropertyResult("reps", "covariance-orbit-window")
-    cyclic = PropertyResult("reps", "covariance-cyclic")
-    digit = PropertyResult("reps", "covariance-digit-words")
-    index = PropertyResult("reps", "covariance-index-shift")
+    # each builder gives the shift, the diagonals of f and of alpha(f), and the interior
+    def orbit(p, spec, x, f):
+        shift, diag = build_orbit_rep(p, spec, x, f, window=bounds.window)
+        _, diag_alpha = build_orbit_rep(p, spec, x, alpha_endo(f, spec), window=bounds.window)
+        return shift, diag, diag_alpha, None
+
+    def cyclic(p, spec, x, f):
+        shift, diag = build_cyclic_rep(p, spec, x, f)
+        _, diag_alpha = build_cyclic_rep(p, spec, x, alpha_endo(f, spec))
+        return shift, diag, diag_alpha, shift.codomain
+
+    def digit(p, spec, level, f):
+        shift, diag = build_digit_rep(p, level, spec, f, bounds.max_len)
+        _, diag_alpha = build_digit_rep(p, level, spec, alpha_endo(f, spec), bounds.max_len)
+        return shift, diag, diag_alpha, shift.domain
+
+    def index(p, level, f):
+        shift, diag = build_hs_rep(p, level, f, cutoff=40)
+        diag_alpha = _index_diagonal(alpha_endo(f, ExactInt(p**level)), len(shift.codomain))
+        return shift, diag, diag_alpha, shift.codomain
+
+    table = (  # property, builder, configs, failure detail
+        ("covariance-orbit-window", orbit, [(3, ExactInt(2), 1), (5, ExactInt(7), 2)], "orbit"),
+        ("covariance-cyclic", cyclic, [(5, TeichProduct(2), 1), (7, TeichProduct(3), 3)], "cyclic"),
+        ("covariance-digit-words", digit, [(3, ExactInt(6), 1), (5, ExactInt(10), 1)], "digit"),
+        ("covariance-index-shift", index, [(3, 1), (5, 1), (3, 2)], "index-shift"),
+    )
+    results = [PropertyResult("reps", name) for name, *_ in table]
     rng = _rng(bounds, "covariance")
-    orbit_configs = [(3, ExactInt(2), 1), (5, ExactInt(7), 2)]
-    cyclic_configs = [(5, TeichProduct(2), 1), (7, TeichProduct(3), 3)]
-    digit_configs = [(3, ExactInt(6), 1), (5, ExactInt(10), 1)]
-    hs_configs = [(3, 1), (5, 1), (3, 2)]
     for sample in range(COVARIANCE_SAMPLES):
-        p, spec, x = orbit_configs[sample % len(orbit_configs)]
-        if (f := _function(bounds, rng, p)) is not None:
-            shift, diag = build_orbit_rep(p, spec, x, f, window=bounds.window)
-            _, diag_alpha = build_orbit_rep(p, spec, x, alpha_endo(f, spec), window=bounds.window)
-            orbit.check(
-                check_covariance(shift, diag, diag_alpha),
-                f"orbit covariance fails at p={p}, r={spec}, sample={sample}",
-            )
-        p, spec, x = cyclic_configs[sample % len(cyclic_configs)]
-        if (f := _function(bounds, rng, p)) is not None:
-            shift, diag = build_cyclic_rep(p, spec, x, f)
-            _, diag_alpha = build_cyclic_rep(p, spec, x, alpha_endo(f, spec))
-            cyclic.check(
-                check_covariance(shift, diag, diag_alpha, interior=shift.codomain),
-                f"cyclic covariance fails at p={p}, r={spec}, sample={sample}",
-            )
-        p, spec, level = digit_configs[sample % len(digit_configs)]
-        if (f := _function(bounds, rng, p)) is not None:
-            shift, diag = build_digit_rep(p, level, spec, f, bounds.max_len)
-            _, diag_alpha = build_digit_rep(p, level, spec, alpha_endo(f, spec), bounds.max_len)
-            digit.check(
-                check_covariance(shift, diag, diag_alpha, interior=shift.domain),
-                f"digit covariance fails at p={p}, r={spec}, sample={sample}",
-            )
-        p, level = hs_configs[sample % len(hs_configs)]
-        if (f := _function(bounds, rng, p)) is not None:
-            shift, diag = build_hs_rep(p, level, f, cutoff=40)
-            diag_alpha = _index_diagonal(alpha_endo(f, ExactInt(p**level)), len(shift.codomain))
-            index.check(
-                check_covariance(shift, diag, diag_alpha, interior=shift.codomain),
-                f"index-shift covariance fails at p={p}, level={level}, sample={sample}",
-            )
-    return [orbit, cyclic, digit, index]
+        for result, (_, build, configs, kind) in zip(results, table):
+            config = configs[sample % len(configs)]
+            if (f := _function(bounds, rng, config[0])) is not None:
+                where = f"p={config[0]}, {'level' if build is index else 'r'}={config[1]}"
+                result.check(
+                    check_covariance(*build(*config, f)),
+                    f"{kind} covariance fails at {where}, sample={sample}",
+                )
+    return results
+
+
+def _isometric(op: TruncatedOp) -> bool:
+    """S*S = 1: op is an isometry of its domain (a unitary U is one, and so is U*)."""
+    return op.adjoint() @ op == TruncatedOp.identity(op.domain)
 
 
 def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
@@ -416,10 +417,7 @@ def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
     constant = LocallyConstantFn.constant
     for p, spec, x in _within(bounds, ((3, ExactInt(2), 1), (5, ExactInt(7), 1))):
         shift, _ = build_orbit_rep(p, spec, x, constant(p, 1), window=bounds.window)
-        isometry.check(
-            shift.adjoint() @ shift == TruncatedOp.identity(shift.domain),
-            f"orbit shift not isometric at p={p}",
-        )
+        isometry.check(_isometric(shift), f"orbit shift not isometric at p={p}")
         fixed = shift.range_fixed_points()
         isometry.check(
             set(fixed) == {WinZ(k) for k in range(-bounds.window + 1, bounds.window + 2)},
@@ -427,21 +425,13 @@ def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
         )
     for p, level in _within(bounds, ((3, 1), (5, 1))):
         shift, _ = build_hs_rep(p, level, constant(p, 1), cutoff=20)
-        isometry.check(
-            shift.adjoint() @ shift == TruncatedOp.identity(shift.domain),
-            f"index shift not isometric at p={p}",
-        )
+        isometry.check(_isometric(shift), f"index shift not isometric at p={p}")
         word_shift, _ = build_digit_rep(p, level, ExactInt(2 * p**level), constant(p, 1), 3)
-        isometry.check(
-            word_shift.adjoint() @ word_shift == TruncatedOp.identity(word_shift.domain),
-            f"digit shift not isometric at p={p}",
-        )
+        isometry.check(_isometric(word_shift), f"digit shift not isometric at p={p}")
     for p, spec in _within(bounds, ((5, TeichProduct(2)), (7, TeichProduct(3)))):
         shift, _ = build_cyclic_rep(p, spec, 1, constant(p, 1))
-        identity = TruncatedOp.identity(shift.domain)
         unitary.check(
-            shift @ shift.adjoint() == identity and shift.adjoint() @ shift == identity,
-            f"cyclic shift not unitary at p={p}",
+            _isometric(shift) and _isometric(shift.adjoint()), f"cyclic shift not unitary at p={p}"
         )
     return [isometry, unitary]
 
@@ -611,10 +601,8 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
             pairing_up @ index_shift == word_shift @ pairing,
             f"intertwining fails for p={p}, r={r}",
         )
-        identity = TruncatedOp.identity(pairing.domain)
         intertwine.check(
-            pairing.adjoint() @ pairing == identity
-            and pairing @ pairing.adjoint() == TruncatedOp.identity(pairing.codomain),
+            _isometric(pairing) and _isometric(pairing.adjoint()),
             f"pairing is not a permutation for p={p}, r={r}",
         )
         for _ in range(10):

@@ -306,3 +306,21 @@ def test_the_threshold_answers_for_a_prime_whose_p_minus_1_is_not_factored(monke
     assert find_nr(P81, 2) == 2
     assert main(["nr", "-p", str(P81), "-r", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["threshold"] == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["order", "-N", "1"], ["classify"], ["quotient"], ["snumber"], ["ktheory"], ["decompose", "-x", "5"]],
+)
+def test_a_p_minus_1_not_factored_within_the_bound_is_refused(command, capsys):
+    # p - 1 = 2 * Q1 * Q2 keeps the composite Q1 * Q2 past trial division, so every
+    # command that needs the order of r mod p refuses rather than factoring on
+    assert main([command[0], "-p", str(P81), "-r", "2", *command[1:], "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["code"] == "cap-exceeded"
+
+
+def test_trial_division_answers_a_prime_factor_above_the_bound(capsys):
+    # 1000000006 = 2 * 500000003: the factor above the bound is prime, so it is kept
+    assert unit_groups.TRIAL_DIVISION_BOUND < 500000003
+    assert main(["order", "-p", "1000000007", "-r", "3", "-N", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == 500000003

@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -111,6 +113,21 @@ def test_traced_names_resolve():
     names = [(module, attribute) for module, attribute, _ in tables["SPANS"] + tables["COUNTERS"]]
     assert names
     assert [name for name in names if not _resolves(*name)] == []
+
+
+def test_benchmark_import_rows_are_printed():
+    # perfbench/run.py reads the `-X importtime` rows of these three modules by name
+    run = TRACING.with_name("run.py")
+    if not run.exists() or 'cumulative["sympy"]' not in run.read_text():
+        pytest.skip("the benchmark does not read the sympy import row")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import padicmult, padicmult.cli"
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    rows = {line.split("|")[-1].strip() for line in child.stderr.splitlines() if "|" in line}
+    assert {"sympy", "padicmult", "padicmult.cli"} <= rows
 
 
 def test_sources_parse_at_the_oldest_supported_python():

@@ -421,29 +421,38 @@ def test_the_threshold_is_one_past_the_depth_of_r_to_its_order_mod_p():
 
 
 def test_classify_and_quotient_factor_p_minus_1_once(monkeypatch):
-    # the threshold reads no factoring, so only the order mod p factors p - 1
-    calls = []
-    order_primes = unit_groups._order_primes
+    # the threshold reads no factoring, so only the order mod p factors p - 1;
+    # and Case I reads the depth once, as its order at the threshold is d * p
+    calls, depths = [], []
+    order_primes, depth = unit_groups._order_primes, unit_groups._depth
 
     def counted(p):
         calls.append(p)
         return order_primes(p)
 
+    def counted_depth(p, r, known):
+        if known != 1:  # a depth mod p is the order mod p, not a second read
+            depths.append(p)
+        return depth(p, r, known)
+
     monkeypatch.setattr(unit_groups, "_order_primes", counted)
-    for p, r, case, reads in (
-        (3, 2, CaseI, 1),
-        (5, 7, CaseI, 1),
-        (7, 1 + 3 * 7**60, CaseI, 1),
-        (3, 1 + 3**64, CaseI, 1),
-        (5, Digits((2, 1, 0)), CaseI, 1),
-        (5, -1, CaseII, 1),
-        (5, TeichProduct(2), CaseII, 1),
-        (5, Digits((4, 4)), CaseII, 1),
-        (3, 6, CaseIII, 0),
+    monkeypatch.setattr(unit_groups, "_depth", counted_depth)
+    for p, r, case, reads, depth_reads in (
+        (3, 2, CaseI, 1, 1),
+        (5, 7, CaseI, 1, 1),
+        (7, 1 + 3 * 7**60, CaseI, 1, 1),
+        (3, 1 + 3**64, CaseI, 1, 1),
+        (5, Digits((2, 1, 0)), CaseI, 1, 1),
+        (5, -1, CaseII, 1, 0),
+        (5, TeichProduct(2), CaseII, 1, 0),
+        (5, Digits((4, 4)), CaseII, 1, 0),
+        (3, 6, CaseIII, 0, 0),
     ):
         calls.clear()
+        depths.clear()
         assert type(classify(p, r)) is case
         assert len(calls) == reads, (p, r)
+        assert len(depths) == depth_reads, (p, r)
     for p, r in ((3, 2), (5, 7), (7, 1 + 3 * 7**2)):
         calls.clear()
         quotient_group(p, r)

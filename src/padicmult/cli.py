@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Commands: classify, order, nr, quotient, teich, decompose, ktheory, snumber,
-verify.  Exit codes: 0 ok, 1 property failure, 2 usage error, 3 domain error.
-Structured output via --json is byte-deterministic for identical invocations.
+verify.  Exit codes: 0 ok, 1 property failure, 2 usage error, 3 domain error, 141
+output pipe closed by its reader.  Structured output via --json is
+byte-deterministic for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 
 from .classification import INF, CaseI, CaseII, classify, supernatural_order
@@ -265,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _run(argv: list[str] | None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -279,6 +281,18 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+    except BrokenPipeError:
+        # what is still buffered goes to devnull (the SIGPIPE note of the signal docs)
+        with suppress(AttributeError, OSError, ValueError):  # an in-memory stdout has no fd
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the pipe closed on
+    return code
 
 
 if __name__ == "__main__":

@@ -1,17 +1,17 @@
 """Exact finite sections of operators over labeled basis index sets.
 
 A TruncatedOp is a rectangular sparse matrix between two ordered bases whose
-indices are typed labels: bilateral-window positions, cyclic positions,
-non-negative positions, or digit words.  All entries are exact scalars, and
-composition, adjoints, and equality are exact.
+indices are typed labels, each an immutable tagged tuple: bilateral-window
+positions, cyclic positions, non-negative positions, or digit words.  All
+entries are exact scalars, and composition, adjoints, and equality are exact.
 
 Label grammar (stable): "W:k", "C:k/n", "N:l", "D:d0.d1.d2".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
@@ -19,48 +19,69 @@ from .errors import BasisMismatchError, ParseError
 from .scalars import ONE, Scalar
 
 
-@dataclass(frozen=True, slots=True)
-class WinZ:
+class _Label(tuple):
+    """A basis label: the tuple (kind tag, *fields), so it hashes and compares in C.
+    The int tag keeps labels of different kinds unequal."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
+        # each field is a read-only view of its place after the tag
+        cls._fields = fields
+        for place, name in enumerate(fields, 1):
+            setattr(cls, name, property(itemgetter(place)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # through the public constructor
+        return type(self), self[1:]
+
+
+class WinZ(_Label, fields=("k",)):
     """Position k in a window of the bilateral basis of l^2(Z)."""
 
-    k: int
+    __slots__ = ()
+
+    def __new__(cls, k: int) -> WinZ:
+        return tuple.__new__(cls, (0, k))
 
 
-@dataclass(frozen=True, slots=True)
-class Cyc:
+class Cyc(_Label, fields=("k", "n")):
     """Position k in the cyclic basis of l^2(Z/nZ)."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or not 0 <= self.k < self.n:
-            raise ParseError(f"cyclic index {self.k} out of range mod {self.n}")
+    def __new__(cls, k: int, n: int) -> Cyc:
+        if n < 1 or not 0 <= k < n:
+            raise ParseError(f"cyclic index {k} out of range mod {n}")
+        return tuple.__new__(cls, (1, k, n))
 
 
-@dataclass(frozen=True, slots=True)
-class NonNeg:
+class NonNeg(_Label, fields=("l",)):
     """Position l in the canonical basis of l^2(Z_{>=0})."""
 
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.l < 0:
+    def __new__(cls, l: int) -> NonNeg:
+        if l < 0:
             raise ParseError("non-negative basis index required")
+        return tuple.__new__(cls, (2, l))
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Label, fields=("digits",)):
     """A canonical digit word: no trailing zeros except the single-digit zero word."""
 
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if not self.digits or any(d < 0 for d in self.digits):
+    def __new__(cls, digits: Iterable[int]) -> Word:
+        digits = tuple(digits)
+        if not digits or any(d < 0 for d in digits):
             raise ParseError("words need at least one digit, all non-negative")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise ParseError(f"non-canonical word (trailing zero): {self.digits}")
+        if len(digits) > 1 and digits[-1] == 0:
+            raise ParseError(f"non-canonical word (trailing zero): {digits}")
+        return tuple.__new__(cls, (3, digits))
 
     def is_zero(self) -> bool:
         return self.digits == (0,)
@@ -70,13 +91,10 @@ BasisIndex = Union[WinZ, Cyc, NonNeg, Word]
 
 
 def label(index: BasisIndex) -> str:
-    if isinstance(index, WinZ):
-        return f"W:{index.k}"
-    if isinstance(index, Cyc):
-        return f"C:{index.k}/{index.n}"
-    if isinstance(index, NonNeg):
-        return f"N:{index.l}"
-    return "D:" + ".".join(str(d) for d in index.digits)
+    """The label grammar: the letter of the kind (by its tag), then its fields."""
+    if isinstance(index, Word):
+        return "D:" + ".".join(map(str, index.digits))
+    return "WCN"[index[0]] + ":" + "/".join(map(str, index[1:]))
 
 
 def parse_label(text: str) -> BasisIndex:
@@ -111,6 +129,8 @@ class _Basis(tuple):
     def __new__(cls, labels: Iterable[BasisIndex]) -> _Basis:
         if isinstance(labels, _Basis):
             return labels
+        if isinstance(labels, _Label):
+            raise TypeError(f"a basis is an iterable of labels, not the label {labels!r}")
         basis = super().__new__(cls, labels)
         pos = dict(zip(basis, range(len(basis))))
         if len(pos) != len(basis):

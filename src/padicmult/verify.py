@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .classification import CaseII, classify, h_contains, HSubgroup, supernatural_order
 from . import oracles
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, ValuationMismatchError
 from .functions import LocallyConstantFn, alpha_endo, beta_endo, same_function
 from .ktheory import (
     C0SeqH,
@@ -713,6 +713,10 @@ def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:
     # only the digits suite reads the pin, but every run refuses a malformed one
     if (bounds.p is None) != (bounds.r is None):
         raise DomainError("pin both p and r for the digits suite, or neither")
-    if bounds.r is not None and not isinstance(as_multiplier(bounds.r), ExactInt):
-        raise DomainError("the digits suite needs an exact integer multiplier")
+    if bounds.r is not None:
+        r = as_multiplier(bounds.r)
+        if not isinstance(r, ExactInt):
+            raise DomainError("the digits suite needs an exact integer multiplier")
+        if valuation(bounds.p, r.n)[0] < 1:  # digits below p^v need v >= 1
+            raise ValuationMismatchError("multiplier valuation mismatch")
     return [result for n in SUITES if n in names for result in SUITES[n](bounds)]

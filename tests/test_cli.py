@@ -26,15 +26,37 @@ def test_classify_human(capsys):
     assert "case I" in out and "threshold level 2" in out
 
 
+def child_env():
+    """The environment of a child that imports padicmult from this checkout."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_the_module_runs_as_a_program(capsys):
     # python -m padicmult.cli exits with main's code and prints what main prints
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     argv = ["classify", "-p", "3", "-r", "2"]
     command = [sys.executable, "-m", "padicmult.cli", *argv]
-    done = subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60, env=child_env())
     code, out, _ = run(capsys, *argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["quotient", "-p", "3", "-r", "6562"], ["verify", "--suite", "orders", "--json"]],
+)
+def test_a_closed_pipe_exits_quietly(argv):
+    # the reader is gone before the program writes, so its first flush meets a closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "padicmult.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_classify_json(capsys):
@@ -619,6 +641,25 @@ PINNED = [
         3,
         '{"code": "domain-error", '
         '"message": "the digits suite needs an exact integer multiplier", "status": "error"}'
+    ),
+    (
+        "verify --suite orders -p 4 -r 8",
+        3,
+        '{"code": "not-an-odd-prime", "message": "p must be an odd prime >= 3, got 4", '
+        '"status": "error"}'
+    ),
+    # the pin is refused before any suite runs
+    (
+        "verify --suite all -p 3 -r 2",
+        3,
+        '{"code": "valuation-mismatch", "message": "multiplier valuation mismatch", '
+        '"status": "error"}'
+    ),
+    (
+        "verify --suite orders -p 3 -r 2",
+        3,
+        '{"code": "valuation-mismatch", "message": "multiplier valuation mismatch", '
+        '"status": "error"}'
     ),
     (
         "decompose -p 5 -r 7 -x 0",

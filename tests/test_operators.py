@@ -1,7 +1,11 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -53,6 +57,88 @@ def test_word_canonicality():
         Word((1, 0))
     with pytest.raises(ParseError):
         Word(())
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Cyc(4, 4), "cyclic index 4 out of range mod 4"),
+        (lambda: Cyc(-1, 4), "cyclic index -1 out of range mod 4"),
+        (lambda: Cyc(0, 0), "cyclic index 0 out of range mod 0"),
+        (lambda: NonNeg(-1), "non-negative basis index required"),
+        (lambda: Word(()), "words need at least one digit, all non-negative"),
+        (lambda: Word((1, -2)), "words need at least one digit, all non-negative"),
+        (lambda: Word([1, 0]), "non-canonical word (trailing zero): (1, 0)"),
+    ],
+)
+def test_label_constructors_refuse_out_of_range_fields(make, message):
+    with pytest.raises(ParseError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def test_labels_of_different_kinds_are_unequal():
+    assert WinZ(0) != NonNeg(0) and NonNeg(0) != WinZ(0)
+    assert Cyc(0, 1) != Word((0,)) and WinZ(1) != Cyc(1, 2)
+    assert len(set(LABELS) | {NonNeg(3), WinZ(3)}) == len(LABELS) + 2
+    # a label is the tuple of its kind tag and fields
+    assert (WinZ(3), Cyc(1, 4), NonNeg(5), Word([1, 2])) == (
+        (0, 3), (1, 1, 4), (2, 5), (3, (1, 2)),
+    )
+
+
+@pytest.mark.parametrize("index", LABELS)
+def test_equal_labels_hash_equally(index):
+    twin = parse_label(label(index))
+    assert twin is not index and twin == index and hash(twin) == hash(index)
+    assert {index: 1}[twin] == 1
+
+
+def test_labels_keep_their_repr_and_fields():
+    assert [repr(ix) for ix in (WinZ(-3), Cyc(2, 4), NonNeg(17), Word([1, 0, 2]))] == [
+        "WinZ(k=-3)", "Cyc(k=2, n=4)", "NonNeg(l=17)", "Word(digits=(1, 0, 2))",
+    ]
+    assert (WinZ(k=2).k, Cyc(k=1, n=3).n, NonNeg(l=4).l) == (2, 3, 4)
+    assert Word(digits=iter([0, 1])).digits == (0, 1)
+    assert Word((0,)).is_zero() and not Word((0, 1)).is_zero()
+
+
+@pytest.mark.parametrize("index", LABELS)
+def test_a_label_refuses_attribute_assignment(index):
+    for name in (*type(index)._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(index, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(index, name)
+
+
+@pytest.mark.parametrize("how", [*range(6), "copy", "deepcopy"])
+@pytest.mark.parametrize("index", LABELS)
+def test_a_copied_label_is_equal_and_of_its_kind(index, how):
+    twin = copied(index, how)
+    assert twin == index and type(twin) is type(index) and repr(twin) == repr(index)
+
+
+def test_a_lone_label_is_not_a_basis():
+    for make in (TruncatedOp.identity, _Basis, lambda ix: TruncatedOp.zero(ix, (ix,))):
+        with pytest.raises(TypeError):
+            make(WinZ(3))
+
+
+def test_label_hashes_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from padicmult import *; "
+        f"print([hash(ix) for ix in {LABELS!r}])"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "123")
+    }
+    assert outputs == {f"{[hash(ix) for ix in LABELS]}\n"}
 
 
 def test_build_validates_bases():

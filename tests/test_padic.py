@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
 import subprocess
@@ -113,6 +114,22 @@ def test_traced_names_resolve():
     names = [(module, attribute) for module, attribute, _ in tables["SPANS"] + tables["COUNTERS"]]
     assert names
     assert [name for name in names if not _resolves(*name)] == []
+
+
+def test_benchmark_oracle_reads_every_label_kind():
+    # perfbench/oracles.py reads labels by class name and by their field names
+    oracles = TRACING.with_name("oracles.py")
+    if not oracles.exists():
+        pytest.skip("no benchmark oracles in this checkout")
+    spec = importlib.util.spec_from_file_location("benchmark_oracles", oracles)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    labels = [
+        padicmult.WinZ(-3), padicmult.Cyc(2, 4), padicmult.NonNeg(5), padicmult.Word((1, 0, 2)),
+    ]
+    assert [module.index_key(ix) for ix in labels] == [
+        ("W", -3), ("C", 2, 4), ("N", 5), ("D", (1, 0, 2)),
+    ]
 
 
 def test_benchmark_import_rows_are_printed():

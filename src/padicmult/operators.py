@@ -294,32 +294,14 @@ class TruncatedOp:
         return {codomain[row]: s for row, s in self._cols[position].items()}
 
     def _agrees_at(self, other: TruncatedOp, indices: Iterable[BasisIndex]) -> bool:
-        """Whether self and other have equal columns at the given domain indices.
-
-        Every index must lie in both domains.  On one codomain the columns are
-        compared as they are; on two, each row of self is matched by label
-        through other's position map, and a row outside other's codomain is
-        a difference.
-        """
-        dom_pos = self.domain._pos
+        """Whether self and other, of one shape, have equal columns at the given domain indices."""
+        self._require_same_shape(other)
         try:
-            if self.domain is other.domain:
-                pairs = [(n, n) for n in map(dom_pos.__getitem__, indices)]
-            else:
-                pairs = [(dom_pos[ix], other.domain._pos[ix]) for ix in indices]
+            places = list(map(self.domain._pos.__getitem__, indices))
         except KeyError:
-            raise BasisMismatchError("compared index outside a domain") from None
+            raise BasisMismatchError("compared index outside the domain") from None
         mine, theirs = self._cols, other._cols
-        if _same(self.codomain, other.codomain):
-            return all(mine[a] == theirs[b] for a, b in pairs)
-        codomain, rows = self.codomain, other.codomain._pos
-        for a, b in pairs:
-            column, target = mine[a], theirs[b]
-            if len(column) != len(target) or any(
-                target.get(rows.get(codomain[row])) != s for row, s in column.items()
-            ):
-                return False
-        return True
+        return all(mine[n] == theirs[n] for n in places)
 
     def compose(self, other: TruncatedOp) -> TruncatedOp:
         """self after other; requires other's codomain to equal self's domain."""
@@ -413,6 +395,8 @@ class TruncatedOp:
         """Enlarge bases (supersets only); new rows and columns are zero."""
         domain = _Basis(self.domain if domain is None else domain)
         codomain = _Basis(self.codomain if codomain is None else codomain)
+        if _same(domain, self.domain) and _same(codomain, self.codomain):
+            return self
         try:
             col_at = _places(self.domain, domain)
             row_at = _places(self.codomain, codomain)

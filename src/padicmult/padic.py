@@ -97,8 +97,6 @@ def divide_step(
     if r_level != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
     x = Fraction(x)
-    if x.denominator % p == 0:
-        raise NotAUnitError(f"{x} is not a p-adic integer for p={p}")
     c = rational_residue(x, p, level)
     q = (x - c) / r
     return (int(q) if q.denominator == 1 else q), c

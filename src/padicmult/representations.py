@@ -490,19 +490,22 @@ def check_covariance(
     shift . shift* acts as the identity, intersected with diag_alpha's
     domain: on those indices the adjoint loses nothing to the truncation.
     The digit and index-shift sections lose nothing anywhere, so callers may
-    pass the whole codomain explicitly.
+    pass the whole codomain explicitly.  The two sides are compared on the
+    shift's codomain, so diag_alpha's bases must lie inside it; that, and an
+    interior index outside the codomain or diag_alpha's domain, raises
+    BasisMismatchError.
     """
     if diag.domain != shift.domain or diag.codomain != shift.domain:
         raise BasisMismatchError("the middle diagonal must be square on the shift's domain")
     adjoint = shift.adjoint()
     lhs = shift @ diag @ adjoint
+    rhs_domain = diag_alpha.domain._pos
     if interior is None:
         # shift.range_fixed_points(), on the adjoint already built
-        rhs_domain = diag_alpha.domain._pos
         interior = [ix for ix in (shift @ adjoint)._identity_columns() if ix in rhs_domain]
-    # lhs's domain is the shift's codomain; an interior index outside it or
-    # outside diag_alpha's domain raises BasisMismatchError
-    return lhs._agrees_at(diag_alpha, interior)
+    elif not all(ix in rhs_domain for ix in interior):
+        raise BasisMismatchError("compared index outside diag_alpha's domain")
+    return lhs._agrees_at(diag_alpha.extended(lhs.domain, lhs.codomain), interior)
 
 
 def window_shift(window: int) -> TruncatedOp:

@@ -719,4 +719,6 @@ def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:
             raise DomainError("the digits suite needs an exact integer multiplier")
         if valuation(bounds.p, r.n)[0] < 1:  # digits below p^v need v >= 1
             raise ValuationMismatchError("multiplier valuation mismatch")
+        if r.n < 0:  # digit expansion needs a non-negative word value
+            raise DomainError("the digits suite needs a non-negative multiplier")
     return [result for n in SUITES if n in names for result in SUITES[n](bounds)]

@@ -11,6 +11,7 @@ import pytest
 
 from padicmult import LocallyConstantFn, save_function
 from padicmult.cli import build_parser, main
+from padicmult.oracles import is_group_table, lagrange_order, teichmuller_fixed_point
 from padicmult.verify import SUITES, PropertyResult
 
 
@@ -661,6 +662,25 @@ PINNED = [
         '{"code": "valuation-mismatch", "message": "multiplier valuation mismatch", '
         '"status": "error"}'
     ),
+    # a negative pin gives a negative word value, which has no digit expansion
+    (
+        "verify --suite digits -p 3 -r -3",
+        3,
+        '{"code": "domain-error", '
+        '"message": "the digits suite needs a non-negative multiplier", "status": "error"}'
+    ),
+    (
+        "verify --suite digits -p 5 -r -10",
+        3,
+        '{"code": "domain-error", '
+        '"message": "the digits suite needs a non-negative multiplier", "status": "error"}'
+    ),
+    (
+        "verify --suite orders -p 3 -r -3",
+        3,
+        '{"code": "domain-error", '
+        '"message": "the digits suite needs a non-negative multiplier", "status": "error"}'
+    ),
     (
         "decompose -p 5 -r 7 -x 0",
         3,
@@ -869,3 +889,90 @@ def test_random_calls_exit_cleanly(capsys):
             pytest.fail(f"{' '.join(argv)} raised {exc!r}")
         capsys.readouterr()
         assert code in (0, 2, 3), argv
+
+
+# --- the same draws, each answer checked against the oracles ---------------------
+
+
+def spec_residue(spec: str, p: int, level: int) -> int:
+    """The multiplier a CLI spec names, mod p^level, read through the oracles alone."""
+    modulus = p**level
+    if spec.startswith("digits:["):
+        digits = [int(d) for d in spec[len("digits:["):-1].split(",")]
+        assert level <= len(digits), f"{spec} read past its known digits at level {level}"
+        return sum(d * p**k for k, d in enumerate(digits)) % modulus
+    if "teich(" in spec:
+        value = teichmuller_fixed_point(p, int(spec[spec.index("(") + 1 : -1]), level)
+        return -value % modulus if spec.startswith("-") else value
+    return int(spec) % modulus
+
+
+def first_level_p_divides_the_order(spec: str, p: int) -> int:
+    level = 1
+    while lagrange_order(p, level, spec_residue(spec, p, level)) % p:
+        level += 1
+    return level
+
+
+def expected_case(spec: str, p: int) -> str:
+    """III for a non-unit; else II when r^(p-1) = 1 (at every known digit), else I."""
+    if spec_residue(spec, p, 1) == 0:
+        return "III"
+    if "teich(" in spec:
+        return "II"
+    if spec.startswith("digits:["):
+        known = spec.count(",") + 1
+        root = pow(spec_residue(spec, p, known), p - 1, p**known) == 1
+    else:
+        root = pow(int(spec), p - 1) == 1
+    return "II" if root else "I"
+
+
+def check_answer(command: str, out: dict) -> None:
+    p = out["p"]
+    if command == "order":
+        assert out["order"] == lagrange_order(p, out["level"], spec_residue(out["r"], p, out["level"]))
+    elif command == "nr":
+        assert out["threshold"] == first_level_p_divides_the_order(out["r"], p)
+    elif command == "teich":
+        assert out["residue"] == teichmuller_fixed_point(p, out["i"], out["level"])
+    elif command == "quotient":
+        level, modulus = out["level"], p ** out["level"]
+        r = spec_residue(out["r"], p, level)
+        powers = {pow(r, e, modulus) for e in range(out["subgroup_order"])}
+        assert len(powers) == out["subgroup_order"] == lagrange_order(p, level, r)
+        assert out["order"] * out["subgroup_order"] == (p - 1) * p ** (level - 1)
+        assert len(out["coset_reps"]) == out["order"] and is_group_table(out["table"])
+        for rep in out["coset_reps"]:
+            assert rep == min(rep * s % modulus for s in powers)
+    elif command == "decompose":
+        precision = out["precision"]
+        unit = out["section"] * out["tail"]
+        if out["case"] == "II":
+            # r^k is read on the root of unity r matches, which is r itself when exact
+            assert out["tail"] % p == 1
+            omega = teichmuller_fixed_point(p, spec_residue(out["r"], p, 1), precision)
+            unit *= pow(omega, out["k"], p**precision)
+        modulus = p ** (out["p_exponent"] + precision)
+        assert p ** out["p_exponent"] * (unit % p**precision) == out["x"] % modulus
+    elif command == "classify":
+        assert out["case"] == expected_case(out["r"], p)
+        if out["case"] == "I":
+            threshold = first_level_p_divides_the_order(out["r"], p)
+            assert out["threshold"] == threshold
+            assert out["order"] == lagrange_order(p, threshold, spec_residue(out["r"], p, threshold))
+
+
+def test_random_json_answers_match_the_oracles(capsys):
+    rng = random.Random(3)
+    checked = dict.fromkeys(["order", "nr", "teich", "quotient", "decompose", "classify"], 0)
+    for _ in range(1200):
+        argv = [a for a in _random_argv(rng) if a != "--json"] + ["--json"]
+        if argv[0] not in checked:  # snumber and ktheory wait for an orbit-data oracle
+            continue
+        code, out = main(argv), capsys.readouterr().out
+        if code == 0:
+            check_answer(argv[0], json.loads(out))
+            checked[argv[0]] += 1
+    # a floor per command, so the draws cannot drift into checking nothing
+    assert min(checked.values()) >= 10, checked

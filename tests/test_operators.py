@@ -397,17 +397,27 @@ def column(op: TruncatedOp, index) -> dict:
     return {row: s for (row, col), s in op.entries.items() if col == index}
 
 
+def refuses_two_shapes(op: TruncatedOp) -> None:
+    """_agrees_at compares one shape: a wider domain or taller codomain is refused."""
+    for other in (
+        op.extended(domain=op.domain + (WinZ(99),)),
+        op.extended(codomain=op.codomain + (WinZ(99),)),
+    ):
+        for first, second in ((op, other), (other, op)):
+            with pytest.raises(BasisMismatchError, match="shapes do not match"):
+                first._agrees_at(second, [])
+
+
 @st.composite
 def operator_pairs(draw):
-    """Two operators on one domain window, on one codomain or on a window and
-    the window one larger, the second mostly a copy of the first."""
-    codomains = draw(st.sampled_from([(WINDOW, WINDOW), (WIDER, WINDOW), (WINDOW, WIDER)]))
-    keys = [st.tuples(st.sampled_from(codomain), st.sampled_from(WINDOW)) for codomain in codomains]
-    entries = draw(st.dictionaries(keys[0], scalars(), max_size=12))
-    copied = {key: s for key, s in entries.items() if key[0] in codomains[1]}
-    copied.update(draw(st.dictionaries(keys[1], scalars(), max_size=2)))
-    a = TruncatedOp(WINDOW, codomains[0], entries)
-    b = TruncatedOp(WINDOW, codomains[1], copied)
+    """Two operators on one domain window and one codomain, the window or the
+    window one larger, the second mostly a copy of the first."""
+    codomain = draw(st.sampled_from([WINDOW, WIDER]))
+    keys = st.tuples(st.sampled_from(codomain), st.sampled_from(WINDOW))
+    entries = draw(st.dictionaries(keys, scalars(), max_size=12))
+    copied = {**entries, **draw(st.dictionaries(keys, scalars(), max_size=2))}
+    a = TruncatedOp(WINDOW, codomain, entries)
+    b = TruncatedOp(WINDOW, codomain, copied)
     return a, b, draw(st.lists(st.sampled_from(WINDOW), max_size=len(WINDOW)))
 
 
@@ -418,10 +428,11 @@ def test_agrees_at_matches_the_label_reference(pair):
     assert a._agrees_at(b, indices) is want
     assert b._agrees_at(a, indices) is want
     assert a._agrees_at(a, indices) is True
+    refuses_two_shapes(a)
 
 
-@given(st.sampled_from([WINDOW, WIDER]), st.sampled_from([WINDOW, WIDER]), st.data())
-def test_agrees_at_sees_one_changed_missing_or_extra_entry(codomain, other, data):
+@given(st.sampled_from([WINDOW, WIDER]), st.data())
+def test_agrees_at_sees_one_changed_missing_or_extra_entry(codomain, data):
     keys = st.tuples(st.sampled_from(WINDOW), st.sampled_from(WINDOW))
     # at most 6 entries, so every column of the 7-row window has a free row
     entries = data.draw(st.dictionaries(keys, scalars().filter(bool), min_size=1, max_size=6))
@@ -429,22 +440,25 @@ def test_agrees_at_sees_one_changed_missing_or_extra_entry(codomain, other, data
     key = data.draw(st.sampled_from(sorted(entries, key=repr)))
     changed = {**entries, key: entries[key] + sc(1, 1)}
     missing = {k: s for k, s in entries.items() if k != key}
-    row = data.draw(st.sampled_from([ix for ix in other if (ix, key[1]) not in entries]))
+    row = data.draw(st.sampled_from([ix for ix in codomain if (ix, key[1]) not in entries]))
     extra = {**entries, (row, key[1]): ONE}
     for edited in (changed, missing, extra):
-        copy = TruncatedOp(WINDOW, other, edited)
+        copy = TruncatedOp(WINDOW, codomain, edited)
         assert not op._agrees_at(copy, WINDOW) and not copy._agrees_at(op, WINDOW)
         assert op._agrees_at(copy, [ix for ix in WINDOW if ix != key[1]])
-    assert op._agrees_at(TruncatedOp(WINDOW, other, entries), WINDOW)
+    assert op._agrees_at(TruncatedOp(WINDOW, codomain, entries), WINDOW)
+    refuses_two_shapes(op)
 
 
 def test_agrees_at_refuses_an_index_outside_a_domain():
-    wide = TruncatedOp.identity(WIDER)
-    narrow = TruncatedOp.identity(WINDOW)
-    assert wide._agrees_at(narrow, WINDOW)
-    for first, second in ((wide, narrow), (narrow, wide)):
-        with pytest.raises(BasisMismatchError):
+    # two builds of one basis: equal bases that are not one object
+    narrow, again = TruncatedOp.identity(WINDOW), TruncatedOp.identity(WINDOW)
+    assert narrow.domain is not again.domain
+    assert narrow._agrees_at(again, WINDOW)
+    for first, second in ((narrow, again), (again, narrow)):
+        with pytest.raises(BasisMismatchError, match="outside the domain"):
             first._agrees_at(second, [WinZ(4)])
+    refuses_two_shapes(narrow)
 
 
 def test_an_operator_is_unequal_to_other_types_and_shows_its_fields():
@@ -548,32 +562,44 @@ def test_operators_built_from_a_product_change_no_factor(seed):
 
 @st.composite
 def operators_on_one_position_map(draw):
-    """An operator on WINDOW and one that holds its domain position map: a scaled
-    copy, or the operator (or its extension to WIDER) plus a few entries."""
+    """An operator on WINDOW, or its extension to a taller codomain, and one of
+    its shape that holds its position maps: a scaled copy, or the operator plus
+    a few entries."""
     codomain = draw(st.sampled_from([WINDOW, WIDER]))
     keys = st.tuples(st.sampled_from(codomain), st.sampled_from(WINDOW))
     a = TruncatedOp(WINDOW, codomain, draw(st.dictionaries(keys, scalars(), max_size=12)))
     how = draw(st.sampled_from(["scale", "add", "extend"]))
+    if how == "extend":
+        a = a.extended(codomain=codomain + (WinZ(9),))
     if how == "scale":
         b = a.scale(draw(st.sampled_from([1, -1, ONE, sc(2, 1)])))
     else:
-        base = a if how == "add" else a.extended(codomain=codomain + (WinZ(9),))
-        delta_keys = st.tuples(st.sampled_from(base.codomain), st.sampled_from(WINDOW))
+        delta_keys = st.tuples(st.sampled_from(a.codomain), st.sampled_from(WINDOW))
         delta = draw(st.dictionaries(delta_keys, scalars(), max_size=2))
-        b = base + TruncatedOp(WINDOW, base.codomain, delta)
+        b = a + TruncatedOp(WINDOW, a.codomain, delta)
     return a, b, draw(st.lists(st.sampled_from(WINDOW), max_size=len(WINDOW)))
 
 
 @given(operators_on_one_position_map())
 def test_agrees_at_on_one_position_map_matches_the_label_reference(pair):
     a, b, indices = pair
-    assert a.domain is b.domain
+    assert a.domain is b.domain and a.codomain is b.codomain
     want = all(column(a, ix) == column(b, ix) for ix in indices)
     assert a._agrees_at(b, indices) is want
     assert b._agrees_at(a, indices) is want
     for first, second in ((a, b), (b, a)):
         with pytest.raises(BasisMismatchError):
             first._agrees_at(second, [WinZ(4)])
+    refuses_two_shapes(a)
+
+
+def test_extended_onto_its_own_bases_is_the_operator():
+    op = TruncatedOp(WINDOW, WIDER, {(WinZ(4), WinZ(3)): sc(1, 2), (WinZ(0), WinZ(1)): 3})
+    assert op.extended() is op
+    assert op.extended(op.domain, op.codomain) is op
+    assert op.extended(codomain=WIDER) is op  # an equal basis, not the same object
+    taller = op.extended(codomain=WIDER + (WinZ(9),))
+    assert taller is not op and taller.entries == op.entries
 
 
 def test_agrees_at_on_sections_of_one_cached_basis():

@@ -509,6 +509,21 @@ def test_covariance_validates_bases():
         check_covariance(shift, diag, diag, interior=(WinZ(99),))
 
 
+def test_covariance_needs_diag_alpha_inside_the_shift_codomain():
+    # the sides are compared on the shift's codomain, {-8..9} for window 8
+    f = LocallyConstantFn(5, 1, tuple(sc(j) for j in range(5)))
+    shift, diag = build_orbit_rep(5, 7, 1, f, window=8)
+    _, wide_alpha = build_orbit_rep(5, 7, 1, alpha_endo(f, ExactInt(7)), window=10)
+    with pytest.raises(BasisMismatchError, match="must contain the original bases"):
+        check_covariance(shift, diag, wide_alpha)
+    # an explicit interior index in the codomain but off diag_alpha's domain {-8..8}
+    _, diag_alpha = build_orbit_rep(5, 7, 1, alpha_endo(f, ExactInt(7)), window=8)
+    assert WinZ(9) in shift.codomain and WinZ(9) not in diag_alpha.domain
+    with pytest.raises(BasisMismatchError):
+        check_covariance(shift, diag, diag_alpha, interior=(WinZ(9),))
+    assert check_covariance(shift, diag, diag_alpha, interior=diag_alpha.domain[1:])
+
+
 def test_block_family_realizes_the_full_representation():
     # the faithful picture is block diagonal over (power of p, coset); each
     # block is the orbit representation at x = p^L * section(j)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BasisMismatchError, ParseError
 from .scalars import ONE, Scalar
@@ -157,6 +157,28 @@ def _same(a: tuple[BasisIndex, ...], b: tuple[BasisIndex, ...]) -> bool:
 # the empty column every operator may share; no column is changed once built
 _EMPTY: Column = {}
 
+# Bases of up to BASIS_CACHE_LABELS labels are cached (see representations), and the
+# unit columns {k: ONE} of the first BASIS_CACHE_LABELS rows are shared by every
+# partial permutation: the list grows on first use, never past the cap, and holds
+# at most ~1 MB.
+BASIS_CACHE_LABELS = 4096
+_UNIT_COLUMNS: list[Column] = []
+
+
+def _gather(table: Sequence, places: Sequence[int]) -> tuple:
+    """table[n] for each n of places, in one C-level call."""
+    return itemgetter(*places)(table) if len(places) > 1 else tuple(map(table.__getitem__, places))
+
+
+def _unit_columns(rows: tuple[int, ...], size: int) -> tuple[Column, ...]:
+    """The column {row: ONE} at each row of a row map into `size` rows, and the
+    empty column where the row is `size`; rows past the cap get fresh columns."""
+    cap, units = BASIS_CACHE_LABELS, _UNIT_COLUMNS
+    units.extend({k: ONE} for k in range(len(units), min(size, cap)))
+    if size <= cap:
+        return _gather((*units[:size], _EMPTY), rows)
+    return tuple(units[row] if row < cap else _EMPTY if row == size else {row: ONE} for row in rows)
+
 
 def _accumulate(column: Column, row: int, s: Scalar) -> None:
     """Add s at a row of a column under construction, dropping a sum of zero."""
@@ -190,6 +212,19 @@ class TruncatedOp:
     left-factor column as it is where the right factor's column is a single
     ``ONE``.  Code that fills a column writes only into a dict it has just
     made.
+
+    A partial permutation, an operator whose columns are each empty or a
+    single ``ONE`` with no row used twice, may also carry its row map
+    ``_rows``: each domain position's codomain row, with ``len(codomain)``
+    for an empty column.  Shift sections (``intertwiner`` and
+    ``window_shift`` among them), ``diagonal`` with 0/1 values (so
+    ``identity``), and ``compose``, ``adjoint``, ``restricted`` and
+    ``extended`` of operators with maps set it; every other constructor
+    leaves it ``None``.  With a map on the right, ``compose`` gathers the left
+    columns by position, and with one on the left it moves each entry to its
+    row, with no product; ``adjoint`` inverts the map.  The columns of a map
+    are unit columns ``{k: ONE}``, shared between all operators for the first
+    ``BASIS_CACHE_LABELS`` rows; rows past that cap get fresh columns.
     """
 
     domain: _Basis
@@ -212,14 +247,25 @@ class TruncatedOp:
                 cols[dom._pos[col]][cod._pos[row]] = value
             except KeyError:
                 raise BasisMismatchError(f"entry at ({label(row)}, {label(col)}) off basis") from None
-        vars(self).update(domain=dom, codomain=cod, _cols=tuple(cols))
+        vars(self).update(domain=dom, codomain=cod, _cols=tuple(cols), _rows=None)
 
     @classmethod
-    def _of_columns(cls, domain: _Basis, codomain: _Basis, cols: tuple[Column, ...]) -> TruncatedOp:
-        """An operator from checked columns between two bases."""
+    def _of_columns(
+        cls,
+        domain: _Basis,
+        codomain: _Basis,
+        cols: tuple[Column, ...],
+        rows: tuple[int, ...] | None = None,
+    ) -> TruncatedOp:
+        """An operator from checked columns between two bases, and their row map if any."""
         op = object.__new__(cls)
-        vars(op).update(domain=domain, codomain=codomain, _cols=cols)
+        vars(op).update(domain=domain, codomain=codomain, _cols=cols, _rows=rows)
         return op
+
+    @classmethod
+    def _of_rows(cls, domain: _Basis, codomain: _Basis, rows: tuple[int, ...]) -> TruncatedOp:
+        """The partial permutation with an injective row map (see the class docstring)."""
+        return cls._of_columns(domain, codomain, _unit_columns(rows, len(codomain)), rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedOp is immutable")
@@ -228,7 +274,9 @@ class TruncatedOp:
         raise AttributeError("TruncatedOp is immutable")
 
     def __reduce__(self):
-        # the bases and columns only: the cached ``entries`` view cannot be pickled
+        # the bases and the row map or columns only: the cached ``entries`` view cannot be pickled
+        if self._rows is not None:
+            return TruncatedOp._of_rows, (self.domain, self.codomain, self._rows)
         return TruncatedOp._of_columns, (self.domain, self.codomain, self._cols)
 
     def __repr__(self) -> str:
@@ -257,14 +305,18 @@ class TruncatedOp:
 
     @classmethod
     def identity(cls, basis: Iterable[BasisIndex]) -> TruncatedOp:
-        return cls.diagonal(basis, lambda ix: ONE)
+        basis = _Basis(basis)
+        return cls._of_rows(basis, basis, tuple(range(len(basis))))
 
     @classmethod
     def diagonal(
         cls, basis: Iterable[BasisIndex], value: Callable[[BasisIndex], Scalar | int]
     ) -> TruncatedOp:
         basis = _Basis(basis)
-        values = map(Scalar.of, map(value, basis))
+        values = tuple(map(Scalar.of, map(value, basis)))
+        if all(not s or s == ONE for s in values):
+            size = len(basis)
+            return cls._of_rows(basis, basis, tuple(n if s else size for n, s in enumerate(values)))
         cols = tuple({n: s} if s else _EMPTY for n, s in enumerate(values))
         return cls._of_columns(basis, basis, cols)
 
@@ -307,6 +359,23 @@ class TruncatedOp:
         """self after other; requires other's codomain to equal self's domain."""
         if not _same(other.codomain, self.domain):
             raise BasisMismatchError("composition bases do not match")
+        right, left_rows = other._rows, self._rows
+        if right is not None:
+            # other sends each column to one row of self's domain, or to the empty column
+            cols = _gather((*self._cols, _EMPTY), right)
+            if left_rows is not None:
+                left_rows = _gather((*left_rows, len(self.codomain)), right)
+            return TruncatedOp._of_columns(other.domain, self.codomain, cols, left_rows)
+        if left_rows is not None:
+            # self sends each row of a column to a distinct row, or drops it
+            size = len(self.codomain)
+            cols = tuple(
+                {left_rows[mid]: s for mid, s in column.items() if left_rows[mid] != size}
+                if column
+                else column
+                for column in other._cols
+            )
+            return TruncatedOp._of_columns(other.domain, self.codomain, cols)
         left = self._cols
         cols = []
         for column in other._cols:
@@ -328,7 +397,16 @@ class TruncatedOp:
         return self.compose(other)
 
     def adjoint(self) -> TruncatedOp:
-        cols = [_EMPTY] * len(self.codomain)
+        rows, size = self._rows, len(self.codomain)
+        if rows is not None:
+            # the inverse map: each codomain row back to its column, or to the empty
+            # one; the place past the end takes the empty columns' rows
+            n = len(self.domain)
+            inverse = [n] * (size + 1)
+            for col, row in enumerate(rows):
+                inverse[row] = col
+            return TruncatedOp._of_rows(self.codomain, self.domain, tuple(inverse[:size]))
+        cols = [_EMPTY] * size
         for col, column in enumerate(self._cols):
             for row, s in column.items():
                 target = cols[row]
@@ -382,10 +460,14 @@ class TruncatedOp:
         """Drop columns outside the given sub-basis."""
         domain = _Basis(domain)
         try:
-            kept = tuple(map(self._cols.__getitem__, _places(domain, self.domain)))
+            places = _places(domain, self.domain)
         except KeyError:
             raise BasisMismatchError("restriction is not a sub-basis of the domain") from None
-        return TruncatedOp._of_columns(domain, self.codomain, kept)
+        kept = _gather(self._cols, places)
+        rows = self._rows
+        if rows is not None:
+            rows = _gather(rows, places)
+        return TruncatedOp._of_columns(domain, self.codomain, kept, rows)
 
     def extended(
         self,
@@ -397,14 +479,24 @@ class TruncatedOp:
         codomain = _Basis(self.codomain if codomain is None else codomain)
         if _same(domain, self.domain) and _same(codomain, self.codomain):
             return self
+        old = len(self.codomain)
+        # rows keep their positions when the new codomain starts with the old one
+        prefix = codomain[:old] == self.codomain
         try:
             col_at = _places(self.domain, domain)
-            row_at = _places(self.codomain, codomain)
+            row_at = range(old) if prefix else _places(self.codomain, codomain)
         except KeyError:
             raise BasisMismatchError("extension must contain the original bases") from None
+        rows = self._rows
+        if rows is not None:
+            moved = [len(codomain)] * len(domain)
+            for col, row in zip(col_at, rows):
+                if row != old:
+                    moved[col] = row_at[row]
+            return TruncatedOp._of_rows(domain, codomain, tuple(moved))
         cols = [_EMPTY] * len(domain)
         for col, column in zip(col_at, self._cols):
-            cols[col] = {row_at[row]: s for row, s in column.items()}
+            cols[col] = column if prefix else {row_at[row]: s for row, s in column.items()}
         return TruncatedOp._of_columns(domain, codomain, tuple(cols))
 
     def range_fixed_points(self) -> tuple[BasisIndex, ...]:

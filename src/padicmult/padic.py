@@ -66,9 +66,12 @@ def teichmuller(p: int, i: int, precision: int) -> int:
     Computed by Newton's iteration on x^(p-1) = 1 from x = i mod p, which
     doubles the known digits per step (Hensel's lemma).  At a root known mod
     p^(k/2), x is an inverse of x^(p-2) mod p^(k/2), so the step
-    x - (x^(p-1) - 1) * x / (p-1) is exact mod p^k with no inverse of x.  It
-    equals the closed form i^(p^(precision-1)) mod p^precision, the limit of
-    the contraction a -> a^p.  Only the class of i mod p matters.
+    x - (x^(p-1) - 1) * x / (p-1) is exact mod p^k with no inverse of x.  No
+    inverse of p - 1 is taken either: p^k = 1 + (p-1)(p^k - 1)/(p-1), so
+    1/(p-1) = -(p^k - 1)/(p-1) mod p^k, and the step is
+    x + (x^(p-1) - 1) * x * (p^k - 1)/(p-1).  It equals the closed form
+    i^(p^(precision-1)) mod p^precision, the limit of the contraction
+    a -> a^p.  Only the class of i mod p matters.
     """
     p = as_prime(p)
     if precision < 1:
@@ -79,7 +82,7 @@ def teichmuller(p: int, i: int, precision: int) -> int:
     while known < precision:
         known = min(2 * known, precision)
         modulus = p**known
-        x = (x - (pow(x, p - 1, modulus) - 1) * x * pow(p - 1, -1, modulus)) % modulus
+        x = (x + (pow(x, p - 1, modulus) - 1) * x * ((modulus - 1) // (p - 1))) % modulus
     return x
 
 

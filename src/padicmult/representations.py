@@ -24,7 +24,7 @@ from .errors import (
     ValuationMismatchError,
 )
 from .functions import LocallyConstantFn, precompose
-from .operators import Cyc, NonNeg, TruncatedOp, WinZ, Word, _Basis, _EMPTY
+from .operators import BASIS_CACHE_LABELS, Cyc, NonNeg, TruncatedOp, WinZ, Word, _Basis, _EMPTY
 from .padic import (
     Multiplier,
     MultiplierSpec,
@@ -35,7 +35,7 @@ from .padic import (
     teichmuller,
     valuation,
 )
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 from .unit_groups import QUOTIENT_MAX_SCAN, CyclicSubgroup, QuotientGroup
 
 
@@ -62,12 +62,16 @@ class OrbitDecomposition:
     k: int | None = None
 
     def recompose(self, r: int | MultiplierSpec) -> int:
-        """The product of the parts, as a residue mod p^(p_exponent + precision)."""
+        """The product of the parts, as a residue mod p^(p_exponent + precision).
+
+        In Case II the factor r^k is read on the root of unity that r matches,
+        as `orbit_decompose` reads it, so r need be known only mod p.
+        """
         modulus = self.p**self.precision
         unit = self.section_value * self.tail % modulus
         if self.case == "II":
-            rho = multiplier_residue(r, self.p, self.precision)
-            unit = unit * pow(rho, self.k, modulus) % modulus
+            root = teichmuller(self.p, multiplier_residue(r, self.p, 1), self.precision)
+            unit = unit * pow(root, self.k, modulus) % modulus
         return self.p**self.p_exponent * unit
 
 
@@ -120,7 +124,7 @@ def orbit_decompose(
 # sections of one size compose on one basis object; a larger one is built on each
 # call and dies with its operators.  The limit is above every basis `verify` builds
 # (4,002 labels at `--window 2000`); a full cache of 32 bases holds at most ~24 MB.
-BASIS_CACHE_LABELS = 4096
+# The same limit caps the unit columns that operators share.
 
 
 def _cached_up_to(size: Callable[..., int]):
@@ -163,9 +167,13 @@ def _words(s: int, max_len: int) -> _Basis:
 def _section(domain: _Basis, codomain: _Basis, targets: Iterable[int]) -> TruncatedOp:
     """The shift section sending domain position n to codomain position targets[n];
     the domain positions past the end of targets map to zero."""
-    cols = [{row: ONE} for row in targets]
-    cols.extend({} for _ in range(len(domain) - len(cols)))
-    return TruncatedOp._of_columns(domain, codomain, tuple(cols))
+    rows, size = list(targets), len(codomain)
+    ordered = sorted(rows)
+    fits = len(rows) <= len(domain) and len(set(rows)) == len(rows)
+    if rows and not (fits and 0 <= ordered[0] and ordered[-1] < size):
+        raise BasisMismatchError("a shift section needs distinct targets inside its codomain")
+    rows.extend([size] * (len(domain) - len(rows)))
+    return TruncatedOp._of_rows(domain, codomain, tuple(rows))
 
 
 # --- window and cyclic representations ------------------------------------------

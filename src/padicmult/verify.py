@@ -226,8 +226,7 @@ def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
             low, high = subs[level - 1], subs[level]
             # the preimage of low mod p^(level + 1), built in increasing order
             modulus = p**level
-            lifts = (map(j.__add__, low.elements) for j in range(0, p * modulus, modulus))
-            lifted = tuple(itertools.chain.from_iterable(lifts))
+            lifted = tuple([x + j for j in range(0, p * modulus, modulus) for x in low.elements])
             lifting.check(
                 high.elements == lifted, f"lift mismatch at p={p}, r={r}, level={level}"
             )

@@ -91,6 +91,14 @@ def test_orbit_decompose_case_two():
     assert dec.recompose(TeichProduct(2)) % 5**4 == 3
 
 
+def test_a_case_two_decomposition_recomposes_with_a_multiplier_known_mod_p():
+    # r = 3 + O(5) matches the root of unity teich(3); r^k is read on that root
+    dec = orbit_decompose(5, Digits((3,)), 17, 4)
+    assert (dec.case, dec.k) == ("II", 3)
+    assert dec.recompose(Digits((3,))) == 17
+    assert dec.recompose(TeichProduct(3)) == 17
+
+
 def test_orbit_decompose_errors():
     with pytest.raises(DomainError):
         orbit_decompose(5, 7, 0)
@@ -587,6 +595,7 @@ def test_sections_of_one_size_share_their_bases():
 def test_large_bases_are_not_kept_after_their_operators():
     f = LocallyConstantFn.constant(3, 1)
     build_orbit_rep(3, 2, 1, f, window=8)  # warm the small caches
+    window_shift(BASIS_CACHE_LABELS)  # fill the shared unit columns to their cap
     gc.collect()
     # every basis below has more labels than are cached (3^8 = 6,561 words)
     size = BASIS_CACHE_LABELS

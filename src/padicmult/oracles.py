@@ -1,13 +1,13 @@
 """Brute-force references that the property suites check the library against.
 
-Each oracle answers from its definition with plain integers and ``pow``, so
-it shares no code with what it checks: this module imports only the
-standard library, the error types and the scalars.
+Each oracle answers from its definition with plain integers and ``pow``, or
+with plain dicts, so it shares no code with what it checks: this module
+imports only the standard library, the error types and the scalars.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Hashable, Mapping, Sequence
 
 from .errors import NotAUnitError
 from .scalars import Scalar
@@ -114,3 +114,39 @@ def coefficients_vanish(terms: list) -> bool:
     for n, f in terms:
         sums[n] = sums.get(n, Scalar()) + f(0)
     return not any(sums.values())
+
+
+# --- operators as plain matrices ---------------------------------------------------
+#
+# A matrix is a dict {(row label, column label): Scalar}, read from an operator's
+# `entries`; a zero entry counts as absent, and the bases are lists of labels.
+
+Matrix = Mapping[tuple[Hashable, Hashable], Scalar]
+
+
+def matrix_product(a: Matrix, b: Matrix, rows: Sequence, middle: Sequence, cols: Sequence) -> dict:
+    """Oracle for compose: entry (i, j) of a b sums a[i, k] b[k, j] over every k of middle."""
+    out = {}
+    for i in rows:
+        for j in cols:
+            terms = [a[i, k] * b[k, j] for k in middle if (i, k) in a and (k, j) in b]
+            total = sum(terms, Scalar())
+            if total:
+                out[i, j] = total
+    return out
+
+
+def matrix_adjoint(a: Matrix) -> dict:
+    """Oracle for adjoint: the conjugate transpose."""
+    return {(j, i): s.conjugate() for (i, j), s in a.items()}
+
+
+def matrix_sum(a: Matrix, b: Matrix) -> dict:
+    """Oracle for +: the entrywise sum, its zeros dropped."""
+    sums = {key: a.get(key, Scalar()) + b.get(key, Scalar()) for key in {*a, *b}}
+    return {key: s for key, s in sums.items() if s}
+
+
+def matrices_equal(a: Matrix, b: Matrix) -> bool:
+    """Oracle for ==: the same nonzero entries (the caller compares the bases)."""
+    return {key: s for key, s in a.items() if s} == {key: s for key, s in b.items() if s}

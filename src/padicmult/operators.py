@@ -11,6 +11,7 @@ Label grammar (stable): "W:k", "C:k/n", "N:l", "D:d0.d1.d2".
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -157,27 +158,16 @@ def _same(a: tuple[BasisIndex, ...], b: tuple[BasisIndex, ...]) -> bool:
 # the empty column every operator may share; no column is changed once built
 _EMPTY: Column = {}
 
-# Bases of up to BASIS_CACHE_LABELS labels are cached (see representations), and the
-# unit columns {k: ONE} of the first BASIS_CACHE_LABELS rows are shared by every
-# partial permutation: the list grows on first use, never past the cap, and holds
-# at most ~1 MB.
-BASIS_CACHE_LABELS = 4096
-_UNIT_COLUMNS: list[Column] = []
-
 
 def _gather(table: Sequence, places: Sequence[int]) -> tuple:
     """table[n] for each n of places, in one C-level call."""
     return itemgetter(*places)(table) if len(places) > 1 else tuple(map(table.__getitem__, places))
 
 
-def _unit_columns(rows: tuple[int, ...], size: int) -> tuple[Column, ...]:
-    """The column {row: ONE} at each row of a row map into `size` rows, and the
-    empty column where the row is `size`; rows past the cap get fresh columns."""
-    cap, units = BASIS_CACHE_LABELS, _UNIT_COLUMNS
-    units.extend({k: ONE} for k in range(len(units), min(size, cap)))
-    if size <= cap:
-        return _gather((*units[:size], _EMPTY), rows)
-    return tuple(units[row] if row < cap else _EMPTY if row == size else {row: ONE} for row in rows)
+def _inverse(rows: Sequence[int], n: int, size: int) -> tuple[int, ...]:
+    """The row map back: each of `size` rows to the position of rows that maps
+    there, or to n where none does."""
+    return tuple(map(dict(zip(rows, range(n))).get, range(size), repeat(n)))
 
 
 def _accumulate(column: Column, row: int, s: Scalar) -> None:
@@ -195,36 +185,31 @@ def _accumulate(column: Column, row: int, s: Scalar) -> None:
 class TruncatedOp:
     """A sparse exact matrix from an ordered domain basis to a codomain basis.
 
-    The operator is stored by position: one column ``{row position: entry}``
-    per domain index, nonzero entries only, between two bases that carry
-    their label -> position maps.  Every operator built from others
-    (``compose``, ``adjoint``, ``+``, ``scale``, ``restricted``,
-    ``extended``) passes those bases on and works on positions, so no label
-    is hashed again.  ``entries``, the label-keyed ``{(row, col): entry}``
-    view, is read-only and built on first read.  The constructor
-    ``TruncatedOp(domain, codomain, entries)`` converts each entry to a
-    ``Scalar``, drops the zeros and checks every label against both bases at
-    once; ``build`` is the same constructor.
+    It is stored by position, between two bases that carry their label ->
+    position maps, in one of two forms.  A monomial, whose columns each hold
+    at most one entry with no row used twice, stores its row map ``_rows``
+    (each domain position's codomain row, ``len(codomain)`` for an empty
+    column) and its weights ``_weights`` (each column's entry, or ``None``
+    when all are ``ONE``; the weight at an empty column is never read).
+    Shift sections, every ``diagonal`` and ``identity``, and ``compose``,
+    ``adjoint``, ``restricted``, ``extended`` and ``power`` of monomials are
+    monomials: ``compose`` gathers the left rows and weights at the right
+    rows and multiplies only where both factors carry weights, ``adjoint``
+    inverts the map and conjugates the weights, and ``==`` compares the
+    tuples.  Every other operator is general (``_rows`` is ``None``): the
+    constructor, ``from_doc``, ``+`` and ``scale`` build one column
+    ``{row position: entry}`` per domain index, nonzero entries only, and
+    ``compose`` with a general factor sums products column by column.  A
+    monomial builds these columns on first read.  No column is changed once
+    built, so operators share columns, among them one empty column.
 
-    No column is changed once it is built, so operators share columns: every
-    empty column may be one shared dict, ``restricted`` keeps self's columns,
-    and ``compose`` keeps the right factor's empty columns and takes a
-    left-factor column as it is where the right factor's column is a single
-    ``ONE``.  Code that fills a column writes only into a dict it has just
-    made.
-
-    A partial permutation, an operator whose columns are each empty or a
-    single ``ONE`` with no row used twice, may also carry its row map
-    ``_rows``: each domain position's codomain row, with ``len(codomain)``
-    for an empty column.  Shift sections (``intertwiner`` and
-    ``window_shift`` among them), ``diagonal`` with 0/1 values (so
-    ``identity``), and ``compose``, ``adjoint``, ``restricted`` and
-    ``extended`` of operators with maps set it; every other constructor
-    leaves it ``None``.  With a map on the right, ``compose`` gathers the left
-    columns by position, and with one on the left it moves each entry to its
-    row, with no product; ``adjoint`` inverts the map.  The columns of a map
-    are unit columns ``{k: ONE}``, shared between all operators for the first
-    ``BASIS_CACHE_LABELS`` rows; rows past that cap get fresh columns.
+    Operators built from others pass their bases on and work on positions,
+    so no label is hashed again; ``restricted`` and ``extended`` compose
+    with the 0/1 maps between the bases.  ``entries``, the label-keyed
+    ``{(row, col): entry}`` view, is read-only and built on first read.  The
+    constructor ``TruncatedOp(domain, codomain, entries)`` converts each
+    entry to a ``Scalar``, drops the zeros and checks every label against
+    both bases at once; ``build`` is the same constructor.
     """
 
     domain: _Basis
@@ -250,22 +235,31 @@ class TruncatedOp:
         vars(self).update(domain=dom, codomain=cod, _cols=tuple(cols), _rows=None)
 
     @classmethod
-    def _of_columns(
-        cls,
-        domain: _Basis,
-        codomain: _Basis,
-        cols: tuple[Column, ...],
-        rows: tuple[int, ...] | None = None,
-    ) -> TruncatedOp:
-        """An operator from checked columns between two bases, and their row map if any."""
+    def _of_columns(cls, domain: _Basis, codomain: _Basis, cols: tuple[Column, ...]) -> TruncatedOp:
+        """A general operator from checked columns between two bases."""
         op = object.__new__(cls)
-        vars(op).update(domain=domain, codomain=codomain, _cols=cols, _rows=rows)
+        vars(op).update(domain=domain, codomain=codomain, _cols=cols, _rows=None)
         return op
 
     @classmethod
-    def _of_rows(cls, domain: _Basis, codomain: _Basis, rows: tuple[int, ...]) -> TruncatedOp:
-        """The partial permutation with an injective row map (see the class docstring)."""
-        return cls._of_columns(domain, codomain, _unit_columns(rows, len(codomain)), rows)
+    def _monomial(
+        cls, domain: _Basis, codomain: _Basis, rows: tuple[int, ...], weights=None
+    ) -> TruncatedOp:
+        """The monomial with an injective row map and its weights (see the class docstring)."""
+        op = object.__new__(cls)
+        vars(op).update(domain=domain, codomain=codomain, _rows=rows, _weights=weights)
+        return op
+
+    @cached_property
+    def _cols(self) -> tuple[Column, ...]:
+        # a general operator sets its columns when built, so only a monomial gets here
+        size = len(self.codomain)
+        weights = self._weights or repeat(ONE)
+        return tuple(_EMPTY if row == size else {row: s} for row, s in zip(self._rows, weights))
+
+    def _weights_at(self, places: Sequence[int]) -> tuple[Scalar, ...]:
+        """A monomial's weights at the given domain positions."""
+        return (ONE,) * len(places) if self._weights is None else _gather(self._weights, places)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedOp is immutable")
@@ -274,9 +268,9 @@ class TruncatedOp:
         raise AttributeError("TruncatedOp is immutable")
 
     def __reduce__(self):
-        # the bases and the row map or columns only: the cached ``entries`` view cannot be pickled
+        # the bases and the row map and weights, or the columns: the cached views cannot be pickled
         if self._rows is not None:
-            return TruncatedOp._of_rows, (self.domain, self.codomain, self._rows)
+            return TruncatedOp._monomial, (self.domain, self.codomain, self._rows, self._weights)
         return TruncatedOp._of_columns, (self.domain, self.codomain, self._cols)
 
     def __repr__(self) -> str:
@@ -306,7 +300,7 @@ class TruncatedOp:
     @classmethod
     def identity(cls, basis: Iterable[BasisIndex]) -> TruncatedOp:
         basis = _Basis(basis)
-        return cls._of_rows(basis, basis, tuple(range(len(basis))))
+        return cls._monomial(basis, basis, tuple(range(len(basis))))
 
     @classmethod
     def diagonal(
@@ -314,11 +308,9 @@ class TruncatedOp:
     ) -> TruncatedOp:
         basis = _Basis(basis)
         values = tuple(map(Scalar.of, map(value, basis)))
-        if all(not s or s == ONE for s in values):
-            size = len(basis)
-            return cls._of_rows(basis, basis, tuple(n if s else size for n, s in enumerate(values)))
-        cols = tuple({n: s} if s else _EMPTY for n, s in enumerate(values))
-        return cls._of_columns(basis, basis, cols)
+        size = len(basis)
+        rows = tuple(n if s else size for n, s in enumerate(values))
+        return cls._monomial(basis, basis, rows, values)
 
     @classmethod
     def zero(
@@ -334,8 +326,18 @@ class TruncatedOp:
         return (
             _same(self.domain, other.domain)
             and _same(self.codomain, other.codomain)
-            and self._cols == other._cols
+            and self._agree(other, range(len(self.domain)))
         )
+
+    def _agree(self, other: TruncatedOp, places: Sequence[int]) -> bool:
+        """Whether self and other, of one shape, have equal columns at the given positions."""
+        if self._rows is None or other._rows is None:
+            return _gather(self._cols, places) == _gather(other._cols, places)
+        rows = _gather(self._rows, places)
+        if rows != _gather(other._rows, places):
+            return False
+        live = list(compress(places, map(len(self.codomain).__ne__, rows)))
+        return self._weights_at(live) == other._weights_at(live)
 
     def apply(self, index: BasisIndex) -> Vector:
         """The image of a domain basis vector, as a fresh sparse coefficient map."""
@@ -352,45 +354,32 @@ class TruncatedOp:
             places = list(map(self.domain._pos.__getitem__, indices))
         except KeyError:
             raise BasisMismatchError("compared index outside the domain") from None
-        mine, theirs = self._cols, other._cols
-        return all(mine[n] == theirs[n] for n in places)
+        return self._agree(other, places)
 
     def compose(self, other: TruncatedOp) -> TruncatedOp:
         """self after other; requires other's codomain to equal self's domain."""
         if not _same(other.codomain, self.domain):
             raise BasisMismatchError("composition bases do not match")
-        right, left_rows = other._rows, self._rows
-        if right is not None:
-            # other sends each column to one row of self's domain, or to the empty column
-            cols = _gather((*self._cols, _EMPTY), right)
-            if left_rows is not None:
-                left_rows = _gather((*left_rows, len(self.codomain)), right)
-            return TruncatedOp._of_columns(other.domain, self.codomain, cols, left_rows)
-        if left_rows is not None:
-            # self sends each row of a column to a distinct row, or drops it
+        left, right = self._rows, other._rows
+        if left is not None and right is not None:
+            # each column of other goes to one row of self's domain, and on to one of self's
+            # codomain; the place past the end of self's rows and weights serves empty columns
             size = len(self.codomain)
-            cols = tuple(
-                {left_rows[mid]: s for mid, s in column.items() if left_rows[mid] != size}
-                if column
-                else column
-                for column in other._cols
-            )
-            return TruncatedOp._of_columns(other.domain, self.codomain, cols)
-        left = self._cols
-        cols = []
+            rows = _gather((*left, size), right)
+            weights = other._weights
+            if self._weights is not None:
+                carried = _gather((*self._weights, ONE), right)
+                weights = carried if weights is None else tuple(
+                    s * t if row != size else s for row, s, t in zip(rows, carried, weights)
+                )
+            return TruncatedOp._monomial(other.domain, self.codomain, rows, weights)
+        left_cols, cols = self._cols, []
         for column in other._cols:
-            if len(column) > 1:
-                out: Column = {}
-                for mid, s in column.items():
-                    for row, t in left[mid].items():
-                        _accumulate(out, row, t * s)
-                cols.append(out)
-            elif column:
-                # a product of two nonzero scalars is nonzero, so nothing cancels
-                ((mid, s),) = column.items()
-                cols.append(left[mid] if s is ONE else {row: t * s for row, t in left[mid].items()})
-            else:
-                cols.append(column)
+            out: Column = {}
+            for mid, s in column.items():
+                for row, t in left_cols[mid].items():
+                    _accumulate(out, row, t * s)
+            cols.append(out)
         return TruncatedOp._of_columns(other.domain, self.codomain, tuple(cols))
 
     def __matmul__(self, other: TruncatedOp) -> TruncatedOp:
@@ -399,13 +388,12 @@ class TruncatedOp:
     def adjoint(self) -> TruncatedOp:
         rows, size = self._rows, len(self.codomain)
         if rows is not None:
-            # the inverse map: each codomain row back to its column, or to the empty
-            # one; the place past the end takes the empty columns' rows
-            n = len(self.domain)
-            inverse = [n] * (size + 1)
-            for col, row in enumerate(rows):
-                inverse[row] = col
-            return TruncatedOp._of_rows(self.codomain, self.domain, tuple(inverse[:size]))
+            # each codomain row back to its column, or past the end to an empty one
+            back = _inverse(rows, len(self.domain), size)
+            weights = self._weights
+            if weights is not None:
+                weights = tuple(map(Scalar.conjugate, _gather((*weights, ONE), back)))
+            return TruncatedOp._monomial(self.codomain, self.domain, back, weights)
         cols = [_EMPTY] * size
         for col, column in enumerate(self._cols):
             for row, s in column.items():
@@ -460,14 +448,10 @@ class TruncatedOp:
         """Drop columns outside the given sub-basis."""
         domain = _Basis(domain)
         try:
-            places = _places(domain, self.domain)
+            into = TruncatedOp._monomial(domain, self.domain, tuple(_places(domain, self.domain)))
         except KeyError:
             raise BasisMismatchError("restriction is not a sub-basis of the domain") from None
-        kept = _gather(self._cols, places)
-        rows = self._rows
-        if rows is not None:
-            rows = _gather(rows, places)
-        return TruncatedOp._of_columns(domain, self.codomain, kept, rows)
+        return self @ into
 
     def extended(
         self,
@@ -479,25 +463,14 @@ class TruncatedOp:
         codomain = _Basis(self.codomain if codomain is None else codomain)
         if _same(domain, self.domain) and _same(codomain, self.codomain):
             return self
-        old = len(self.codomain)
-        # rows keep their positions when the new codomain starts with the old one
-        prefix = codomain[:old] == self.codomain
         try:
-            col_at = _places(self.domain, domain)
-            row_at = range(old) if prefix else _places(self.codomain, codomain)
+            rows, places = tuple(_places(self.codomain, codomain)), _places(self.domain, domain)
         except KeyError:
             raise BasisMismatchError("extension must contain the original bases") from None
-        rows = self._rows
-        if rows is not None:
-            moved = [len(codomain)] * len(domain)
-            for col, row in zip(col_at, rows):
-                if row != old:
-                    moved[col] = row_at[row]
-            return TruncatedOp._of_rows(domain, codomain, tuple(moved))
-        cols = [_EMPTY] * len(domain)
-        for col, column in zip(col_at, self._cols):
-            cols[col] = column if prefix else {row_at[row]: s for row, s in column.items()}
-        return TruncatedOp._of_columns(domain, codomain, tuple(cols))
+        # each position of the new domain back to its old one, or to the empty column
+        back = _inverse(places, len(self.domain), len(domain))
+        into = TruncatedOp._monomial(self.codomain, codomain, rows)
+        return into @ self @ TruncatedOp._monomial(domain, self.domain, back)
 
     def range_fixed_points(self) -> tuple[BasisIndex, ...]:
         """Codomain indices on which self . self* acts as the identity.
@@ -509,11 +482,14 @@ class TruncatedOp:
 
     def _identity_columns(self) -> tuple[BasisIndex, ...]:
         """Domain indices of a square operator whose column is their own unit vector."""
-        return tuple(
-            ix
-            for ix, (n, column) in zip(self.domain, enumerate(self._cols))
-            if len(column) == 1 and column.get(n) == ONE
-        )
+        rows, places = self._rows, range(len(self.domain))
+        if rows is None:
+            cols = self._cols
+            fixed = [n for n in places if len(cols[n]) == 1 and cols[n].get(n) == ONE]
+        else:
+            fixed = [n for n in places if rows[n] == n]
+            fixed = list(compress(fixed, map(ONE.__eq__, self._weights_at(fixed))))
+        return _gather(self.domain, fixed)
 
     # -- serialization -------------------------------------------------------
 

@@ -24,7 +24,7 @@ from .errors import (
     ValuationMismatchError,
 )
 from .functions import LocallyConstantFn, precompose
-from .operators import BASIS_CACHE_LABELS, Cyc, NonNeg, TruncatedOp, WinZ, Word, _Basis, _EMPTY
+from .operators import Cyc, NonNeg, TruncatedOp, WinZ, Word, _Basis
 from .padic import (
     Multiplier,
     MultiplierSpec,
@@ -124,7 +124,7 @@ def orbit_decompose(
 # sections of one size compose on one basis object; a larger one is built on each
 # call and dies with its operators.  The limit is above every basis `verify` builds
 # (4,002 labels at `--window 2000`); a full cache of 32 bases holds at most ~24 MB.
-# The same limit caps the unit columns that operators share.
+BASIS_CACHE_LABELS = 4096
 
 
 def _cached_up_to(size: Callable[..., int]):
@@ -173,7 +173,7 @@ def _section(domain: _Basis, codomain: _Basis, targets: Iterable[int]) -> Trunca
     if rows and not (fits and 0 <= ordered[0] and ordered[-1] < size):
         raise BasisMismatchError("a shift section needs distinct targets inside its codomain")
     rows.extend([size] * (len(domain) - len(rows)))
-    return TruncatedOp._of_rows(domain, codomain, tuple(rows))
+    return TruncatedOp._monomial(domain, codomain, tuple(rows))
 
 
 # --- window and cyclic representations ------------------------------------------
@@ -192,13 +192,11 @@ def _ball_diagonal(basis: _Basis, f: LocallyConstantFn, points: Iterable[int]) -
     Reads f's ball table: the value at x is the entry of the ball x mod p^level,
     and each ball is tested for zero once, not once per position.
     """
-    modulus = f.p**f.level
-    balls = [value or None for value in f.values]
-    cols = tuple(
-        _EMPTY if (value := balls[x % modulus]) is None else {n: value}
-        for n, x in enumerate(points)
-    )
-    return TruncatedOp._of_columns(basis, basis, cols)
+    modulus, size = f.p**f.level, len(basis)
+    balls = [x % modulus for x in points]
+    live = list(map(bool, f.values))
+    rows = tuple(n if live[ball] else size for n, ball in enumerate(balls))
+    return TruncatedOp._monomial(basis, basis, rows, tuple(map(f.values.__getitem__, balls)))
 
 
 def _orbit_diagonal(basis: _Basis, m: Multiplier, x: int, f: LocallyConstantFn) -> TruncatedOp:

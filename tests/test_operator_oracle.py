@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import functions, scalars
+from conftest import entry_values, functions, general_operators, window_basis
 from padicmult import (
     ExactInt,
     TeichProduct,
@@ -34,10 +34,6 @@ from padicmult.representations import _index_diagonal, _section
 from padicmult.scalars import ONE
 
 
-def window_basis(size: int, start: int = 0) -> _Basis:
-    return _Basis(WinZ(k) for k in range(start, start + size))
-
-
 def matrix(op: TruncatedOp) -> dict:
     return dict(op.entries)
 
@@ -55,9 +51,6 @@ def matches(op: TruncatedOp, domain, codomain, expected) -> None:
     assert matrices_equal(matrix(op), expected)
 
 
-values = st.one_of(scalars(), st.sampled_from([0, 1, ONE, -1]))
-
-
 @st.composite
 def row_maps(draw, domain: _Basis, codomain: _Basis) -> TruncatedOp:
     """A 0/1 map with gaps: k distinct domain positions to k distinct codomain rows,
@@ -70,7 +63,7 @@ def row_maps(draw, domain: _Basis, codomain: _Basis) -> TruncatedOp:
 
 
 def diagonal(draw, basis: _Basis) -> TruncatedOp:
-    weights = draw(st.lists(values, min_size=len(basis), max_size=len(basis)))
+    weights = draw(st.lists(entry_values, min_size=len(basis), max_size=len(basis)))
     return TruncatedOp.diagonal(basis, lambda ix: weights[basis._pos[ix]])
 
 
@@ -85,14 +78,6 @@ def monomials(draw, domain: _Basis, codomain: _Basis) -> TruncatedOp:
         return op
     op = op @ diagonal(draw, domain)
     return op if kind == "weighted" else diagonal(draw, codomain) @ op
-
-
-@st.composite
-def general_operators(draw, domain: _Basis, codomain: _Basis) -> TruncatedOp:
-    if not (domain and codomain):
-        return TruncatedOp(domain, codomain, {})
-    keys = st.tuples(st.sampled_from(codomain), st.sampled_from(domain))
-    return TruncatedOp(domain, codomain, draw(st.dictionaries(keys, values, max_size=8)))
 
 
 def operators(domain: _Basis, codomain: _Basis):
@@ -118,7 +103,7 @@ def test_operators_agree_with_the_matrix_oracle(data):
         matches(op.adjoint().adjoint(), dom, cod, a)
         matches(op + other, dom, cod, matrix_sum(a, matrix(other)))
         matches(op - op, dom, cod, {})
-        c = data.draw(values)
+        c = data.draw(entry_values)
         scaled = {(ix, ix): c for ix in dom} if c else {}
         matches(op.scale(c), dom, cod, matrix_product(a, scaled, cod, dom, dom))
         kept = data.draw(st.permutations(dom))[: data.draw(st.integers(0, len(dom)))]

@@ -11,22 +11,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import sc, scalars
+from conftest import entry_values, general_operators, sc, scalars, window_basis
 from padicmult import (
     Cyc,
+    ExactInt,
     LocallyConstantFn,
     NonNeg,
+    TeichProduct,
     TruncatedOp,
     WinZ,
     Word,
+    build_cyclic_rep,
+    build_digit_rep,
+    build_hs_rep,
     build_orbit_rep,
+    intertwiner,
     label,
     parse_label,
     window_shift,
 )
 from padicmult.errors import BasisMismatchError, ParseError
-from padicmult.operators import BASIS_CACHE_LABELS, _EMPTY, _UNIT_COLUMNS, _Basis
-from padicmult.representations import _section
+from padicmult.operators import _EMPTY, _Basis
+from padicmult.representations import BASIS_CACHE_LABELS, _section
 from padicmult.scalars import ONE, ZERO, Scalar
 
 
@@ -685,118 +691,122 @@ def test_a_basis_refuses_attribute_assignment():
     assert basis._pos == {ix: n for n, ix in enumerate(basis)}
 
 
-# --- partial permutations carry their row map ----------------------------------
+# --- monomials carry their row map and weights ------------------------------------
 
 
 def plain(op: TruncatedOp) -> TruncatedOp:
-    """op rebuilt from its entries through the public constructor, with no row map."""
+    """op rebuilt from its entries through the public constructor, as a general operator."""
     return TruncatedOp(op.domain, op.codomain, dict(op.entries))
 
 
-def carries_its_map(op: TruncatedOp) -> None:
-    """op's columns are exactly the unit columns its injective row map names."""
+def is_monomial(op: TruncatedOp) -> None:
+    """op's injective row map uses no row twice, and its columns are {row: weight}
+    at each nonempty row, with a nonzero weight, and the shared empty column elsewhere."""
     size = len(op.codomain)
-    assert len(op._rows) == len(op._cols) == len(op.domain)
+    assert op._rows is not None and len(op._rows) == len(op._cols) == len(op.domain)
     used = [row for row in op._rows if row != size]
     assert len(set(used)) == len(used) and all(0 <= row < size for row in used)
-    for row, column in zip(op._rows, op._cols):
+    weights = [ONE] * len(op.domain) if op._weights is None else op._weights
+    assert len(weights) == len(op.domain)
+    for row, s, column in zip(op._rows, weights, op._cols):
         if row == size:
             assert column is _EMPTY
-        elif row < BASIS_CACHE_LABELS:
-            assert column is _UNIT_COLUMNS[row]
         else:
-            assert column == {row: ONE} and column[row] is ONE
+            assert column == {row: s} and s
 
 
-def agrees_with_plain(result: TruncatedOp, reference: TruncatedOp, has_map: bool) -> None:
+def agrees_with_plain(result: TruncatedOp, reference: TruncatedOp, monomial: bool) -> None:
     assert result == reference and reference == result
     assert result.to_doc() == reference.to_doc()
-    assert (result._rows is not None) is has_map
-    if has_map:
-        carries_its_map(result)
-
-
-def window_basis(size: int, start: int = 0) -> _Basis:
-    return _Basis(WinZ(k) for k in range(start, start + size))
+    assert (result._rows is not None) is monomial
+    if monomial:
+        is_monomial(result)
 
 
 @st.composite
 def partial_permutations(draw, domain: _Basis, codomain: _Basis) -> TruncatedOp:
-    """A row map with gaps: each domain position to its own codomain row or to the
-    empty column; on one basis, sometimes a 0/1 diagonal instead."""
+    """A row map with gaps, each domain position to its own codomain row or to the
+    empty column, unweighted or with Gaussian weights; on one basis, sometimes a
+    diagonal with zeros among its values instead."""
     if domain is codomain and draw(st.booleans()):
-        ones = draw(st.lists(st.sampled_from([0, 1, ONE]), min_size=len(domain), max_size=len(domain)))
-        return TruncatedOp.diagonal(domain, lambda ix: ones[domain._pos[ix]])
-    size = len(codomain)
-    pool = draw(st.permutations([*range(size), *[size] * len(domain)]))
-    op = TruncatedOp._of_rows(domain, codomain, tuple(pool[: len(domain)]))
-    carries_its_map(op)
+        chosen = draw(st.lists(entry_values, min_size=len(domain), max_size=len(domain)))
+        op = TruncatedOp.diagonal(domain, lambda ix: chosen[domain._pos[ix]])
+    else:
+        size = len(codomain)
+        pool = draw(st.permutations([*range(size), *[size] * len(domain)]))
+        nonzero = entry_values.map(Scalar.of).filter(bool)
+        weights = draw(st.none() | st.lists(nonzero, min_size=len(domain), max_size=len(domain)).map(tuple))
+        op = TruncatedOp._monomial(domain, codomain, tuple(pool[: len(domain)]), weights)
+    is_monomial(op)
     return op
 
 
-@st.composite
-def general_operators(draw, domain: _Basis, codomain: _Basis) -> TruncatedOp:
-    if not (domain and codomain):
-        return TruncatedOp(domain, codomain, {})
-    keys = st.tuples(st.sampled_from(codomain), st.sampled_from(domain))
-    values = st.one_of(scalars(), st.sampled_from([1, ONE, -1]))
-    return TruncatedOp(domain, codomain, draw(st.dictionaries(keys, values, max_size=8)))
-
-
 @given(st.data())
-def test_row_maps_agree_with_operators_rebuilt_without_them(data):
+def test_monomials_agree_with_operators_rebuilt_as_general_ones(data):
     sizes = st.integers(0, 5)
     domain, middle, codomain = (window_basis(data.draw(sizes)) for _ in range(3))
     maps = [data.draw(partial_permutations(d, c)) for d, c in ((middle, codomain), (domain, middle))]
     general = [data.draw(general_operators(d, c)) for d, c in ((middle, codomain), (domain, middle))]
-    # compose in all four map/no-map pairings
+    # compose in all four monomial/general pairings
     for left in (maps[0], general[0]):
         for right in (maps[1], general[1]):
-            has_map = left._rows is not None and right._rows is not None
-            agrees_with_plain(left @ right, plain(left) @ plain(right), has_map)
+            monomial = left._rows is not None and right._rows is not None
+            agrees_with_plain(left @ right, plain(left) @ plain(right), monomial)
     extra = (WinZ(100), WinZ(101))
     for op in (*maps, *general):
-        has_map = op._rows is not None
+        monomial = op._rows is not None
         assert op == plain(op)
-        agrees_with_plain(op.adjoint(), plain(op).adjoint(), has_map)
-        agrees_with_plain(op.adjoint().adjoint(), plain(op), has_map)
+        agrees_with_plain(op.adjoint(), plain(op).adjoint(), monomial)
+        agrees_with_plain(op.adjoint().adjoint(), plain(op), monomial)
         kept = data.draw(st.permutations(op.domain))[: data.draw(st.integers(0, len(op.domain)))]
-        agrees_with_plain(op.restricted(kept), plain(op).restricted(kept), has_map)
+        agrees_with_plain(op.restricted(kept), plain(op).restricted(kept), monomial)
         # onto a codomain that starts with op's, and onto one that moves every row
         for wider in (op.codomain + extra, extra[:1] + op.codomain[::-1] + extra[1:]):
             lifted = op.extended(op.domain + extra, wider)
-            agrees_with_plain(lifted, plain(op).extended(op.domain + extra, wider), has_map)
+            agrees_with_plain(lifted, plain(op).extended(op.domain + extra, wider), monomial)
         twin = pickle.loads(pickle.dumps(op))
-        agrees_with_plain(twin, pickle.loads(pickle.dumps(plain(op))), has_map)
+        agrees_with_plain(twin, pickle.loads(pickle.dumps(plain(op))), monomial)
     square = data.draw(st.one_of(partial_permutations(middle, middle), general_operators(middle, middle)))
     for exponent in range(4):
-        has_map = square._rows is not None or exponent == 0
-        agrees_with_plain(square.power(exponent), plain(square).power(exponent), has_map)
+        monomial = square._rows is not None or exponent == 0
+        agrees_with_plain(square.power(exponent), plain(square).power(exponent), monomial)
 
 
-def test_sums_and_scalings_write_into_no_shared_unit_column():
+def test_sums_and_scalings_of_monomials_change_no_input():
     v = window_shift(4)
     basis = v.domain
     ops = [v, v.adjoint(), TruncatedOp.identity(basis), TruncatedOp.diagonal(basis, lambda ix: ix.k % 2)]
     other = TruncatedOp(basis, basis, {(WinZ(0), WinZ(1)): sc(2, 1), (WinZ(2), WinZ(2)): -1})
     before = [snapshot(op) for op in ops]
     for op in ops:
-        carries_its_map(op)
+        is_monomial(op)
         derived = [op + op, op + other, other + op, op - op, op.scale(sc(3, -1)), op.scale(-1), op.scale(0)]
         assert all(new._rows is None for new in derived)
     assert [snapshot(op) for op in ops] == before
     assert _EMPTY == {}
-    assert all(column == {k: ONE} for k, column in enumerate(_UNIT_COLUMNS))
 
 
-def test_a_large_section_leaves_the_shared_unit_columns_at_their_cap():
-    window_shift(BASIS_CACHE_LABELS)
-    assert len(_UNIT_COLUMNS) == BASIS_CACHE_LABELS
+def test_a_large_section_builds_its_columns_on_first_read():
     v = window_shift(100000)
-    assert len(_UNIT_COLUMNS) == BASIS_CACHE_LABELS
-    carries_its_map(v)
+    assert "_cols" not in vars(v)
     assert v._cols[BASIS_CACHE_LABELS] == {BASIS_CACHE_LABELS + 1: ONE}
+    is_monomial(v)
     assert v.apply(WinZ(100000)) == {}
+
+
+def test_the_builders_and_the_covariance_products_are_monomials():
+    f = LocallyConstantFn(3, 1, (sc(0), sc(1, 2), sc(-1)))
+    built = [
+        build_orbit_rep(3, 2, 1, f, window=4),
+        build_cyclic_rep(7, TeichProduct(2), 1, LocallyConstantFn.constant(7, 1)),
+        build_digit_rep(3, 1, ExactInt(6), f, max_len=2),
+        build_hs_rep(3, 1, f, cutoff=6),
+    ]
+    for shift, diag in built:
+        # check_covariance's left-hand side, and its default interior's projection
+        for op in (shift, diag, shift @ diag @ shift.adjoint(), shift @ shift.adjoint()):
+            is_monomial(op)
+    is_monomial(intertwiner(3, 1, 6, max_len=2))
 
 
 def test_a_section_refuses_repeated_or_outside_targets():

@@ -595,7 +595,6 @@ def test_sections_of_one_size_share_their_bases():
 def test_large_bases_are_not_kept_after_their_operators():
     f = LocallyConstantFn.constant(3, 1)
     build_orbit_rep(3, 2, 1, f, window=8)  # warm the small caches
-    window_shift(BASIS_CACHE_LABELS)  # fill the shared unit columns to their cap
     gc.collect()
     # every basis below has more labels than are cached (3^8 = 6,561 words)
     size = BASIS_CACHE_LABELS

@@ -146,9 +146,11 @@ class _Basis(tuple):
         raise AttributeError("a basis is immutable")
 
 
-def _places(part: tuple[BasisIndex, ...], basis: _Basis) -> Iterable[int]:
-    """The position in basis of each label of part; none is hashed when part is basis."""
-    return range(len(basis)) if part is basis else [basis._pos[ix] for ix in part]
+def _places(part: tuple[BasisIndex, ...], basis: _Basis) -> Sequence[int]:
+    """The position in basis of each label of part; none is hashed when basis starts with part."""
+    if part is basis or basis[: len(part)] == part:
+        return range(len(part))
+    return [basis._pos[ix] for ix in part]
 
 
 def _same(a: tuple[BasisIndex, ...], b: tuple[BasisIndex, ...]) -> bool:
@@ -166,8 +168,12 @@ def _gather(table: Sequence, places: Sequence[int]) -> tuple:
 
 def _inverse(rows: Sequence[int], n: int, size: int) -> tuple[int, ...]:
     """The row map back: each of `size` rows to the position of rows that maps
-    there, or to n where none does."""
-    return tuple(map(dict(zip(rows, range(n))).get, range(size), repeat(n)))
+    there, or to n where none does; the place past the end takes the rows that
+    are `size`, the empty columns'."""
+    inverse = [n] * (size + 1)
+    for col, row in enumerate(rows):
+        inverse[row] = col
+    return tuple(inverse[:size])
 
 
 def _accumulate(column: Column, row: int, s: Scalar) -> None:

@@ -742,7 +742,7 @@ def partial_permutations(draw, domain: _Basis, codomain: _Basis) -> TruncatedOp:
 
 
 @given(st.data())
-def test_monomials_agree_with_operators_rebuilt_as_general_ones(data):
+def test_row_maps_agree_with_operators_rebuilt_without_them(data):
     sizes = st.integers(0, 5)
     domain, middle, codomain = (window_basis(data.draw(sizes)) for _ in range(3))
     maps = [data.draw(partial_permutations(d, c)) for d, c in ((middle, codomain), (domain, middle))]
@@ -772,7 +772,9 @@ def test_monomials_agree_with_operators_rebuilt_as_general_ones(data):
         agrees_with_plain(square.power(exponent), plain(square).power(exponent), monomial)
 
 
-def test_sums_and_scalings_of_monomials_change_no_input():
+def test_sums_and_scalings_write_into_no_shared_unit_column():
+    """A sum or scaling of monomials is a general operator built from fresh columns:
+    it writes into neither the inputs' unit columns nor the shared empty column."""
     v = window_shift(4)
     basis = v.domain
     ops = [v, v.adjoint(), TruncatedOp.identity(basis), TruncatedOp.diagonal(basis, lambda ix: ix.k % 2)]

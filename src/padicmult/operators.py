@@ -201,21 +201,23 @@ class TruncatedOp:
     ``adjoint``, ``restricted``, ``extended`` and ``power`` of monomials are
     monomials: ``compose`` gathers the left rows and weights at the right
     rows and multiplies only where both factors carry weights, ``adjoint``
-    inverts the map and conjugates the weights, and ``==`` compares the
-    tuples.  Every other operator is general (``_rows`` is ``None``): the
-    constructor, ``from_doc``, ``+`` and ``scale`` build one column
-    ``{row position: entry}`` per domain index, nonzero entries only, and
-    ``compose`` with a general factor sums products column by column.  A
-    monomial builds these columns on first read.  No column is changed once
-    built, so operators share columns, among them one empty column.
+    inverts the map and conjugates the weights, and ``==`` compares the row
+    maps whole and the weights at live rows.  Every other operator is
+    general (``_rows`` is ``None``): the constructor, ``from_doc``, ``+``
+    and ``scale`` build one column ``{row position: entry}`` per domain
+    index, nonzero entries only, and ``compose`` with a general factor sums
+    products column by column.  A monomial builds these columns on first
+    read.  No column is changed once built, so operators share columns,
+    among them one empty column.
 
     Operators built from others pass their bases on and work on positions,
-    so no label is hashed again; ``restricted`` and ``extended`` compose
-    with the 0/1 maps between the bases.  ``entries``, the label-keyed
-    ``{(row, col): entry}`` view, is read-only and built on first read.  The
-    constructor ``TruncatedOp(domain, codomain, entries)`` converts each
-    entry to a ``Scalar``, drops the zeros and checks every label against
-    both bases at once; ``build`` is the same constructor.
+    so no label is hashed again; ``restricted`` composes with the 0/1 map
+    from the new domain, and ``extended`` only with those of the bases that
+    grow.  ``entries``, the label-keyed ``{(row, col): entry}`` view, is
+    read-only and built on first read.  The constructor
+    ``TruncatedOp(domain, codomain, entries)`` converts each entry to a
+    ``Scalar``, drops the zeros and checks every label against both bases at
+    once; ``build`` is the same constructor.
     """
 
     domain: _Basis
@@ -332,17 +334,22 @@ class TruncatedOp:
         return (
             _same(self.domain, other.domain)
             and _same(self.codomain, other.codomain)
-            and self._agree(other, range(len(self.domain)))
+            and self._agree(other)
         )
 
-    def _agree(self, other: TruncatedOp, places: Sequence[int]) -> bool:
-        """Whether self and other, of one shape, have equal columns at the given positions."""
-        if self._rows is None or other._rows is None:
-            return _gather(self._cols, places) == _gather(other._cols, places)
-        rows = _gather(self._rows, places)
-        if rows != _gather(other._rows, places):
+    def _agree(self, other: TruncatedOp, places: Sequence[int] | None = None) -> bool:
+        """Whether self and other, of one shape, have equal columns at the given
+        positions, or at every position when none are given."""
+        general = self._rows is None or other._rows is None
+        mine, theirs = (self._cols, other._cols) if general else (self._rows, other._rows)
+        if places is not None:
+            mine, theirs = _gather(mine, places), _gather(theirs, places)
+        if mine != theirs:
             return False
-        live = list(compress(places, map(len(self.codomain).__ne__, rows)))
+        if general or (self._weights is None and other._weights is None):
+            return True
+        # the weights are read at live rows only: an empty column's weight is never read
+        live = list(compress(places or range(len(mine)), map(len(self.codomain).__ne__, mine)))
         return self._weights_at(live) == other._weights_at(live)
 
     def apply(self, index: BasisIndex) -> Vector:
@@ -467,16 +474,20 @@ class TruncatedOp:
         """Enlarge bases (supersets only); new rows and columns are zero."""
         domain = _Basis(self.domain if domain is None else domain)
         codomain = _Basis(self.codomain if codomain is None else codomain)
-        if _same(domain, self.domain) and _same(codomain, self.codomain):
-            return self
+        grow_domain, grow_codomain = not _same(domain, self.domain), not _same(codomain, self.codomain)
         try:
-            rows, places = tuple(_places(self.codomain, codomain)), _places(self.domain, domain)
+            rows = tuple(_places(self.codomain, codomain)) if grow_codomain else None
+            places = _places(self.domain, domain) if grow_domain else None
         except KeyError:
             raise BasisMismatchError("extension must contain the original bases") from None
-        # each position of the new domain back to its old one, or to the empty column
-        back = _inverse(places, len(self.domain), len(domain))
-        into = TruncatedOp._monomial(self.codomain, codomain, rows)
-        return into @ self @ TruncatedOp._monomial(domain, self.domain, back)
+        out = self
+        if grow_codomain:
+            out = TruncatedOp._monomial(self.codomain, codomain, rows) @ out
+        if grow_domain:
+            # each position of the new domain back to its old one, or to the empty column
+            back = _inverse(places, len(self.domain), len(domain))
+            out = out @ TruncatedOp._monomial(domain, self.domain, back)
+        return out
 
     def range_fixed_points(self) -> tuple[BasisIndex, ...]:
         """Codomain indices on which self . self* acts as the identity.

@@ -64,7 +64,11 @@ def teichmuller(p: int, i: int, precision: int) -> int:
     """The unique (p-1)-st root of unity congruent to i mod p, mod p^precision.
 
     Computed by Newton's iteration on x^(p-1) = 1 from x = i mod p, which
-    doubles the known digits per step (Hensel's lemma).  At a root known mod
+    doubles the known digits per step (Hensel's lemma).  The steps climb the
+    halving schedule precision, ceil(precision/2), ceil(precision/4), ..., 1
+    from the bottom, so each starts from a root known to at least half its
+    target and none works past the precision asked for (von zur Gathen and
+    Gerhard, Modern Computer Algebra, section 9).  At a root known mod
     p^(k/2), x is an inverse of x^(p-2) mod p^(k/2), so the step
     x - (x^(p-1) - 1) * x / (p-1) is exact mod p^k with no inverse of x.  No
     inverse of p - 1 is taken either: p^k = 1 + (p-1)(p^k - 1)/(p-1), so
@@ -78,10 +82,10 @@ def teichmuller(p: int, i: int, precision: int) -> int:
         raise InsufficientPrecisionError("precision must be at least 1")
     if i % p == 0:
         raise NotAUnitError(f"{i} is not a unit mod {p}")
-    x, known = i % p, 1
-    while known < precision:
-        known = min(2 * known, precision)
-        modulus = p**known
+    x, top = i % p, precision - 1
+    # ceil(precision / 2^j) = (top >> j) + 1, for j from top.bit_length() - 1 down to 0
+    for j in range(top.bit_length() - 1, -1, -1):
+        modulus = p ** ((top >> j) + 1)
         x = (x + (pow(x, p - 1, modulus) - 1) * x * ((modulus - 1) // (p - 1))) % modulus
     return x
 

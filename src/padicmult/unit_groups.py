@@ -7,6 +7,9 @@ quotient of the full unit sphere by the closure of the multiplier's powers.
 All follow from the order tower of a unit r: with d its order mod p and
 v = v_p(r^d - 1) = v_p(r^(p-1) - 1), its order in U_N is d * p^max(0, N - v),
 and its threshold v + 1 needs no factoring, while d reads the primes of p - 1.
+A subgroup of order d * p^e is read at the precision it needs: it is the set
+of units whose d-th power is 1 mod p^(N - e), so cosets are keyed and scanned
+mod p^(N - e), not mod p^N.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .padic import Multiplier, MultiplierSpec, as_prime, valuation
 # (1 + 3^8) print in 3.1-3.5 s (text) or 2.6-3.1 s (--json), both at 52 MB peak RSS
 QUOTIENT_MAX_COSETS = 5000
 
-# QuotientGroup.of refuses to list more cosets, each about 150 bytes: on a
-# 2-vCPU host orbit_decompose along 1 + 3^12 (354294 cosets) takes 0.6 s and
-# 75 MB, along 1 + 3^13 (1062882) 1.5 s and 185 MB, tripling per power of 3;
+# QuotientGroup.of refuses to list more cosets, each about 270 bytes: on a
+# 2-vCPU host decompose along 1 + 3^12 (354294 cosets) takes 0.18 s and peaks
+# at 147 MB RSS in-process, 95 MB above the import, tripling per power of 3;
 # orbit_decompose walks no more powers of a root of unity mod p either, and
 # CyclicSubgroup.elements lists no larger subgroup
 QUOTIENT_MAX_SCAN = 400_000
@@ -159,13 +162,13 @@ def find_nr(p: int, r: int | MultiplierSpec) -> int:
 class CyclicSubgroup:
     """The subgroup of U_level generated by a single residue.
 
-    Its order comes from the order tower.  As U_level is cyclic, the subgroup
-    is the kernel of k -> k^order, so k lies in it exactly when its key
-    k^order is 1, and two units share a coset exactly when their keys agree.
-    The elements are listed on first read, in closed form: a subgroup of
-    order d * p^e, with d prime to p, is the set of units congruent mod
-    p^(level - e) to a d-th root of unity there.  The generator is one of
-    order d mod p^(level - e) (its d-th power has order p^e, so is 1 there),
+    Its order comes from the order tower.  As U_level is cyclic, a subgroup
+    of order d * p^e, with d prime to p, is the set of units congruent mod
+    step = p^(level - e) to a d-th root of unity there.  So k lies in it
+    exactly when its key k^d mod step is 1, two units share a coset exactly
+    when their keys agree, and every coset has its least member below step.
+    The elements are listed on first read, in closed form.  The generator is
+    one of order d mod step (its d-th power has order p^e, so is 1 there),
     so those roots are its first d powers.
     """
 
@@ -174,6 +177,12 @@ class CyclicSubgroup:
     generator: int
     order: int
 
+    def __post_init__(self) -> None:
+        # _modulus is (d, step): the order's part d prime to p, and step = p^(level - e);
+        # an attribute, not a field, so equality, hashing and repr read the four fields only
+        d = gcd(self.order, self.p - 1)
+        object.__setattr__(self, "_modulus", (d, self.p**self.level * d // self.order))
+
     @cached_property
     def elements(self) -> tuple[int, ...]:
         """The subgroup in increasing order, refused above QUOTIENT_MAX_SCAN elements."""
@@ -181,8 +190,7 @@ class CyclicSubgroup:
             raise CapExceededError(
                 f"the subgroup has {self.order} elements, above the listing limit {QUOTIENT_MAX_SCAN}"
             )
-        d = gcd(self.order, self.p - 1)
-        step = self.p**self.level * d // self.order  # p^(level - e)
+        d, step = self._modulus
         roots = sorted(pow(self.generator, i, step) for i in range(d))
         # each block [j, j + step) holds the sorted roots shifted by j, so the
         # i-th root's lifts fill every d-th place from place i
@@ -196,7 +204,7 @@ class CyclicSubgroup:
         return frozenset(self.elements)
 
     def _key(self, k: int) -> int:
-        return pow(k, self.order, self.p**self.level)
+        return pow(k, *self._modulus)
 
     def __contains__(self, k: int) -> bool:
         return self._key(k) == 1
@@ -237,12 +245,14 @@ class _CyclicTable(Sequence):
 class QuotientGroup:
     """The quotient of U_level by a cyclic subgroup, with a fixed section.
 
-    Cosets are named by the subgroup's key k -> k^|subgroup| mod p^level.
-    Coset representatives are the smallest positive residue in each coset,
-    in increasing order, so the identity coset comes first; the
-    multiplication table, built on first read, is indexed accordingly and
-    refused above QUOTIENT_MAX_COSETS cosets.  The section maps coset j to
-    the integer coset_reps[j].  Build one with ``QuotientGroup.of``.
+    Cosets are named by the subgroup's key k -> k^d mod p^(level - e), for
+    a subgroup of order d * p^e with d prime to p, so the scan reads only
+    the units below p^(level - e).  Coset representatives are the smallest
+    positive residue in each coset, in increasing order, so the identity
+    coset comes first; the multiplication table, built on first read, is
+    indexed accordingly and refused above QUOTIENT_MAX_COSETS cosets.  The
+    section maps coset j to the integer coset_reps[j].  Build one with
+    ``QuotientGroup.of``.
     """
 
     p: int
@@ -260,12 +270,14 @@ class QuotientGroup:
             raise CapExceededError(
                 f"the quotient has {cosets} cosets, above the listing limit {QUOTIENT_MAX_SCAN}"
             )
-        least: dict[int, int] = {}  # coset key -> least unit with that key
-        for k in range(1, p**level):
-            if len(least) == cosets:
-                break
-            if k % p:
-                least.setdefault(sub._key(k), k)
+        # every coset has its least member below step, so the scan ends there at the latest
+        d, step = sub._modulus
+        least: dict[int, int] = {}  # coset key (sub._key, inlined) -> least unit with that key
+        for k in range(1, step):
+            if k % p and (key := pow(k, d, step)) not in least:
+                least[key] = k
+                if len(least) == cosets:
+                    break
         return cls(p, level, sub, tuple(least.values()), {key: j for j, key in enumerate(least)})
 
     @property

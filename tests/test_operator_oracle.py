@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entry_values, functions, general_operators, window_basis
+from conftest import entry_values, functions, general_operators, sc, window_basis
 from padicmult import (
     ExactInt,
     TeichProduct,
@@ -124,6 +124,53 @@ def test_operators_agree_with_the_matrix_oracle(data):
     for exponent in range(4):
         matches(square.power(exponent), middle, middle, power)
         power = matrix_product(matrix(square), power, middle, middle, middle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_extended_composes_only_with_the_bases_that_grow(data):
+    sizes = st.integers(0, 5)
+    op = data.draw(operators(window_basis(data.draw(sizes)), window_basis(data.draw(sizes))))
+    dom, cod, a = op.domain, op.codomain, matrix(op)
+    extra = (WinZ(100), WinZ(101))
+    moved = extra[:1] + cod[::-1] + extra[1:]
+    assert op.extended() is op and op.extended(tuple(dom), tuple(cod)) is op
+    for domain, codomain in ((dom + extra, None), (None, moved), (dom + extra, moved)):
+        wider = op.extended(domain, codomain)
+        matches(wider, domain or dom, codomain or cod, a)
+        # a monomial stays one
+        assert (wider._rows is None) is (op._rows is None)
+
+
+def test_monomials_compare_their_weights_at_live_rows_only():
+    basis = window_basis(3)
+    size = len(basis)
+    cases = [
+        # equal rows, unequal weights
+        (TruncatedOp._monomial(basis, basis, (0, 1, 2), (ONE, ONE, sc(2))),
+         TruncatedOp._monomial(basis, basis, (0, 1, 2), (ONE, ONE, sc(3)))),
+        # equal rows, weights unequal only at the empty column, which is never read
+        (TruncatedOp._monomial(basis, basis, (0, size, 2), (ONE, sc(5), sc(2))),
+         TruncatedOp._monomial(basis, basis, (0, size, 2), (ONE, sc(7), sc(2)))),
+        # no weights against explicit ONEs
+        (TruncatedOp.identity(basis), TruncatedOp.diagonal(basis, lambda ix: 1)),
+        (TruncatedOp.identity(basis), TruncatedOp.diagonal(basis, lambda ix: 1 if ix != basis[1] else 2)),
+        # unequal rows
+        (TruncatedOp.identity(basis), TruncatedOp._monomial(basis, basis, (1, 0, 2))),
+    ]
+    # a monomial against a general operator with the same entries, and with one changed
+    for op in [pair[0] for pair in cases]:
+        entries = matrix(op)
+        cases.append((op, TruncatedOp(basis, basis, entries)))
+        cases.append((op, TruncatedOp(basis, basis, {**entries, (basis[0], basis[2]): 4})))
+    assert cases[-2][1]._rows is None
+    outcomes = []
+    for left, right in cases:
+        same = matrices_equal(matrix(left), matrix(right))
+        assert (left == right) is same and (right == left) is same
+        outcomes.append(same)
+    assert outcomes[:5] == [False, True, True, False, False]
+    assert outcomes[5:] == [True, False] * 5
 
 
 # --- the relation checks, evaluated densely ---------------------------------------

@@ -211,6 +211,15 @@ def test_newton_lift_matches_the_closed_form(p):
             assert teichmuller(p, i, precision) == closed
 
 
+@pytest.mark.parametrize("p", [3, 47])
+@pytest.mark.parametrize("precision", [65, 129, 257, 513, 1025])
+def test_teichmuller_just_past_a_power_of_two(p, precision):
+    # at 2^k + 1 the halving schedule is 2^k + 1, 2^(k-1) + 1, ..., 3, 2, 1, so each step
+    # starts from a root known to just over half its target
+    for i in (2, p - 1):
+        assert teichmuller(p, i, precision) == pow(i, p ** (precision - 1), p**precision)
+
+
 def test_teichmuller_at_high_precision():
     w = teichmuller(47, 2, 4000)
     assert w % 47 == 2

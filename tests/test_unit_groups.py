@@ -3,6 +3,7 @@ import pickle
 import random
 import time
 import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from padicmult import (
     find_primitive_root,
     group_size,
     is_in_subgroup,
+    orbit_decompose,
     quotient_group,
     subgroup,
     supernatural_order,
@@ -34,6 +36,7 @@ from padicmult.errors import (
     RootOfUnityError,
 )
 from padicmult.oracles import is_group_table, lagrange_order, power_walk
+from padicmult.padic import Multiplier
 from padicmult.unit_groups import QUOTIENT_MAX_COSETS, QUOTIENT_MAX_SCAN, CyclicSubgroup
 from padicmult.verify import Bounds, _pool
 
@@ -397,6 +400,77 @@ def test_the_coset_index_reuses_the_keys_of_the_scan(monkeypatch):
         assert quotient._index == expected
         assert [quotient.coset_index(rep) for rep in quotient.coset_reps] == list(range(quotient.order))
         assert calls == list(quotient.coset_reps)
+
+
+def _coset_oracle(p, level, r):
+    """The least unit of each coset of the powers of r in U_level, increasing, and
+    each unit's coset index, read from oracles.power_walk alone."""
+    modulus = p**level
+    members = power_walk(p, level, r)
+    reps, index = [], {}
+    for k in range(1, modulus):
+        if k % p and k not in index:
+            index.update(dict.fromkeys((k * h % modulus for h in members), len(reps)))
+            reps.append(k)
+    return reps, index, frozenset(members)
+
+
+def _check_against_the_coset_oracle(sub, r):
+    p, level, modulus = sub.p, sub.level, sub.p**sub.level
+    reps, index, members = _coset_oracle(p, level, r)
+    quotient = QuotientGroup.of(sub)
+    assert quotient.coset_reps == tuple(reps)
+    assert [quotient.section(j) for j in range(quotient.order)] == reps
+    for k, j in index.items():
+        assert quotient.coset_index(k) == j and quotient.coset_index(k - modulus) == j
+    assert [k in sub for k in range(1, modulus) if k % p] == [
+        k in members for k in range(1, modulus) if k % p
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_cosets_match_an_oracle_built_from_the_power_walk(p):
+    # every residue mod p (so every order d dividing p - 1, 1 and p - 1 among them),
+    # -1, and units 1 + p^j and 2 (1 + p^2) whose order gains factors of p at depth
+    pool = [*range(2, p), -1, 1 + p, 1 + p**2, 1 + p**3, 2 * (1 + p**2)]
+    orders = set()
+    for level in range(1, 5):
+        for r in pool:
+            sub = subgroup(p, level, r)
+            orders.add(gcd(sub.order, p - 1))
+            _check_against_the_coset_oracle(sub, r)
+    assert orders == {d for d in range(1, p) if (p - 1) % d == 0}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_case_two_cosets_match_the_oracle(p):
+    # orbit_decompose reads a root of unity's cosets mod p, from its classify order
+    for i in range(2, p):
+        for sign in (1, -1):
+            if (i, sign) == (p - 1, -1):
+                continue
+            m = Multiplier.of(TeichProduct(i, sign), p)
+            sub = CyclicSubgroup(p, 1, m.residue(1), classify(p, m).order)
+            _check_against_the_coset_oracle(sub, sign * i)
+            reps, index, _ = _coset_oracle(p, 1, sign * i)
+            for x in (1, 2, p - 1, 7 * p**2 + 3, -5):
+                if x % p:
+                    dec = orbit_decompose(p, TeichProduct(i, sign), x, precision=3)
+                    assert dec.coset_index == index[x % p]
+                    assert dec.section_value % p == reps[dec.coset_index]
+
+
+def test_a_quotient_past_the_scan_limit_is_refused_before_any_scan(monkeypatch):
+    # 1 + 3^13 at level 14 (d = 1) and -(1 + 3^13) at level 15 (d = 2) leave
+    # 2 * 3^12 and 3^12 cosets, both above the limit
+    subs = [subgroup(3, 14, 1 + 3**13), subgroup(3, 15, -(1 + 3**13))]
+    assert [gcd(sub.order, 2) for sub in subs] == [1, 2]
+    calls = []
+    monkeypatch.setattr(unit_groups, "pow", lambda *args: calls.append(args) or pow(*args), raising=False)
+    for sub in subs:
+        with pytest.raises(CapExceededError, match="listing limit"):
+            QuotientGroup.of(sub)
+    assert calls == []
 
 
 def _exact_valuation(p, x):

@@ -77,13 +77,15 @@ class LocallyConstantFn:
 
     def reduced(self) -> LocallyConstantFn:
         """Canonical form at the minimal level representing the same function."""
-        fn = self
-        while fn.level > 0:
-            size = self.p ** (fn.level - 1)
-            if any(fn.values[j] != fn.values[j % size] for j in range(len(fn.values))):
+        p, level, values = self.p, self.level, self.values
+        # a level drops when the values repeat their first p^(level-1) entries p times;
+        # the tuples compare in C, skipping identical entries
+        while level > 0:
+            head = values[: len(values) // p]
+            if values != head * p:
                 break
-            fn = LocallyConstantFn(self.p, fn.level - 1, fn.values[:size])
-        return fn
+            level, values = level - 1, head
+        return self if level == self.level else LocallyConstantFn(p, level, values)
 
     def _align(self, other: LocallyConstantFn) -> tuple[LocallyConstantFn, LocallyConstantFn]:
         if other.p != self.p:

@@ -214,10 +214,12 @@ class TruncatedOp:
     so no label is hashed again; ``restricted`` composes with the 0/1 map
     from the new domain, and ``extended`` only with those of the bases that
     grow.  ``entries``, the label-keyed ``{(row, col): entry}`` view, is
-    read-only and built on first read.  The constructor
-    ``TruncatedOp(domain, codomain, entries)`` converts each entry to a
-    ``Scalar``, drops the zeros and checks every label against both bases at
-    once; ``build`` is the same constructor.
+    read-only and built on first read; so are ``adjoint()`` and
+    ``range_fixed_points()``, each computed once per operator and kept with
+    it (the adjoint holds no link back, and no cached view is pickled).  The
+    constructor ``TruncatedOp(domain, codomain, entries)`` converts each
+    entry to a ``Scalar``, drops the zeros and checks every label against
+    both bases at once; ``build`` is the same constructor.
     """
 
     domain: _Basis
@@ -399,6 +401,12 @@ class TruncatedOp:
         return self.compose(other)
 
     def adjoint(self) -> TruncatedOp:
+        """The conjugate transpose, built on the first call and kept."""
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> TruncatedOp:
+        # not linked back to self, which would make a reference cycle
         rows, size = self._rows, len(self.codomain)
         if rows is not None:
             # each codomain row back to its column, or past the end to an empty one
@@ -494,8 +502,13 @@ class TruncatedOp:
 
         For the shift sections built here this is exactly the set of basis
         vectors whose adjoint image is not lost to the truncation edge.
+        Built on the first call and kept.
         """
-        return (self @ self.adjoint())._identity_columns()
+        return self._range_fixed_points
+
+    @cached_property
+    def _range_fixed_points(self) -> tuple[BasisIndex, ...]:
+        return (self @ self._adjoint)._identity_columns()
 
     def _identity_columns(self) -> tuple[BasisIndex, ...]:
         """Domain indices of a square operator whose column is their own unit vector."""

@@ -63,29 +63,29 @@ def rational_residue(value: int | Fraction, p: int, precision: int) -> int:
 def teichmuller(p: int, i: int, precision: int) -> int:
     """The unique (p-1)-st root of unity congruent to i mod p, mod p^precision.
 
-    Computed by Newton's iteration on x^(p-1) = 1 from x = i mod p, which
-    doubles the known digits per step (Hensel's lemma).  The steps climb the
-    halving schedule precision, ceil(precision/2), ceil(precision/4), ..., 1
-    from the bottom, so each starts from a root known to at least half its
-    target and none works past the precision asked for (von zur Gathen and
-    Gerhard, Modern Computer Algebra, section 9).  At a root known mod
-    p^(k/2), x is an inverse of x^(p-2) mod p^(k/2), so the step
-    x - (x^(p-1) - 1) * x / (p-1) is exact mod p^k with no inverse of x.  No
-    inverse of p - 1 is taken either: p^k = 1 + (p-1)(p^k - 1)/(p-1), so
-    1/(p-1) = -(p^k - 1)/(p-1) mod p^k, and the step is
-    x + (x^(p-1) - 1) * x * (p^k - 1)/(p-1).  It equals the closed form
-    i^(p^(precision-1)) mod p^precision, the limit of the contraction
-    a -> a^p.  Only the class of i mod p matters.
+    Computed by Newton's iteration on x^(p-1) = 1 from x = i mod p (Hensel's
+    lemma).  At a root known mod p^k, x is an inverse of x^(p-2) to that
+    precision, so the step x - (x^(p-1) - 1) * x / (p-1) needs no inverse of
+    x; writing x = w(1 + e) for the root w, it returns w(1 - (p/2) e^2 + O(e^3)),
+    which is exact mod p^(2k+1).  The steps climb the halving schedule
+    precision, floor(precision/2), floor(precision/4), ..., 1 from the bottom,
+    so each starts from a root known mod p^k for a target of at most 2k + 1
+    and none works past the precision asked for (von zur Gathen and Gerhard,
+    Modern Computer Algebra, section 9).  No inverse of p - 1 is taken either:
+    p^n = 1 + (p-1)(p^n - 1)/(p-1), so 1/(p-1) = -(p^n - 1)/(p-1) mod p^n at
+    the target n, and the step is x + (x^(p-1) - 1) * x * (p^n - 1)/(p-1).  It
+    equals the closed form i^(p^(precision-1)) mod p^precision, the limit of
+    the contraction a -> a^p.  Only the class of i mod p matters.
     """
     p = as_prime(p)
     if precision < 1:
         raise InsufficientPrecisionError("precision must be at least 1")
     if i % p == 0:
         raise NotAUnitError(f"{i} is not a unit mod {p}")
-    x, top = i % p, precision - 1
-    # ceil(precision / 2^j) = (top >> j) + 1, for j from top.bit_length() - 1 down to 0
-    for j in range(top.bit_length() - 1, -1, -1):
-        modulus = p ** ((top >> j) + 1)
+    x = i % p
+    # the targets precision >> j, for j from precision.bit_length() - 2 down to 0
+    for j in range(precision.bit_length() - 2, -1, -1):
+        modulus = p ** (precision >> j)
         x = (x + (pow(x, p - 1, modulus) - 1) * x * ((modulus - 1) // (p - 1))) % modulus
     return x
 

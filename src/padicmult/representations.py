@@ -122,13 +122,18 @@ def orbit_decompose(
 
 # A basis of up to BASIS_CACHE_LABELS labels is built once per size and shared, so
 # sections of one size compose on one basis object; a larger one is built on each
-# call and dies with its operators.  The limit is above every basis `verify` builds
-# (4,002 labels at `--window 2000`); a full cache of 32 bases holds at most ~24 MB.
+# call and dies with its operators.  Each representation's shift section shares the
+# gate, on the size of its codomain: it is built once per shape, with its adjoint and
+# range projection once read, and shared by every call of that shape.  The limit is
+# above every basis `verify` builds (4,002 labels at `--window 2000`).  A full cache of
+# 32 bases near the limit holds ~22 MB; 32 window shifts near it hold ~54 MB with their
+# bases, adjoints and range projections, ~139 MB once every label-keyed view is read.
 BASIS_CACHE_LABELS = 4096
 
 
 def _cached_up_to(size: Callable[..., int]):
-    """Memoise a basis builder on the calls whose `size(*args)` is at most BASIS_CACHE_LABELS."""
+    """Memoise a basis or shift builder on the calls whose `size(*args)` is at most
+    BASIS_CACHE_LABELS, in a bounded cache of 32 calls."""
 
     def decorate(build):
         cached = lru_cache(maxsize=32)(build)
@@ -174,6 +179,40 @@ def _section(domain: _Basis, codomain: _Basis, targets: Iterable[int]) -> Trunca
         raise BasisMismatchError("a shift section needs distinct targets inside its codomain")
     rows.extend([size] * (len(domain) - len(rows)))
     return TruncatedOp._monomial(domain, codomain, tuple(rows))
+
+
+# The representations' shift sections, keyed on integers and gated on their codomain.
+
+
+@_cached_up_to(lambda window: 2 * window + 2)
+def _window_section(window: int) -> TruncatedOp:
+    """The bilateral shift from the window {-K..K} into {-K..K+1}."""
+    domain = _window(-window, window)
+    # domain position n holds k = n - window, and k + 1 sits at codomain position n + 1
+    return _section(domain, _window(-window, window + 1), range(1, len(domain) + 1))
+
+
+@_cached_up_to(lambda n: n)
+def _cycle(n: int) -> TruncatedOp:
+    """The n-cycle k -> k + 1 mod n on l^2(Z/nZ)."""
+    basis = _cyclic(n)
+    return _section(basis, basis, (*range(1, n), 0))
+
+
+@_cached_up_to(lambda s, max_len: s ** (max_len + 1))
+def _digit_section(s: int, max_len: int) -> TruncatedOp:
+    """The digit shift from the words of length <= max_len into those of length <= max_len + 1."""
+    domain = _words(s, max_len)
+    # the word with key k is entry k, and its shift is the word with key s*k
+    return _section(domain, _words(s, max_len + 1), range(0, s * len(domain), s))
+
+
+@_cached_up_to(lambda s, cutoff: s * cutoff + 1)
+def _index_section(s: int, cutoff: int) -> TruncatedOp:
+    """The index shift l -> s*l from {0..cutoff} into {0..s*cutoff}."""
+    return _section(
+        _non_negative(cutoff + 1), _non_negative(s * cutoff + 1), range(0, s * (cutoff + 1), s)
+    )
 
 
 # --- window and cyclic representations ------------------------------------------
@@ -231,10 +270,8 @@ def build_orbit_rep(
         raise NotAUnitError("orbit representations need an invertible multiplier")
     if window < 0:
         raise DomainError("window must be non-negative")
-    domain = _window(-window, window)
-    # domain position n holds k = n - window, and k + 1 sits at codomain position n + 1
-    shift = _section(domain, _window(-window, window + 1), range(1, len(domain) + 1))
-    return shift, _orbit_diagonal(domain, m, x, f)
+    shift = _window_section(window)
+    return shift, _orbit_diagonal(shift.domain, m, x, f)
 
 
 def build_cyclic_rep(
@@ -249,10 +286,8 @@ def build_cyclic_rep(
     verdict = classify(m.p, m)
     if not isinstance(verdict, CaseII):
         raise DomainError("cyclic representations need a root-of-unity multiplier")
-    n = verdict.order
-    basis = _cyclic(n)
-    shift = _section(basis, basis, ((k + 1) % n for k in range(n)))
-    return shift, _orbit_diagonal(basis, m, x, f)
+    shift = _cycle(verdict.order)
+    return shift, _orbit_diagonal(shift.domain, m, x, f)
 
 
 # --- digit expansions and the valuation-case representation ----------------------
@@ -369,14 +404,12 @@ def build_digit_rep(
         raise ValuationMismatchError("multiplier valuation mismatch")
     rho, _ = _along(m, f)
     s = m.p**level
-    domain = _words(s, max_len)
-    # the word with key k is entry k, and its shift is the word with key s*k
-    size = len(domain)
-    shift = _section(domain, _words(s, max_len + 1), range(0, s * size, s))
+    shift = _digit_section(s, max_len)
+    domain = shift.domain
     # the word with key q*s + d prepends the digit d to the word with key q, so its
     # value is d + rho * value[q]: value[k] = k % s + rho * value[k // s]
     values = list(range(s))
-    for q in range(1, size // s):
+    for q in range(1, len(domain) // s):
         head = rho * values[q]
         values.extend(range(head, head + s))
     return shift, _ball_diagonal(domain, f, values)
@@ -394,9 +427,8 @@ def build_hs_rep(
         raise DomainError("cutoff must be non-negative")
     s = p**level
     _along(Multiplier.of(s, p), f)  # the shift multiplies by s, so f lies over p
-    domain = _non_negative(cutoff + 1)
-    shift = _section(domain, _non_negative(s * cutoff + 1), range(0, s * (cutoff + 1), s))
-    return shift, _index_diagonal(f, cutoff + 1)
+    shift = _index_section(s, cutoff)
+    return shift, _ball_diagonal(shift.domain, f, range(cutoff + 1))
 
 
 def _index_diagonal(f: LocallyConstantFn, size: int) -> TruncatedOp:
@@ -493,7 +525,8 @@ def check_covariance(
     """Exact check of shift . diag . shift* = diag_alpha on an interior.
 
     When no interior is given it defaults to the codomain indices on which
-    shift . shift* acts as the identity, intersected with diag_alpha's
+    shift . shift* acts as the identity (shift.range_fixed_points(), kept
+    with the shift as its adjoint is), intersected with diag_alpha's
     domain: on those indices the adjoint loses nothing to the truncation.
     The digit and index-shift sections lose nothing anywhere, so callers may
     pass the whole codomain explicitly.  The two sides are compared on the
@@ -503,12 +536,10 @@ def check_covariance(
     """
     if diag.domain != shift.domain or diag.codomain != shift.domain:
         raise BasisMismatchError("the middle diagonal must be square on the shift's domain")
-    adjoint = shift.adjoint()
-    lhs = shift @ diag @ adjoint
+    lhs = shift @ diag @ shift.adjoint()
     rhs_domain = diag_alpha.domain._pos
     if interior is None:
-        # shift.range_fixed_points(), on the adjoint already built
-        interior = [ix for ix in (shift @ adjoint)._identity_columns() if ix in rhs_domain]
+        interior = [ix for ix in shift.range_fixed_points() if ix in rhs_domain]
     elif not all(ix in rhs_domain for ix in interior):
         raise BasisMismatchError("compared index outside diag_alpha's domain")
     return lhs._agrees_at(diag_alpha.extended(lhs.domain, lhs.codomain), interior)

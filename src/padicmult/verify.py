@@ -73,12 +73,14 @@ from .unit_groups import (
 
 PRIMES = (3, 5, 7)
 
-# The largest sizes run_suites accepts, measured in-process on a 2-vCPU host.
-# max_level: at 6 the suites took reps 0.20-0.23 s, subgroups 0.07-0.11,
-# endos 0.03, digits 0.02, quotients and orders 0.01, and teich and ktheory
-# under 0.01; at 7 no suite took more than 0.3 s (reps), subgroups 0.13.
-# window: `--suite reps` grows linearly with it and took 8.8 s at 2000.
-# max_len: `--suite reps` took 4.2 s at 5, its word bases growing five-fold per
+# The largest sizes run_suites accepts, measured in-process on a 2-vCPU host,
+# each suite's first call after the import (seeds 0-2).
+# max_level: at 6 the suites took reps 0.085-0.10 s (0.07-0.08 s run again),
+# subgroups 0.06-0.07, endos and digits 0.01-0.03, quotients and orders
+# 0.01-0.02, and teich and ktheory under 0.01; at 7 no suite took more than
+# 0.11 s (reps), subgroups 0.04-0.07.
+# window: `--suite reps` grows linearly with it and took 0.5 s at 2000.
+# max_len: `--suite reps` took 5.3 s at 5, its word bases growing five-fold per
 # digit, and under 1 s at 3.
 MAX_LEVEL = 6
 MAX_WINDOW = 2000

@@ -107,6 +107,16 @@ def test_refined_and_reduced_are_inverse(f, extra):
     assert lifted.reduced().reduced() == lifted.reduced()
 
 
+def test_reduced_compares_equal_values_not_identical_ones():
+    # each value built on its own: the repeated blocks are equal but not the same objects
+    f = LocallyConstantFn(3, 3, tuple(sc(j % 3 + 10) for j in range(27)))
+    assert f.reduced() == LocallyConstantFn(3, 1, A)
+    # the level drops only while every block repeats the first
+    g = LocallyConstantFn(3, 2, (*A, *A, sc(10), sc(11), sc(13)))
+    assert g.reduced() is g
+    assert LocallyConstantFn(3, 2, (sc(4),) * 9).reduced() == LocallyConstantFn.constant(3, 4)
+
+
 def test_pointwise_arithmetic_aligns_levels():
     f = LocallyConstantFn(3, 1, A)
     g = LocallyConstantFn.constant(3, 2)

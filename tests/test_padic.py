@@ -214,10 +214,25 @@ def test_newton_lift_matches_the_closed_form(p):
 @pytest.mark.parametrize("p", [3, 47])
 @pytest.mark.parametrize("precision", [65, 129, 257, 513, 1025])
 def test_teichmuller_just_past_a_power_of_two(p, precision):
-    # at 2^k + 1 the halving schedule is 2^k + 1, 2^(k-1) + 1, ..., 3, 2, 1, so each step
-    # starts from a root known to just over half its target
+    # at 2^k + 1 the halving schedule is 2^k + 1, 2^(k-1), ..., 2, 1, so each step
+    # starts from a root known to just under half its target
     for i in (2, p - 1):
         assert teichmuller(p, i, precision) == pow(i, p ** (precision - 1), p**precision)
+
+
+@pytest.mark.parametrize("p", [3, 5, 47])
+@pytest.mark.parametrize(
+    "precision",
+    sorted({1, 2, 3, 4, 5, *(2**k for k in range(11)), *(2**k + 1 for k in range(11))}),
+)
+def test_teichmuller_on_the_floor_halving_schedule(p, precision):
+    # a step from a root known mod p^k is exact mod p^(2k+1), so precision, floor(precision/2),
+    # ..., 1 suffices: at 3 one step, at 2^k + 1 each step from just under half its target
+    modulus = p**precision
+    for i in (1, 2, p - 1, p + 2):
+        w = teichmuller(p, i, precision)
+        assert w == pow(i, p ** (precision - 1), modulus)
+        assert w == teichmuller_fixed_point(p, i, precision)
 
 
 def test_teichmuller_at_high_precision():

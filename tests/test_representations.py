@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -53,6 +54,7 @@ from padicmult.errors import (
     NotAUnitError,
     ValuationMismatchError,
 )
+from padicmult.oracles import matrices_equal, matrix_adjoint
 from padicmult.representations import BASIS_CACHE_LABELS
 from padicmult.scalars import ONE, ZERO
 
@@ -613,6 +615,97 @@ def test_large_bases_are_not_kept_after_their_operators():
         assert tracemalloc.get_traced_memory()[0] - baseline < 100_000
     finally:
         tracemalloc.stop()
+
+
+def test_each_shift_shape_is_built_once():
+    f = LocallyConstantFn.constant(3, 1)
+    g = LocallyConstantFn(5, 1, tuple(sc(j) for j in range(5)))
+    # the shift depends on the shape alone, not on the function, the point or the multiplier
+    assert build_orbit_rep(3, 2, 1, f, window=6)[0] is build_orbit_rep(5, 7, 4, g, window=6)[0]
+    assert (
+        build_cyclic_rep(5, TeichProduct(2), 1, g)[0]
+        is build_cyclic_rep(5, TeichProduct(3), 2, LocallyConstantFn.constant(5, 1))[0]
+    )
+    assert (
+        build_digit_rep(3, 1, ExactInt(6), f, max_len=2)[0]
+        is build_digit_rep(3, 1, ExactInt(-3), f, max_len=2)[0]
+    )
+    assert build_hs_rep(3, 1, f, cutoff=8)[0] is build_hs_rep(3, 1, f, cutoff=8)[0]
+    assert build_hs_rep(3, 2, f, cutoff=8)[0] is not build_hs_rep(3, 1, f, cutoff=8)[0]
+    # a shape whose codomain is above the gate is built on each call
+    big = BASIS_CACHE_LABELS // 2
+    first = build_orbit_rep(3, 2, 1, f, window=big)[0]
+    second = build_orbit_rep(3, 2, 1, f, window=big)[0]
+    assert first is not second and first == second
+
+
+def test_a_shared_shift_still_validates_every_call():
+    f = LocallyConstantFn.constant(3, 1)
+    build_orbit_rep(3, 2, 1, f, window=4)
+    with pytest.raises(DomainError):
+        build_orbit_rep(3, 2, 0, f, window=4)
+    with pytest.raises(NotAUnitError):
+        build_orbit_rep(3, 3, 1, f, window=4)
+    with pytest.raises(BasisMismatchError):
+        build_orbit_rep(3, 2, 1, LocallyConstantFn.constant(5, 1), window=4)
+    build_digit_rep(3, 1, ExactInt(6), f, max_len=2)
+    with pytest.raises(ValuationMismatchError):
+        build_digit_rep(3, 2, ExactInt(6), f, max_len=2)
+    with pytest.raises(BasisMismatchError):
+        build_digit_rep(3, 1, ExactInt(6), LocallyConstantFn.constant(5, 1), max_len=2)
+    build_hs_rep(3, 1, f, cutoff=8)
+    with pytest.raises(BasisMismatchError):
+        build_hs_rep(3, 1, LocallyConstantFn.constant(5, 1), cutoff=8)
+    with pytest.raises(DomainError):
+        build_cyclic_rep(3, 2, 1, f)
+
+
+def shift_sections():
+    f = LocallyConstantFn.constant(5, 1)
+    return [
+        build_orbit_rep(5, 7, 1, f, window=5)[0],
+        build_cyclic_rep(5, TeichProduct(2), 1, f)[0],
+        build_digit_rep(5, 1, ExactInt(10), f, max_len=2)[0],
+        build_hs_rep(5, 1, f, cutoff=7)[0],
+        window_shift(4),
+        intertwiner(5, 1, 10, max_len=2),
+    ]
+
+
+def test_adjoint_and_range_projection_are_kept_with_the_operator():
+    general = TruncatedOp.build(
+        (NonNeg(0), NonNeg(1)), (NonNeg(0), NonNeg(1), NonNeg(2)),
+        {(NonNeg(1), NonNeg(0)): sc(1, 2), (NonNeg(2), NonNeg(1)): 1, (NonNeg(0), NonNeg(1)): 3},
+    )
+    for shift in (*shift_sections(), general):
+        adjoint = shift.adjoint()
+        assert shift.adjoint() is adjoint
+        assert matrices_equal(dict(adjoint.entries), matrix_adjoint(dict(shift.entries)))
+        fixed = shift.range_fixed_points()
+        assert shift.range_fixed_points() is fixed
+        assert fixed == (shift @ shift.adjoint())._identity_columns()
+
+
+@pytest.mark.parametrize("how", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_shared_shift_pickles_after_its_adjoint_was_read(how):
+    for shift in shift_sections():
+        shift.adjoint(), shift.range_fixed_points(), shift.entries
+        twin = pickle.loads(pickle.dumps(shift, how))
+        assert twin == shift and twin is not shift
+        assert twin.adjoint() == shift.adjoint()
+        assert twin.range_fixed_points() == shift.range_fixed_points()
+
+
+def test_covariance_with_a_shift_from_the_constructor():
+    f = LocallyConstantFn(3, 1, A)
+    section, diag = build_orbit_rep(3, 2, 1, f, window=4)
+    _, diag_alpha = build_orbit_rep(3, 2, 1, alpha_endo(f, ExactInt(2)), window=4)
+    general = TruncatedOp(section.domain, section.codomain, dict(section.entries))
+    assert general._rows is None and general == section
+    assert check_covariance(general, diag, diag_alpha)
+    assert general.range_fixed_points() == section.range_fixed_points()
+    _, wrong = build_orbit_rep(3, 2, 1, f, window=4)
+    assert not check_covariance(general, diag, wrong)
 
 
 def test_window_shift_edges():

@@ -206,9 +206,11 @@ class TruncatedOp:
     general (``_rows`` is ``None``): the constructor, ``from_doc``, ``+``
     and ``scale`` build one column ``{row position: entry}`` per domain
     index, nonzero entries only, and ``compose`` with a general factor sums
-    products column by column.  A monomial builds these columns on first
-    read.  No column is changed once built, so operators share columns,
-    among them one empty column.
+    products column by column.  A monomial builds these columns only for
+    ``+``, ``scale`` and a ``compose`` or ``==`` with a general operator;
+    ``apply``, ``entries`` and ``to_doc`` read its row map and weights.  No
+    column is changed once built, so operators share columns, among them one
+    empty column.
 
     Operators built from others pass their bases on and work on positions,
     so no label is hashed again; ``restricted`` composes with the 0/1 map
@@ -267,6 +269,16 @@ class TruncatedOp:
         weights = self._weights or repeat(ONE)
         return tuple(_EMPTY if row == size else {row: s} for row, s in zip(self._rows, weights))
 
+    def _triplets(self) -> Iterable[tuple[int, int, Scalar]]:
+        """(row, column, entry) at every nonzero entry, column by column; a monomial's
+        are read off its row map, so its columns are not built."""
+        if self._rows is None:
+            cols = self._cols
+            return ((row, col, s) for col, column in enumerate(cols) for row, s in column.items())
+        size, weights = len(self.codomain), self._weights or repeat(ONE)
+        pairs = enumerate(zip(self._rows, weights))
+        return ((row, col, s) for col, (row, s) in pairs if row != size)
+
     def _weights_at(self, places: Sequence[int]) -> tuple[Scalar, ...]:
         """A monomial's weights at the given domain positions."""
         return (ONE,) * len(places) if self._weights is None else _gather(self._weights, places)
@@ -292,11 +304,8 @@ class TruncatedOp:
     @cached_property
     def entries(self) -> Mapping[tuple[BasisIndex, BasisIndex], Scalar]:
         domain, codomain = self.domain, self.codomain
-        return MappingProxyType({
-            (codomain[row], domain[col]): s
-            for col, column in enumerate(self._cols)
-            for row, s in column.items()
-        })
+        entries = {(codomain[row], domain[col]): s for row, col, s in self._triplets()}
+        return MappingProxyType(entries)
 
     @classmethod
     def build(
@@ -359,8 +368,13 @@ class TruncatedOp:
         position = self.domain._pos.get(index)
         if position is None:
             raise BasisMismatchError(f"{label(index)} is not a domain index")
-        codomain = self.codomain
-        return {codomain[row]: s for row, s in self._cols[position].items()}
+        codomain, rows = self.codomain, self._rows
+        if rows is None:
+            return {codomain[row]: s for row, s in self._cols[position].items()}
+        row = rows[position]
+        if row == len(codomain):
+            return {}
+        return {codomain[row]: ONE if self._weights is None else self._weights[position]}
 
     def _agrees_at(self, other: TruncatedOp, indices: Iterable[BasisIndex]) -> bool:
         """Whether self and other, of one shape, have equal columns at the given domain indices."""
@@ -525,9 +539,7 @@ class TruncatedOp:
 
     def to_doc(self) -> dict:
         domain, codomain = self.domain, self.codomain
-        triplets = sorted(
-            (row, col, s) for col, column in enumerate(self._cols) for row, s in column.items()
-        )
+        triplets = sorted(self._triplets())
         return {
             "domain": [label(ix) for ix in domain],
             "codomain": [label(ix) for ix in codomain],

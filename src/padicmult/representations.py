@@ -127,7 +127,7 @@ def orbit_decompose(
 # range projection once read, and shared by every call of that shape.  The limit is
 # above every basis `verify` builds (4,002 labels at `--window 2000`).  A full cache of
 # 32 bases near the limit holds ~22 MB; 32 window shifts near it hold ~54 MB with their
-# bases, adjoints and range projections, ~139 MB once every label-keyed view is read.
+# bases, adjoints and range projections, ~75 MB once every label-keyed view is read.
 BASIS_CACHE_LABELS = 4096
 
 
@@ -151,11 +151,6 @@ def _cached_up_to(size: Callable[..., int]):
 def _window(lo: int, hi: int) -> _Basis:
     """The window {lo..hi} of the bilateral basis."""
     return _Basis(WinZ(k) for k in range(lo, hi + 1))
-
-
-@_cached_up_to(lambda n: n)
-def _cyclic(n: int) -> _Basis:
-    return _Basis(Cyc(k, n) for k in range(n))
 
 
 @_cached_up_to(lambda size: size)
@@ -195,7 +190,7 @@ def _window_section(window: int) -> TruncatedOp:
 @_cached_up_to(lambda n: n)
 def _cycle(n: int) -> TruncatedOp:
     """The n-cycle k -> k + 1 mod n on l^2(Z/nZ)."""
-    basis = _cyclic(n)
+    basis = _Basis(Cyc(k, n) for k in range(n))
     return _section(basis, basis, (*range(1, n), 0))
 
 

@@ -1,6 +1,13 @@
 """Named property suites: every algebraic law the library promises, checked
 with exact arithmetic against the independent `oracles` where one exists.
 
+A suite is a generator that yields `(property, ok, detail)` once per check,
+declared by `@suite(name, *properties)`.  The decorator lists the properties
+in report order, tallies the checks into one `PropertyResult` each (a property
+that made no check keeps its row; a check under an undeclared name raises) and
+registers the suite in `SUITES`.  A property is one name in the decorator and
+one `yield` per check.
+
 The suites power the `verify` CLI command and the acceptance tests.  All
 randomness is drawn from per-property seeded generators, so identical bounds
 and seed give byte-identical reports.
@@ -10,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 
 from .classification import CaseII, classify, h_contains, HSubgroup, supernatural_order
 from . import oracles
@@ -94,7 +102,9 @@ SYMBOL_SAMPLES = 50
 
 @dataclass
 class Bounds:
-    """Knobs for the property suites; the defaults finish in seconds."""
+    """What one run of the suites reads: four sizes, each capped by run_suites, the
+    seed of every draw, and the optional pins of the digits suite (`p`, `r`) and
+    of every sampled function (`function`)."""
 
     max_p: int = 7
     max_level: int = 5
@@ -177,45 +187,61 @@ def _function(bounds: Bounds, rng: random.Random, p: int) -> LocallyConstantFn |
 
 # --- suites ----------------------------------------------------------------------
 
+# one check: (property, whether it held, failure detail)
+Checks = Iterator[tuple[str, bool, str]]
 
-def suite_orders(bounds: Bounds) -> list[PropertyResult]:
-    agree = PropertyResult("orders", "fast-path-matches-oracle")
-    double = PropertyResult("orders", "order-doubling-past-threshold")
-    thresh = PropertyResult("orders", "threshold-matches-oracle")
-    divides = PropertyResult("orders", "orders-divide-upward")
+SUITES: dict[str, Callable[[Bounds], list[PropertyResult]]] = {}
+
+
+def suite(name: str, *properties: str):
+    """Declare a suite from a generator of checks, and register it in SUITES.
+
+    The suite becomes `bounds -> list[PropertyResult]`: one row per declared
+    property, in the declared order, a property that made no check included.
+    A check under an undeclared property raises KeyError.
+    """
+
+    def register(checks: Callable[[Bounds], Checks]) -> Callable[[Bounds], list[PropertyResult]]:
+        @wraps(checks)
+        def run(bounds: Bounds) -> list[PropertyResult]:
+            results = {prop: PropertyResult(name, prop) for prop in properties}
+            for prop, ok, detail in checks(bounds):
+                results[prop].check(ok, detail)
+            return list(results.values())
+
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+@suite("orders", "fast-path-matches-oracle", "threshold-matches-oracle",
+       "order-doubling-past-threshold", "orders-divide-upward")
+def suite_orders(bounds: Bounds) -> Checks:
     top = bounds.max_level + 1
     for p, r in _pool(bounds):
         oracle = {level: oracles.lagrange_order(p, level, r) for level in range(1, top + 1)}
         for level in range(1, top + 1):
-            agree.check(
-                unit_order(p, level, r) == oracle[level],
-                f"unit_order({p},{level},{r}) != oracle",
-            )
+            yield ("fast-path-matches-oracle", unit_order(p, level, r) == oracle[level],
+                   f"unit_order({p},{level},{r}) != oracle")
         threshold = find_nr(p, r)
         # the walk ends: a pool multiplier is an integer in 2..p^2, never +-1
         oracle_threshold = next(
             m for m in itertools.count(1) if oracles.lagrange_order(p, m, r) % p == 0
         )
-        thresh.check(
-            threshold == oracle_threshold, f"threshold mismatch for p={p}, r={r}"
-        )
+        yield ("threshold-matches-oracle", threshold == oracle_threshold,
+               f"threshold mismatch for p={p}, r={r}")
         for level in range(threshold, top):
-            double.check(
-                oracle[level + 1] == p * oracle[level],
-                f"doubling fails at p={p}, r={r}, level={level}",
-            )
+            yield ("order-doubling-past-threshold", oracle[level + 1] == p * oracle[level],
+                   f"doubling fails at p={p}, r={r}, level={level}")
         for level in range(1, top):
-            divides.check(
-                oracle[level + 1] % oracle[level] == 0,
-                f"divisibility fails at p={p}, r={r}, level={level}",
-            )
-    return [agree, thresh, double, divides]
+            yield ("orders-divide-upward", oracle[level + 1] % oracle[level] == 0,
+                   f"divisibility fails at p={p}, r={r}, level={level}")
 
 
-def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
-    lifting = PropertyResult("subgroups", "lifting-by-exhaustion")
-    sizes = PropertyResult("subgroups", "subgroup-order-divides-group")
-    roots = PropertyResult("subgroups", "primitive-root-lifting")
+@suite("subgroups", "lifting-by-exhaustion", "subgroup-order-divides-group",
+       "primitive-root-lifting")
+def suite_subgroups(bounds: Bounds) -> Checks:
     top = min(bounds.max_level, 4)
     for p, r in _pool(bounds):
         threshold = find_nr(p, r)
@@ -229,62 +255,51 @@ def suite_subgroups(bounds: Bounds) -> list[PropertyResult]:
             # the preimage of low mod p^(level + 1), built in increasing order
             modulus = p**level
             lifted = tuple([x + j for j in range(0, p * modulus, modulus) for x in low.elements])
-            lifting.check(
-                high.elements == lifted, f"lift mismatch at p={p}, r={r}, level={level}"
-            )
+            yield ("lifting-by-exhaustion", high.elements == lifted,
+                   f"lift mismatch at p={p}, r={r}, level={level}")
         for level, sub in enumerate(subs[:top], start=1):
-            sizes.check(
-                sub.elements == oracles.power_walk(p, level, r)
-                and len(sub.elements) == sub.order
-                and group_size(p, level) % sub.order == 0,
-                f"order bookkeeping broken at p={p}, r={r}, level={level}",
-            )
+            yield ("subgroup-order-divides-group",
+                   sub.elements == oracles.power_walk(p, level, r)
+                   and len(sub.elements) == sub.order
+                   and group_size(p, level) % sub.order == 0,
+                   f"order bookkeeping broken at p={p}, r={r}, level={level}")
     for p in _primes(bounds):
         a = find_primitive_root(p, 1)
-        lifts = {a, a + p}
-        roots.check(
-            any(unit_order(p, 2, b) == group_size(p, 2) for b in lifts),
-            f"neither {a} nor {a + p} generates level 2 for p={p}",
-        )
+        yield ("primitive-root-lifting",
+               any(unit_order(p, 2, b) == group_size(p, 2) for b in {a, a + p}),
+               f"neither {a} nor {a + p} generates level 2 for p={p}")
         b = find_primitive_root(p, 2)
         for level in range(2, bounds.max_level + 1):
-            roots.check(
-                unit_order(p, level, b) == group_size(p, level),
-                f"level-2 generator stops generating at level {level} for p={p}",
-            )
-    return [lifting, sizes, roots]
+            yield ("primitive-root-lifting", unit_order(p, level, b) == group_size(p, level),
+                   f"level-2 generator stops generating at level {level} for p={p}")
 
 
-def suite_quotients(bounds: Bounds) -> list[PropertyResult]:
-    stable = PropertyResult("quotients", "index-stable-past-threshold")
-    spot = PropertyResult("quotients", "spot-quotient-orders")
-    axioms = PropertyResult("quotients", "table-satisfies-group-axioms")
+@suite("quotients", "index-stable-past-threshold", "spot-quotient-orders",
+       "table-satisfies-group-axioms")
+def suite_quotients(bounds: Bounds) -> Checks:
     for p, r in _pool(bounds):
         threshold = find_nr(p, r)
         indexes = {
             group_size(p, level) // unit_order(p, level, r)
             for level in range(threshold, max(threshold, bounds.max_level) + 2)
         }
-        stable.check(len(indexes) == 1, f"index drifts for p={p}, r={r}: {sorted(indexes)}")
+        yield ("index-stable-past-threshold", len(indexes) == 1,
+               f"index drifts for p={p}, r={r}: {sorted(indexes)}")
         quotient = quotient_group(p, r)
-        stable.check(
-            quotient.order * quotient.subgroup.order == group_size(p, quotient.level),
-            f"coset count mismatch for p={p}, r={r}",
-        )
-        axioms.check(
-            oracles.is_group_table(quotient.table) and quotient.coset_reps[0] == 1,
-            f"table axioms fail for p={p}, r={r}",
-        )
+        yield ("index-stable-past-threshold",
+               quotient.order * quotient.subgroup.order == group_size(p, quotient.level),
+               f"coset count mismatch for p={p}, r={r}")
+        yield ("table-satisfies-group-axioms",
+               oracles.is_group_table(quotient.table) and quotient.coset_reps[0] == 1,
+               f"table axioms fail for p={p}, r={r}")
     for p, r, order in _within(bounds, ((3, 2, 1), (5, 7, 5), (5, 2, 1))):
-        spot.check(quotient_group(p, r).order == order, f"quotient order at ({p}, {r})")
-    return [stable, spot, axioms]
+        yield ("spot-quotient-orders", quotient_group(p, r).order == order,
+               f"quotient order at ({p}, {r})")
 
 
-def suite_teich(bounds: Bounds) -> list[PropertyResult]:
-    agree = PropertyResult("teich", "closed-form-matches-fixed-point-oracle")
-    laws = PropertyResult("teich", "root-of-unity-laws")
-    compat = PropertyResult("teich", "reduction-compatibility")
-    distinct = PropertyResult("teich", "distinct-mod-p")
+@suite("teich", "closed-form-matches-fixed-point-oracle", "root-of-unity-laws",
+       "reduction-compatibility", "distinct-mod-p")
+def suite_teich(bounds: Bounds) -> Checks:
     for p in _primes(bounds):
         for precision in range(1, bounds.max_level + 1):
             modulus = p**precision
@@ -292,29 +307,20 @@ def suite_teich(bounds: Bounds) -> list[PropertyResult]:
             for i in range(1, p):
                 w = teichmuller(p, i, precision)
                 lifts[i] = w
-                agree.check(
-                    w == oracles.teichmuller_fixed_point(p, i, precision)
-                    and w == pow(i, p ** (precision - 1), modulus),
-                    f"oracle mismatch at p={p}, i={i}, precision={precision}",
-                )
-                laws.check(
-                    pow(w, p - 1, modulus) == 1 and w % p == i and pow(w, p, modulus) == w,
-                    f"root laws fail at p={p}, i={i}, precision={precision}",
-                )
+                yield ("closed-form-matches-fixed-point-oracle",
+                       w == oracles.teichmuller_fixed_point(p, i, precision)
+                       and w == pow(i, p ** (precision - 1), modulus),
+                       f"oracle mismatch at p={p}, i={i}, precision={precision}")
+                yield ("root-of-unity-laws",
+                       pow(w, p - 1, modulus) == 1 and w % p == i and pow(w, p, modulus) == w,
+                       f"root laws fail at p={p}, i={i}, precision={precision}")
                 for lower in range(1, precision + 1):
-                    compat.check(
-                        w % p**lower == teichmuller(p, i, lower),
-                        f"reduction breaks at p={p}, i={i}, {precision}->{lower}",
-                    )
-            laws.check(
-                lifts[p - 1] == modulus - 1,
-                f"lift of p-1 is not -1 at p={p}, precision={precision}",
-            )
-            distinct.check(
-                len({w % p for w in lifts.values()}) == p - 1,
-                f"collision mod p at p={p}, precision={precision}",
-            )
-    return [agree, laws, compat, distinct]
+                    yield ("reduction-compatibility", w % p**lower == teichmuller(p, i, lower),
+                           f"reduction breaks at p={p}, i={i}, {precision}->{lower}")
+            yield ("root-of-unity-laws", lifts[p - 1] == modulus - 1,
+                   f"lift of p-1 is not -1 at p={p}, precision={precision}")
+            yield ("distinct-mod-p", len({w % p for w in lifts.values()}) == p - 1,
+                   f"collision mod p at p={p}, precision={precision}")
 
 
 ENDO_CONFIGS = (
@@ -330,9 +336,8 @@ ENDO_CONFIGS = (
 )
 
 
-def suite_endos(bounds: Bounds) -> list[PropertyResult]:
-    section = PropertyResult("endos", "beta-after-alpha-is-identity")
-    inverse = PropertyResult("endos", "alpha-after-beta-is-identity-for-units")
+@suite("endos", "beta-after-alpha-is-identity", "alpha-after-beta-is-identity-for-units")
+def suite_endos(bounds: Bounds) -> Checks:
     rng = _rng(bounds, "endos")
     configs = _within(bounds, ENDO_CONFIGS)
     for sample in range(ENDO_SAMPLES):
@@ -341,31 +346,30 @@ def suite_endos(bounds: Bounds) -> list[PropertyResult]:
             continue
         level_r = multiplier_valuation(spec, p)
         back = beta_endo(alpha_endo(f, spec), spec)
-        section.check(
-            back.values == f.refined(f.level + level_r).values and same_function(back, f),
-            f"beta(alpha(f)) != f for p={p}, r={spec}",
-        )
+        yield ("beta-after-alpha-is-identity",
+               back.values == f.refined(f.level + level_r).values and same_function(back, f),
+               f"beta(alpha(f)) != f for p={p}, r={spec}")
         if level_r == 0:
-            forth = alpha_endo(beta_endo(f, spec), spec)
-            inverse.check(
-                forth.values == f.values,
-                f"alpha(beta(f)) != f for p={p}, r={spec}",
-            )
-    return [section, inverse]
+            yield ("alpha-after-beta-is-identity-for-units",
+                   alpha_endo(beta_endo(f, spec), spec).values == f.values,
+                   f"alpha(beta(f)) != f for p={p}, r={spec}")
 
 
-def suite_reps(bounds: Bounds) -> list[PropertyResult]:
-    results = []
-    results.extend(_reps_covariance(bounds))
-    results.extend(_reps_unitarity(bounds))
-    results.append(_reps_periodicity(bounds))
-    results.append(_reps_matrix_units(bounds))
-    results.extend(_reps_symbols(bounds))
-    results.append(_reps_decompose(bounds))
-    return results
+@suite("reps", "covariance-orbit-window", "covariance-cyclic", "covariance-digit-words",
+       "covariance-index-shift", "shift-sections-are-isometries", "cyclic-shift-is-unitary",
+       "orbit-diagonal-period-is-subgroup-order", "matrix-unit-form-of-the-shift",
+       "symbol-vanishes-iff-coefficients-do", "symbol-of-product-is-product-of-symbols",
+       "orbit-decomposition-roundtrip")
+def suite_reps(bounds: Bounds) -> Checks:
+    yield from _reps_covariance(bounds)
+    yield from _reps_unitarity(bounds)
+    yield from _reps_periodicity(bounds)
+    yield from _reps_matrix_units(bounds)
+    yield from _reps_symbols(bounds)
+    yield from _reps_decompose(bounds)
 
 
-def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
+def _reps_covariance(bounds: Bounds) -> Checks:
     # each builder gives the shift, the diagonals of f and of alpha(f), and the interior
     def orbit(p, spec, x, f):
         shift, diag = build_orbit_rep(p, spec, x, f, window=bounds.window)
@@ -393,18 +397,14 @@ def _reps_covariance(bounds: Bounds) -> list[PropertyResult]:
         ("covariance-digit-words", digit, [(3, ExactInt(6), 1), (5, ExactInt(10), 1)], "digit"),
         ("covariance-index-shift", index, [(3, 1), (5, 1), (3, 2)], "index-shift"),
     )
-    results = [PropertyResult("reps", name) for name, *_ in table]
     rng = _rng(bounds, "covariance")
     for sample in range(COVARIANCE_SAMPLES):
-        for result, (_, build, configs, kind) in zip(results, table):
+        for prop, build, configs, kind in table:
             config = configs[sample % len(configs)]
             if (f := _function(bounds, rng, config[0])) is not None:
                 where = f"p={config[0]}, {'level' if build is index else 'r'}={config[1]}"
-                result.check(
-                    check_covariance(*build(*config, f)),
-                    f"{kind} covariance fails at {where}, sample={sample}",
-                )
-    return results
+                yield (prop, check_covariance(*build(*config, f)),
+                       f"{kind} covariance fails at {where}, sample={sample}")
 
 
 def _isometric(op: TruncatedOp) -> bool:
@@ -412,62 +412,47 @@ def _isometric(op: TruncatedOp) -> bool:
     return op.adjoint() @ op == TruncatedOp.identity(op.domain)
 
 
-def _reps_unitarity(bounds: Bounds) -> list[PropertyResult]:
-    isometry = PropertyResult("reps", "shift-sections-are-isometries")
-    unitary = PropertyResult("reps", "cyclic-shift-is-unitary")
+def _reps_unitarity(bounds: Bounds) -> Checks:
+    isometry = "shift-sections-are-isometries"
     constant = LocallyConstantFn.constant
     for p, spec, x in _within(bounds, ((3, ExactInt(2), 1), (5, ExactInt(7), 1))):
         shift, _ = build_orbit_rep(p, spec, x, constant(p, 1), window=bounds.window)
-        isometry.check(_isometric(shift), f"orbit shift not isometric at p={p}")
-        fixed = shift.range_fixed_points()
-        isometry.check(
-            set(fixed) == {WinZ(k) for k in range(-bounds.window + 1, bounds.window + 2)},
-            f"range projection has the wrong fixed set at p={p}",
-        )
+        yield isometry, _isometric(shift), f"orbit shift not isometric at p={p}"
+        fixed = {WinZ(k) for k in range(-bounds.window + 1, bounds.window + 2)}
+        yield (isometry, set(shift.range_fixed_points()) == fixed,
+               f"range projection has the wrong fixed set at p={p}")
     for p, level in _within(bounds, ((3, 1), (5, 1))):
         shift, _ = build_hs_rep(p, level, constant(p, 1), cutoff=20)
-        isometry.check(_isometric(shift), f"index shift not isometric at p={p}")
+        yield isometry, _isometric(shift), f"index shift not isometric at p={p}"
         word_shift, _ = build_digit_rep(p, level, ExactInt(2 * p**level), constant(p, 1), 3)
-        isometry.check(_isometric(word_shift), f"digit shift not isometric at p={p}")
+        yield isometry, _isometric(word_shift), f"digit shift not isometric at p={p}"
     for p, spec in _within(bounds, ((5, TeichProduct(2)), (7, TeichProduct(3)))):
         shift, _ = build_cyclic_rep(p, spec, 1, constant(p, 1))
-        unitary.check(
-            _isometric(shift) and _isometric(shift.adjoint()), f"cyclic shift not unitary at p={p}"
-        )
-    return [isometry, unitary]
+        yield ("cyclic-shift-is-unitary", _isometric(shift) and _isometric(shift.adjoint()),
+               f"cyclic shift not unitary at p={p}")
 
 
-def _reps_periodicity(bounds: Bounds) -> PropertyResult:
-    period = PropertyResult("reps", "orbit-diagonal-period-is-subgroup-order")
+def _reps_periodicity(bounds: Bounds) -> Checks:
     window = 24
     for p, r, level in _within(bounds, ((5, 7, 1), (5, 7, 2), (5, 7, 3))):
         f = LocallyConstantFn(p, level, tuple(Scalar.of(j) for j in range(p**level)))
         _, diag = build_orbit_rep(p, ExactInt(r), 1, f, window=window)
         sequence = {ix.k: diag.apply(ix).get(ix, Scalar()) for ix in diag.domain}
         d = unit_order(p, level, r)
-        repeats = all(
-            sequence[k + d] == sequence[k] for k in range(-window, window - d + 1)
-        )
+        repeats = all(sequence[k + d] == sequence[k] for k in range(-window, window - d + 1))
         minimal = all(
-            any(
-                sequence[k + e] != sequence[k]
-                for k in range(-window, window - e + 1)
-            )
+            any(sequence[k + e] != sequence[k] for k in range(-window, window - e + 1))
             for e in range(1, d)
             if d % e == 0
         )
-        period.check(
-            repeats and minimal and d <= window,
-            f"period at level {level} is not {d}",
-        )
-    return period
+        yield ("orbit-diagonal-period-is-subgroup-order", repeats and minimal and d <= window,
+               f"period at level {level} is not {d}")
 
 
-def _reps_matrix_units(bounds: Bounds) -> PropertyResult:
-    units = PropertyResult("reps", "matrix-unit-form-of-the-shift")
+def _reps_matrix_units(bounds: Bounds) -> Checks:
     for p, spec in _within(bounds, ((5, TeichProduct(2)), (7, TeichProduct(3)))):
-        units.check(check_matrix_units(p, spec), f"matrix-unit identity fails at p={p}")
-    return units
+        yield ("matrix-unit-form-of-the-shift", check_matrix_units(p, spec),
+               f"matrix-unit identity fails at p={p}")
 
 
 def _random_presentation(rng: random.Random, p: int, vanish: bool) -> list:
@@ -483,9 +468,8 @@ def _random_presentation(rng: random.Random, p: int, vanish: bool) -> list:
     return terms
 
 
-def _reps_symbols(bounds: Bounds) -> list[PropertyResult]:
-    membership = PropertyResult("reps", "symbol-vanishes-iff-coefficients-do")
-    multiplicative = PropertyResult("reps", "symbol-of-product-is-product-of-symbols")
+def _reps_symbols(bounds: Bounds) -> Checks:
+    membership = "symbol-vanishes-iff-coefficients-do"
     rng = _rng(bounds, "symbols")
     for p, spec in _within(bounds, ((3, ExactInt(2)),)):
         for sample in range(SYMBOL_SAMPLES):
@@ -493,35 +477,24 @@ def _reps_symbols(bounds: Bounds) -> list[PropertyResult]:
             terms = _random_presentation(rng, p, vanish)
             symbol = pi0_symbol(terms)
             expected = oracles.coefficients_vanish(terms)
-            membership.check(
-                symbol_vanishes(symbol) == expected,
-                f"membership mismatch at sample {sample}",
-            )
+            yield (membership, symbol_vanishes(symbol) == expected,
+                   f"membership mismatch at sample {sample}")
             other = _random_presentation(rng, p, vanish=False)
             product_symbol = pi0_symbol(present_product(terms, other, p, spec))
-            multiplicative.check(
-                product_symbol == symbol_product(symbol, pi0_symbol(other)),
-                f"symbol product mismatch at sample {sample}",
-            )
+            yield ("symbol-of-product-is-product-of-symbols",
+                   product_symbol == symbol_product(symbol, pi0_symbol(other)),
+                   f"symbol product mismatch at sample {sample}")
             if expected:
                 # folding frequencies cannot resurrect an element of the ideal
                 folded = pi0_symbol(terms, modulus=4)
-                membership.check(
-                    len(folded) == 4 and symbol_vanishes(folded),
-                    f"folded symbol of an ideal element does not vanish at sample {sample}",
-                )
-    return [membership, multiplicative]
+                yield (membership, len(folded) == 4 and symbol_vanishes(folded),
+                       f"folded symbol of an ideal element does not vanish at sample {sample}")
 
 
-def _reps_decompose(bounds: Bounds) -> PropertyResult:
-    roundtrip = PropertyResult("reps", "orbit-decomposition-roundtrip")
+def _reps_decompose(bounds: Bounds) -> Checks:
+    roundtrip = "orbit-decomposition-roundtrip"
     rng = _rng(bounds, "decompose")
-    configs = [
-        (3, ExactInt(2)),
-        (5, ExactInt(7)),
-        (5, TeichProduct(2)),
-        (7, TeichProduct(3, -1)),
-    ]
+    configs = [(3, ExactInt(2)), (5, ExactInt(7)), (5, TeichProduct(2)), (7, TeichProduct(3, -1))]
     precision = 5
     for sample in range(60):
         p, spec = configs[sample % len(configs)]
@@ -530,28 +503,25 @@ def _reps_decompose(bounds: Bounds) -> PropertyResult:
         x = rng.randint(1, 5000) * rng.choice((1, -1))
         dec = orbit_decompose(p, spec, x, precision=precision)
         modulus = p ** (dec.p_exponent + precision)
-        roundtrip.check(
-            dec.recompose(spec) % modulus == x % modulus,
-            f"recomposition mismatch for p={p}, r={spec}, x={x}",
-        )
+        yield (roundtrip, dec.recompose(spec) % modulus == x % modulus,
+               f"recomposition mismatch for p={p}, r={spec}, x={x}")
         if dec.case == "I":
             # the Case I configs are exact integers
             ok = all(
                 dec.tail % p**m in oracles.power_walk(p, m, spec.n)
                 for m in range(1, min(precision, 4) + 1)
             )
-            roundtrip.check(ok, f"tail escapes the subgroup tower for p={p}, x={x}")
+            yield roundtrip, ok, f"tail escapes the subgroup tower for p={p}, x={x}"
         else:
-            roundtrip.check(dec.tail % p == 1, f"tail not 1 mod p for p={p}, x={x}")
-    return roundtrip
+            yield roundtrip, dec.tail % p == 1, f"tail not 1 mod p for p={p}, x={x}"
 
 
-def suite_digits(bounds: Bounds) -> list[PropertyResult]:
-    bijection = PropertyResult("digits", "words-biject-onto-residues")
-    grading = PropertyResult("digits", "digit-shift-raises-kappa")
-    partial = PropertyResult("digits", "partial-sums-match-mod-powers")
-    intertwine = PropertyResult("digits", "index-shift-conjugates-to-digit-shift")
-    diagonal = PropertyResult("digits", "conjugated-diagonal-matches-composition")
+@suite("digits", "words-biject-onto-residues", "digit-shift-raises-kappa",
+       "partial-sums-match-mod-powers", "index-shift-conjugates-to-digit-shift",
+       "conjugated-diagonal-matches-composition")
+def suite_digits(bounds: Bounds) -> Checks:
+    bijection = "words-biject-onto-residues"
+    intertwine = "index-shift-conjugates-to-digit-shift"
     rng = _rng(bounds, "digits")
     if bounds.p is not None:  # run_suites checked the pin
         configs = [(bounds.p, as_multiplier(bounds.r).n)]
@@ -567,21 +537,15 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
                 sum(d * r**i for i, d in enumerate(word)) % modulus
                 for word in itertools.product(range(s), repeat=n)
             }
-            bijection.check(
-                len(values) == modulus,
-                f"length-{n} words miss residues for p={p}, r={r}",
-            )
+            yield (bijection, len(values) == modulus,
+                   f"length-{n} words miss residues for p={p}, r={r}")
         for word in canonical_words(s, max_len):
             expansion = digit_expand(p, level, r, word_value(word, r), max_len)
-            bijection.check(
-                expansion.exact and expansion.word == word,
-                f"expansion does not invert the value map at {word}",
-            )
+            yield (bijection, expansion.exact and expansion.word == word,
+                   f"expansion does not invert the value map at {word}")
             if not word.is_zero():
-                grading.check(
-                    kappa(shift_word(word)) == kappa(word) + 1,
-                    f"grading fails at {word}",
-                )
+                yield ("digit-shift-raises-kappa", kappa(shift_word(word)) == kappa(word) + 1,
+                       f"grading fails at {word}")
         for _ in range(20):
             x = rng.randint(0, 10**6)
             expansion = digit_expand(p, level, r, x, max_len)
@@ -591,72 +555,60 @@ def suite_digits(bounds: Bounds) -> list[PropertyResult]:
                 == x % p ** (n * level)
                 for n in range(1, len(digits) + 1)
             )
-            partial.check(ok, f"partial sums drift for p={p}, r={r}, x={x}")
+            yield ("partial-sums-match-mod-powers", ok,
+                   f"partial sums drift for p={p}, r={r}, x={x}")
         pairing = intertwiner(p, level, r, max_len)
         pairing_up = intertwiner(p, level, r, max_len + 1)
         constant = LocallyConstantFn.constant(p, 1)
         index_shift, _ = build_hs_rep(p, level, constant, cutoff=s**max_len - 1)
         index_shift = index_shift.extended(codomain=pairing_up.domain)
         word_shift, _ = build_digit_rep(p, level, ExactInt(r), constant, max_len)
-        intertwine.check(
-            pairing_up @ index_shift == word_shift @ pairing,
-            f"intertwining fails for p={p}, r={r}",
-        )
-        intertwine.check(
-            _isometric(pairing) and _isometric(pairing.adjoint()),
-            f"pairing is not a permutation for p={p}, r={r}",
-        )
+        yield (intertwine, pairing_up @ index_shift == word_shift @ pairing,
+               f"intertwining fails for p={p}, r={r}")
+        yield (intertwine, _isometric(pairing) and _isometric(pairing.adjoint()),
+               f"pairing is not a permutation for p={p}, r={r}")
         for _ in range(10):
             if (f := _function(bounds, rng, p)) is None:
                 continue
             mu = TruncatedOp.diagonal(pairing.domain, lambda ix: f(ix.l))
             conjugated = pairing @ mu @ pairing.adjoint()
             direct = TruncatedOp.diagonal(pairing.codomain, lambda w: f(word_key(w, s)))
-            diagonal.check(
-                conjugated == direct, f"conjugated diagonal mismatch for p={p}, r={r}"
-            )
-    return [bijection, grading, partial, intertwine, diagonal]
+            yield ("conjugated-diagonal-matches-composition", conjugated == direct,
+                   f"conjugated diagonal mismatch for p={p}, r={r}")
 
 
-def suite_ktheory(bounds: Bounds) -> list[PropertyResult]:
-    strings = PropertyResult("ktheory", "descriptor-strings")
-    split = PropertyResult("ktheory", "split-sequence-consistency")
-    canonical = PropertyResult("ktheory", "canonicalization-idempotent")
-    household = PropertyResult("ktheory", "denominator-group-closure")
+@suite("ktheory", "descriptor-strings", "split-sequence-consistency",
+       "canonicalization-idempotent", "denominator-group-closure")
+def suite_ktheory(bounds: Bounds) -> Checks:
+    strings, split = "descriptor-strings", "split-sequence-consistency"
     rng = _rng(bounds, "ktheory")
 
     verdict = classify(3, 2)
     k0, k1 = algebra_k_groups(verdict, 3)
-    strings.check(str(k0) == "c0(Z>=0, H(2*3^inf)) (+) Z", f"K0 printed as {k0}")
-    strings.check(str(k1) == "Z (+) c0(Z>=0, Z)", f"K1 printed as {k1}")
+    yield strings, str(k0) == "c0(Z>=0, H(2*3^inf)) (+) Z", f"K0 printed as {k0}"
+    yield strings, str(k1) == "Z (+) c0(Z>=0, Z)", f"K1 printed as {k1}"
     for p, spec in _within(bounds, ((5, TeichProduct(2)),)):
         pk0, pk1 = primed_algebra_k_groups(classify(p, spec), p)
-        strings.check(str(pk0) == "c0(Z>=0 x Zp, Z) (+) Z^4", f"primed K0 printed as {pk0}")
-        strings.check(str(pk1) == "0", f"primed K1 printed as {pk1}")
+        yield strings, str(pk0) == "c0(Z>=0 x Zp, Z) (+) Z^4", f"primed K0 printed as {pk0}"
+        yield strings, str(pk1) == "0", f"primed K1 printed as {pk1}"
     for p, r, pinned in _within(bounds, ((5, 10, "C(Z_5^x, Z)"), (3, 6, "C(Z_3^x, Z)"))):
         hs0, hs1 = algebra_k_groups(classify(p, r), p)
-        strings.check(str(hs0) == pinned and str(hs1) == "0", f"got {hs0} / {hs1}")
-    strings.check(
-        algebra_k_groups(classify(3, 18), 3) == hs_k_groups(9),
-        "valuation-2 descriptors disagree with the direct construction",
-    )
+        yield strings, str(hs0) == pinned and str(hs1) == "0", f"got {hs0} / {hs1}"
+    yield (strings, algebra_k_groups(classify(3, 18), 3) == hs_k_groups(9),
+           "valuation-2 descriptors disagree with the direct construction")
 
     cases = [(3, ExactInt(2)), (5, ExactInt(7)), (5, TeichProduct(2)), (3, ExactInt(-1))]
     for p, spec in _within(bounds, cases):
         verdict = classify(p, spec)
         ak0, ak1 = algebra_k_groups(verdict, p)
         ik0, ik1 = ideal_k_groups(verdict, p)
-        split.check(
-            ak0 == ik0 + Free(1) and ak1 == ik1 + Free(1),
-            f"unsplit descriptors at p={p}, r={spec}",
-        )
+        yield (split, ak0 == ik0 + Free(1) and ak1 == ik1 + Free(1),
+               f"unsplit descriptors at p={p}, r={spec}")
         if isinstance(verdict, CaseII):
             pk0, pk1 = primed_algebra_k_groups(verdict, p)
             jk0, jk1 = ideal_k_groups(verdict, p, primed=True)
-            split.check(
-                pk0 == jk0 + Free(verdict.order) and pk1.is_zero() and jk1.is_zero(),
-                f"primed split fails at p={p}, r={spec}",
-            )
+            yield (split, pk0 == jk0 + Free(verdict.order) and pk1.is_zero() and jk1.is_zero(),
+                   f"primed split fails at p={p}, r={spec}")
 
     atoms = [Free(1), Free(3), C0SeqZ(), C0SeqZpZ(), CFunUnits(9)]
     s = supernatural_order(3, 2)
@@ -664,34 +616,20 @@ def suite_ktheory(bounds: Bounds) -> list[PropertyResult]:
     for _ in range(25):
         chosen = [rng.choice(atoms) for _ in range(rng.randint(0, 5))]
         once = KGroupDescriptor(chosen)
-        canonical.check(
-            KGroupDescriptor(once.atoms) == once and str(KGroupDescriptor(once.atoms)) == str(once),
-            f"canonicalization not idempotent on {chosen}",
-        )
+        again = KGroupDescriptor(once.atoms)
+        yield ("canonicalization-idempotent", again == once and str(again) == str(once),
+               f"canonicalization not idempotent on {chosen}")
 
     h = HSubgroup(s)
     for _ in range(40):
         a = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
         b = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
         if h_contains(h, a) and h_contains(h, b):
-            household.check(
-                h_contains(h, a + b) and h_contains(h, a - b) and h_contains(h, -a),
-                f"closure fails at {a}, {b}",
-            )
-        household.check(h_contains(h, rng.randint(-100, 100)), "integers must belong")
-    return [strings, split, canonical, household]
-
-
-SUITES = {
-    "orders": suite_orders,
-    "subgroups": suite_subgroups,
-    "quotients": suite_quotients,
-    "teich": suite_teich,
-    "endos": suite_endos,
-    "reps": suite_reps,
-    "digits": suite_digits,
-    "ktheory": suite_ktheory,
-}
+            yield ("denominator-group-closure",
+                   h_contains(h, a + b) and h_contains(h, a - b) and h_contains(h, -a),
+                   f"closure fails at {a}, {b}")
+        yield ("denominator-group-closure", h_contains(h, rng.randint(-100, 100)),
+               "integers must belong")
 
 
 def run_suites(names: list[str], bounds: Bounds) -> list[PropertyResult]:

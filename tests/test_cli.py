@@ -408,6 +408,16 @@ def test_all_suite_reports_are_pinned(capsys, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_SUITE_REPORTS[seed]
 
 
+# sha256 of `verify --max-p 3 --max-N 1 --json`, where six properties make no check
+SMALLEST_REPORT = "059ab67d77ac7996bb8cfcb373a221fb78a03ce5385813555a99f71c70fae096"
+
+
+def test_smallest_bounds_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--max-p", "3", "--max-N", "1", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SMALLEST_REPORT
+
+
 # Exact --json stdout and exit code of the README examples, and of errors of
 # every code across the three multiplier forms.  The last two rows are
 # refusals: a digit not below p, and a negative precision.

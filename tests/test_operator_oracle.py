@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import entry_values, functions, general_operators, sc, window_basis
 from padicmult import (
     ExactInt,
+    LocallyConstantFn,
     TeichProduct,
     TruncatedOp,
     WinZ,
@@ -140,6 +141,26 @@ def test_extended_composes_only_with_the_bases_that_grow(data):
         matches(wider, domain or dom, codomain or cod, a)
         # a monomial stays one
         assert (wider._rows is None) is (op._rows is None)
+
+
+def test_a_shared_section_answers_entries_and_apply_without_building_its_columns():
+    # window 7 is used by no other test, so its memoised shift is fresh here
+    f = LocallyConstantFn(3, 1, (0, 0, 5))
+    shift, diag = build_orbit_rep(3, ExactInt(2), 1, f, window=7)
+    ks = range(-7, 8)
+    expected_shift = {(WinZ(k + 1), WinZ(k)): ONE for k in ks}
+    # the diagonal carries f(2^k) and so is 5 at odd k, 0 (an empty column) at even k
+    expected_diag = {(WinZ(k), WinZ(k)): sc(5) for k in ks if k % 2}
+    for op, expected in [(shift, expected_shift), (diag, expected_diag)]:
+        assert matrices_equal(matrix(op), expected)
+        assert all(op.apply(ix) == column(expected, ix) for ix in op.domain)
+        assert op.to_doc() == TruncatedOp(op.domain, op.codomain, expected).to_doc()
+        assert matrices_equal(matrix(op.adjoint()), matrix_adjoint(expected))
+        assert "_cols" not in vars(op)
+    adjoint = matrix_adjoint(expected_shift)
+    product = matrix_product(adjoint, expected_shift, shift.domain, shift.codomain, shift.domain)
+    assert matrices_equal(matrix(shift.adjoint() @ shift), product)
+    assert "_cols" not in vars(shift) and shift._rows is not None
 
 
 def test_monomials_compare_their_weights_at_live_rows_only():

@@ -29,6 +29,14 @@ from padicmult.verify import (
 SMALL = Bounds(max_p=5, max_level=3, max_len=3, window=4)
 
 
+def tally(checks) -> dict[str, PropertyResult]:
+    """The reps helpers' (property, ok, detail) checks as rows, by property."""
+    rows = {}
+    for name, ok, detail in checks:
+        rows.setdefault(name, PropertyResult("reps", name)).check(ok, detail)
+    return rows
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_is_clean_at_small_bounds(name):
     results = run_suites([name], SMALL)
@@ -43,7 +51,7 @@ def test_symbol_membership_counts_cancelling_terms():
     assert coefficients_vanish([(3, f), (3, g)])
     assert not coefficients_vanish([(3, f), (2, g)])
     # seed 11 draws two terms of frequency 3 whose values at 0 cancel
-    membership, _ = _reps_symbols(Bounds(seed=11))
+    membership = tally(_reps_symbols(Bounds(seed=11)))["symbol-vanishes-iff-coefficients-do"]
     assert membership.failed == 0 and membership.passed > SYMBOL_SAMPLES
 
 
@@ -59,6 +67,19 @@ def test_property_result_collects_failures():
     result.check(True)
     assert result.passed == 1 and result.failed == 8
     assert len(result.failures) == 5
+
+
+def test_a_check_under_an_undeclared_property_raises(monkeypatch):
+    monkeypatch.setattr(verify, "SUITES", {})
+
+    @verify.suite("spelling", "declared", "unchecked")
+    def spelling(bounds):
+        yield "declared", True, ""
+        yield "decalred", False, "misspelt"
+
+    assert verify.SUITES == {"spelling": spelling}
+    with pytest.raises(KeyError, match="decalred"):
+        spelling(SMALL)
 
 
 def test_digits_suite_pinning():
@@ -126,6 +147,25 @@ def test_max_p_keeps_the_configs_over_primes_up_to_it(column, max_p):
     results = run_suites(list(SUITES), Bounds(max_p=max_p, max_level=3))
     counts = {f"{r.suite}/{r.name}": (r.passed, r.failed) for r in results}
     assert counts == {name: (pinned[column], 0) for name, pinned in COVERAGE.items()}
+
+
+# the properties whose every check needs a prime above 3 or a level above 1
+NO_CHECK_AT_SMALLEST = {
+    "orders/order-doubling-past-threshold",
+    "subgroups/lifting-by-exhaustion",
+    "reps/covariance-cyclic",
+    "reps/cyclic-shift-is-unitary",
+    "reps/orbit-diagonal-period-is-subgroup-order",
+    "reps/matrix-unit-form-of-the-shift",
+}
+
+
+def test_every_property_keeps_its_row_when_it_makes_no_check():
+    names = [f"{r.suite}/{r.name}" for r in run_suites(list(SUITES), Bounds())]
+    results = run_suites(list(SUITES), Bounds(max_p=3, max_level=1))
+    assert len(names) == 36 and [f"{r.suite}/{r.name}" for r in results] == names
+    idle = {f"{r.suite}/{r.name}" for r in results if r.passed + r.failed == 0}
+    assert idle == NO_CHECK_AT_SMALLEST
 
 
 NON_ASSOCIATIVE_LOOP = (
@@ -289,7 +329,7 @@ def test_decompose_roundtrip_reads_no_subgroup_listing(monkeypatch):
 
     monkeypatch.setattr(verify, "subgroup", refuse)
     monkeypatch.setattr(unit_groups.CyclicSubgroup, "elements", property(refuse))
-    result = _reps_decompose(Bounds())
+    result = tally(_reps_decompose(Bounds()))["orbit-decomposition-roundtrip"]
     assert result.failed == 0 and result.passed == 120
 
 

@@ -11,7 +11,7 @@ Label grammar (stable): "W:k", "C:k/n", "N:l", "D:d0.d1.d2".
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -176,16 +176,21 @@ def _inverse(rows: Sequence[int], n: int, size: int) -> tuple[int, ...]:
     return tuple(inverse[:size])
 
 
-def _accumulate(column: Column, row: int, s: Scalar) -> None:
-    """Add s at a row of a column under construction, dropping a sum of zero."""
-    if row in column:
-        total = column[row] + s
-        if total:
-            column[row] = total
-        else:
-            del column[row]
-    else:
+def _columns_of(width: int, triplets: Iterable[tuple[int, int, Scalar]]) -> tuple[Column, ...]:
+    """The `width` columns {row: entry} of (row, column, entry) triplets: entries that
+    meet are summed, a sum of zero is dropped, and an untouched column is _EMPTY."""
+    cols: list[Column] = [_EMPTY] * width
+    for row, col, s in triplets:
+        column = cols[col]
+        if column is _EMPTY:
+            cols[col] = column = {}
+        if row in column:
+            s = column[row] + s
+            if not s:
+                del column[row]
+                continue
         column[row] = s
+    return tuple(cols)
 
 
 class TruncatedOp:
@@ -203,22 +208,22 @@ class TruncatedOp:
     rows and multiplies only where both factors carry weights, ``adjoint``
     inverts the map and conjugates the weights, and ``==`` compares the row
     maps whole and the weights at live rows.  Every other operator is
-    general (``_rows`` is ``None``): the constructor, ``from_doc``, ``+``
-    and ``scale`` build one column ``{row position: entry}`` per domain
-    index, nonzero entries only, and ``compose`` with a general factor sums
-    products column by column.  A monomial builds these columns only for
-    ``+``, ``scale`` and a ``compose`` or ``==`` with a general operator;
-    ``apply``, ``entries`` and ``to_doc`` read its row map and weights.  No
-    column is changed once built, so operators share columns, among them one
-    empty column.
+    general (``_rows`` is ``None``): one column ``{row position: entry}`` per
+    domain index, nonzero entries only, which one helper builds from (row,
+    column, entry) triplets for the constructor, ``from_doc``, ``+``,
+    ``scale``, the adjoint and a ``compose`` with a general factor.  Each
+    operator keeps only the form it was built in; a monomial's columns are
+    built afresh, and never kept, for the left factor of such a ``compose``
+    and for an ``==`` with a general operator.  No column is changed once
+    built, so operators share columns, among them one empty column.
 
     Operators built from others pass their bases on and work on positions,
     so no label is hashed again; ``restricted`` composes with the 0/1 map
     from the new domain, and ``extended`` only with those of the bases that
     grow.  ``entries``, the label-keyed ``{(row, col): entry}`` view, is
-    read-only and built on first read; so are ``adjoint()`` and
-    ``range_fixed_points()``, each computed once per operator and kept with
-    it (the adjoint holds no link back, and no cached view is pickled).  The
+    read-only and built on each read.  ``adjoint()`` and
+    ``range_fixed_points()`` are computed once per operator and kept with it
+    (the adjoint holds no link back, and neither is pickled).  The
     constructor ``TruncatedOp(domain, codomain, entries)`` converts each
     entry to a ``Scalar``, drops the zeros and checks every label against
     both bases at once; ``build`` is the same constructor.
@@ -235,21 +240,23 @@ class TruncatedOp:
     ) -> None:
         dom = _Basis(domain)
         cod = dom if codomain is domain else _Basis(codomain)
-        cols: list[Column] = [{} for _ in dom]
+        triplets = []
         for (row, col), value in entries.items():
             value = Scalar.of(value)
             if not value:
                 continue
             try:
-                cols[dom._pos[col]][cod._pos[row]] = value
+                triplets.append((cod._pos[row], dom._pos[col], value))
             except KeyError:
                 raise BasisMismatchError(f"entry at ({label(row)}, {label(col)}) off basis") from None
-        vars(self).update(domain=dom, codomain=cod, _cols=tuple(cols), _rows=None)
+        cols = _columns_of(len(dom), triplets)
+        vars(self).update(domain=dom, codomain=cod, _cols=cols, _rows=None)
 
     @classmethod
-    def _of_columns(cls, domain: _Basis, codomain: _Basis, cols: tuple[Column, ...]) -> TruncatedOp:
-        """A general operator from checked columns between two bases."""
+    def _general(cls, domain: _Basis, codomain: _Basis, triplets: Iterable) -> TruncatedOp:
+        """The general operator with the columns of checked (row, column, entry) triplets."""
         op = object.__new__(cls)
+        cols = _columns_of(len(domain), triplets)
         vars(op).update(domain=domain, codomain=codomain, _cols=cols, _rows=None)
         return op
 
@@ -262,12 +269,9 @@ class TruncatedOp:
         vars(op).update(domain=domain, codomain=codomain, _rows=rows, _weights=weights)
         return op
 
-    @cached_property
-    def _cols(self) -> tuple[Column, ...]:
-        # a general operator sets its columns when built, so only a monomial gets here
-        size = len(self.codomain)
-        weights = self._weights or repeat(ONE)
-        return tuple(_EMPTY if row == size else {row: s} for row, s in zip(self._rows, weights))
+    def _columns(self) -> tuple[Column, ...]:
+        """A general operator's columns, or a monomial's built afresh on each call."""
+        return self._cols if self._rows is None else _columns_of(len(self.domain), self._triplets())
 
     def _triplets(self) -> Iterable[tuple[int, int, Scalar]]:
         """(row, column, entry) at every nonzero entry, column by column; a monomial's
@@ -290,10 +294,10 @@ class TruncatedOp:
         raise AttributeError("TruncatedOp is immutable")
 
     def __reduce__(self):
-        # the bases and the row map and weights, or the columns: the cached views cannot be pickled
+        # the bases and the row map and weights, or the triplets: the kept views are not pickled
         if self._rows is not None:
             return TruncatedOp._monomial, (self.domain, self.codomain, self._rows, self._weights)
-        return TruncatedOp._of_columns, (self.domain, self.codomain, self._cols)
+        return TruncatedOp._general, (self.domain, self.codomain, tuple(self._triplets()))
 
     def __repr__(self) -> str:
         return (
@@ -301,7 +305,7 @@ class TruncatedOp:
             f"entries={dict(self.entries)!r})"
         )
 
-    @cached_property
+    @property
     def entries(self) -> Mapping[tuple[BasisIndex, BasisIndex], Scalar]:
         domain, codomain = self.domain, self.codomain
         entries = {(codomain[row], domain[col]): s for row, col, s in self._triplets()}
@@ -352,7 +356,7 @@ class TruncatedOp:
         """Whether self and other, of one shape, have equal columns at the given
         positions, or at every position when none are given."""
         general = self._rows is None or other._rows is None
-        mine, theirs = (self._cols, other._cols) if general else (self._rows, other._rows)
+        mine, theirs = (self._columns(), other._columns()) if general else (self._rows, other._rows)
         if places is not None:
             mine, theirs = _gather(mine, places), _gather(theirs, places)
         if mine != theirs:
@@ -402,14 +406,11 @@ class TruncatedOp:
                     s * t if row != size else s for row, s, t in zip(rows, carried, weights)
                 )
             return TruncatedOp._monomial(other.domain, self.codomain, rows, weights)
-        left_cols, cols = self._cols, []
-        for column in other._cols:
-            out: Column = {}
-            for mid, s in column.items():
-                for row, t in left_cols[mid].items():
-                    _accumulate(out, row, t * s)
-            cols.append(out)
-        return TruncatedOp._of_columns(other.domain, self.codomain, tuple(cols))
+        cols = self._columns()
+        products = (
+            (row, col, t * s) for mid, col, s in other._triplets() for row, t in cols[mid].items()
+        )
+        return TruncatedOp._general(other.domain, self.codomain, products)
 
     def __matmul__(self, other: TruncatedOp) -> TruncatedOp:
         return self.compose(other)
@@ -429,42 +430,25 @@ class TruncatedOp:
             if weights is not None:
                 weights = tuple(map(Scalar.conjugate, _gather((*weights, ONE), back)))
             return TruncatedOp._monomial(self.codomain, self.domain, back, weights)
-        cols = [_EMPTY] * size
-        for col, column in enumerate(self._cols):
-            for row, s in column.items():
-                target = cols[row]
-                if target is _EMPTY:
-                    cols[row] = target = {}
-                target[col] = s.conjugate()
-        return TruncatedOp._of_columns(self.codomain, self.domain, tuple(cols))
+        flipped = ((col, row, s.conjugate()) for row, col, s in self._triplets())
+        return TruncatedOp._general(self.codomain, self.domain, flipped)
 
     def _require_same_shape(self, other: TruncatedOp) -> None:
         if not (_same(self.domain, other.domain) and _same(self.codomain, other.codomain)):
             raise BasisMismatchError("operator shapes do not match")
 
-    def _with_columns(self, cols: Iterable[Column]) -> TruncatedOp:
-        return TruncatedOp._of_columns(self.domain, self.codomain, tuple(cols))
-
     def __add__(self, other: TruncatedOp) -> TruncatedOp:
         self._require_same_shape(other)
-        cols = []
-        for mine, theirs in zip(self._cols, other._cols):
-            out = dict(mine)
-            for row, s in theirs.items():
-                _accumulate(out, row, s)
-            cols.append(out)
-        return self._with_columns(cols)
+        both = chain(self._triplets(), other._triplets())
+        return TruncatedOp._general(self.domain, self.codomain, both)
 
     def __sub__(self, other: TruncatedOp) -> TruncatedOp:
         return self + other.scale(-1)
 
     def scale(self, value: Scalar | int) -> TruncatedOp:
         value = Scalar.of(value)
-        if not value:
-            return self._with_columns([_EMPTY] * len(self.domain))
-        return self._with_columns(
-            {row: value * s for row, s in column.items()} for column in self._cols
-        )
+        scaled = ((row, col, value * s) for row, col, s in self._triplets()) if value else ()
+        return TruncatedOp._general(self.domain, self.codomain, scaled)
 
     def power(self, exponent: int) -> TruncatedOp:
         """Iterated composition of a square operator."""

@@ -24,7 +24,7 @@ from .errors import (
     ValuationMismatchError,
 )
 from .functions import LocallyConstantFn, precompose
-from .operators import Cyc, NonNeg, TruncatedOp, WinZ, Word, _Basis
+from .operators import BasisIndex, Cyc, NonNeg, TruncatedOp, WinZ, Word, _Basis
 from .padic import (
     Multiplier,
     MultiplierSpec,
@@ -126,8 +126,9 @@ def orbit_decompose(
 # gate, on the size of its codomain: it is built once per shape, with its adjoint and
 # range projection once read, and shared by every call of that shape.  The limit is
 # above every basis `verify` builds (4,002 labels at `--window 2000`).  A full cache of
-# 32 bases near the limit holds ~22 MB; 32 window shifts near it hold ~54 MB with their
-# bases, adjoints and range projections, ~75 MB once every label-keyed view is read.
+# 32 bases near the limit holds ~22 MB; 32 window shifts near it hold ~49 MB with their
+# bases and ~54 MB with their adjoints and range projections, and no more once every
+# other view (`entries`, `to_doc`, a sum or scaling) is read: none of those is kept.
 BASIS_CACHE_LABELS = 4096
 
 
@@ -476,9 +477,10 @@ def symbol_vanishes(symbol: list[SymbolTerm]) -> bool:
     return all(not coefficient for _, coefficient in symbol)
 
 
-def symbol_product(a: list[SymbolTerm], b: list[SymbolTerm]) -> list[SymbolTerm]:
+def symbol_product(a: Iterable[SymbolTerm], b: Iterable[SymbolTerm]) -> list[SymbolTerm]:
     """Laurent product of two coefficient lists (zero coefficients kept sparse)."""
     out: dict[int, Scalar] = {}
+    b = list(b)  # read again for each term of a, so a one-shot iterable is listed
     for n, s in a:
         for m, t in b:
             out[n + m] = out.get(n + m, Scalar()) + s * t
@@ -486,7 +488,10 @@ def symbol_product(a: list[SymbolTerm], b: list[SymbolTerm]) -> list[SymbolTerm]
 
 
 def present_product(
-    a: Presentation, b: Presentation, p: int, r: int | MultiplierSpec
+    a: Iterable[tuple[int, LocallyConstantFn]],
+    b: Iterable[tuple[int, LocallyConstantFn]],
+    p: int,
+    r: int | MultiplierSpec,
 ) -> Presentation:
     """The product of two finite sums, re-presented as a finite sum.
 
@@ -496,6 +501,7 @@ def present_product(
     m = Multiplier.of(r, p)
     if m.valuation != 0:
         raise NotAUnitError("re-presentation of products needs a unit multiplier")
+    b = list(b)  # read here and again for each term of a
     for _, g in b:
         _along(m, g)  # refused even when a has no terms
     combined: dict[int, LocallyConstantFn] = {}
@@ -515,7 +521,7 @@ def check_covariance(
     shift: TruncatedOp,
     diag: TruncatedOp,
     diag_alpha: TruncatedOp,
-    interior: tuple | None = None,
+    interior: Iterable[BasisIndex] | None = None,
 ) -> bool:
     """Exact check of shift . diag . shift* = diag_alpha on an interior.
 
@@ -535,8 +541,10 @@ def check_covariance(
     rhs_domain = diag_alpha.domain._pos
     if interior is None:
         interior = [ix for ix in shift.range_fixed_points() if ix in rhs_domain]
-    elif not all(ix in rhs_domain for ix in interior):
-        raise BasisMismatchError("compared index outside diag_alpha's domain")
+    else:
+        interior = list(interior)  # read once: checked here and compared below
+        if not all(ix in rhs_domain for ix in interior):
+            raise BasisMismatchError("compared index outside diag_alpha's domain")
     return lhs._agrees_at(diag_alpha.extended(lhs.domain, lhs.codomain), interior)
 
 

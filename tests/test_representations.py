@@ -451,6 +451,17 @@ def test_symbol_of_product_is_product_of_symbols(data):
     assert pi0_symbol(product) == symbol_product(pi0_symbol(left), pi0_symbol(right))
 
 
+def test_products_read_a_one_shot_input_once():
+    f = LocallyConstantFn(5, 1, tuple(sc(j + 1) for j in range(5)))
+    a, b = [(1, f), (0, LocallyConstantFn.constant(5, 2))], [(2, f), (-1, f)]
+    product = present_product(a, b, 5, ExactInt(2))
+    assert len(product) == 4
+    assert present_product(iter(a), iter(b), 5, ExactInt(2)) == product
+    left, right = pi0_symbol(a), pi0_symbol(b)
+    assert len(symbol_product(left, right)) == 4
+    assert symbol_product(iter(left), iter(right)) == symbol_product(left, right)
+
+
 def test_present_product_needs_a_unit():
     f = LocallyConstantFn.constant(3, 1)
     with pytest.raises(NotAUnitError):
@@ -507,6 +518,16 @@ def test_covariance_detects_wrong_rhs():
     shift, diag = build_orbit_rep(3, 2, 1, f, window=4)
     _, wrong = build_orbit_rep(3, 2, 1, f, window=4)  # not alpha of f
     assert not check_covariance(shift, diag, wrong)
+
+
+def test_covariance_reads_a_one_shot_interior_once():
+    f = LocallyConstantFn(5, 1, tuple(sc(j) for j in range(5)))
+    shift, diag = build_digit_rep(5, 1, ExactInt(10), f, 2)
+    _, diag_alpha = build_digit_rep(5, 1, ExactInt(10), alpha_endo(f, ExactInt(10)), 2)
+    for interior in (shift.domain, iter(shift.domain)):
+        assert check_covariance(shift, diag, diag_alpha, interior=interior)
+    for interior in (shift.domain, iter(shift.domain)):
+        assert not check_covariance(shift, diag, diag, interior=interior)  # not alpha of f
 
 
 def test_covariance_validates_bases():
@@ -694,6 +715,18 @@ def test_a_shared_shift_pickles_after_its_adjoint_was_read(how):
         assert twin == shift and twin is not shift
         assert twin.adjoint() == shift.adjoint()
         assert twin.range_fixed_points() == shift.range_fixed_points()
+
+
+def test_a_shared_shift_keeps_only_its_row_map_adjoint_and_range_projection():
+    f = LocallyConstantFn(3, 1, A)
+    shift, _ = build_orbit_rep(3, 2, 1, f, window=5)
+    general = TruncatedOp(shift.domain, shift.codomain, dict(shift.entries))
+    shift.apply(WinZ(0)), shift.entries, shift.to_doc(), shift.adjoint().entries
+    shift.range_fixed_points(), shift + shift, shift.scale(2)
+    assert shift == general and general == shift
+    kept = {"domain", "codomain", "_rows", "_weights", "_adjoint", "_range_fixed_points"}
+    assert vars(shift).keys() == kept
+    assert not {"_cols", "entries"} & vars(shift.adjoint()).keys()
 
 
 def test_covariance_with_a_shift_from_the_constructor():

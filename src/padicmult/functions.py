@@ -43,7 +43,7 @@ class LocallyConstantFn:
 
     @classmethod
     def constant(cls, p: int, value: Scalar | RationalLike) -> LocallyConstantFn:
-        return cls(as_prime(p), 0, (Scalar.of(value),))
+        return cls(p, 0, (Scalar.of(value),))
 
     @classmethod
     def indicator(cls, p: int, level: int, residue: int) -> LocallyConstantFn:

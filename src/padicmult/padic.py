@@ -99,7 +99,6 @@ def divide_step(
     (hence still a p-adic integer); it is a plain int whenever r divides x - c
     over the integers.
     """
-    p = as_prime(p)
     r_level, _ = valuation(p, r)
     if r_level != level or level < 1:
         raise ValuationMismatchError("multiplier valuation mismatch")
@@ -215,14 +214,15 @@ class Multiplier:
 
         Checks the 0/1 exclusion (also of ``-teich(p-1)`` and of a digit
         string that spells 1), the Teichmuller index range and that every
-        digit is below p.  The valuation is left to ``valuation``, so its
-        errors come only from the computations that need it.
+        digit is below p.  A resolved multiplier is only compared with p, as
+        its own prime was checked.  The valuation is left to ``valuation``,
+        so its errors come only from the computations that need it.
         """
-        p = as_prime(p)
         if isinstance(r, Multiplier):
             if r.p != p:
                 raise ParseError(f"multiplier resolved for p={r.p}, used with p={p}")
             return r
+        p = as_prime(p)
         r = as_multiplier(r)
         if isinstance(r, ExactInt):
             return cls(p, r.n)
@@ -248,7 +248,7 @@ class Multiplier:
             return self.value % self.p**n
         return self.teich.sign * teichmuller(self.p, self.teich.i, n) % self.p**n if n else 0
 
-    @property
+    @property  # not cached: a cached_property's first read costs more than a second valuation
     def valuation(self) -> int:
         """v_p(r); a digit string must show a nonzero digit."""
         if self.teich is not None:

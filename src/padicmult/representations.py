@@ -10,7 +10,6 @@ declared interiors where no information is lost to the truncation edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import Callable, Iterable
 
@@ -30,7 +29,6 @@ from .padic import (
     MultiplierSpec,
     as_prime,
     divide_step,
-    multiplier_residue,
     multiplier_valuation,
     teichmuller,
     valuation,
@@ -64,13 +62,15 @@ class OrbitDecomposition:
     def recompose(self, r: int | MultiplierSpec) -> int:
         """The product of the parts, as a residue mod p^(p_exponent + precision).
 
-        In Case II the factor r^k is read on the root of unity that r matches,
-        as `orbit_decompose` reads it, so r need be known only mod p.
+        r is checked against p in both cases.  In Case II the factor r^k is
+        read on the root of unity that r matches, as `orbit_decompose` reads
+        it, so r need be known only mod p.
         """
+        m = Multiplier.of(r, self.p)
         modulus = self.p**self.precision
         unit = self.section_value * self.tail % modulus
         if self.case == "II":
-            root = teichmuller(self.p, multiplier_residue(r, self.p, 1), self.precision)
+            root = teichmuller(self.p, m.residue(1), self.precision)
             unit = unit * pow(root, self.k, modulus) % modulus
         return self.p**self.p_exponent * unit
 
@@ -82,10 +82,9 @@ def orbit_decompose(
     precision: int = 6,
 ) -> OrbitDecomposition:
     """Factor a nonzero integer along the orbits of multiplication by a unit r."""
-    p = as_prime(p)
+    m = Multiplier.of(r, p)
     if x == 0:
         raise DomainError("zero admits no orbit decomposition")
-    m = Multiplier.of(r, p)
     verdict = classify(p, m, precision=precision)
     if not isinstance(verdict, (CaseI, CaseII)):
         raise NotAUnitError("orbit decompositions need a unit multiplier")
@@ -258,10 +257,9 @@ def build_orbit_rep(
     The shift maps the window {-K..K} into {-K..K+1}; the diagonal carries
     f(r^k x) at position k over the domain window.
     """
-    p = as_prime(p)
+    m = Multiplier.of(r, p)
     if x == 0:
         raise DomainError("the orbit of zero is trivial; x must be nonzero")
-    m = Multiplier.of(r, p)
     if m.valuation != 0:
         raise NotAUnitError("orbit representations need an invertible multiplier")
     if window < 0:
@@ -315,20 +313,20 @@ def digit_expand(
 
     Iterates the division step x = q r + c.  Elements of the digit set
     terminate at their exact word; anything else is cut at max_len digits and
-    flagged, its partial sums matching x mod p^(n * level) for every n.
+    flagged, its partial sums matching x mod p^(n * level) for every n.  The
+    first division step is always taken, so (p, level, r) is checked for
+    x = 0 too, whose expansion is the zero word.
     """
     p = as_prime(p)
     if x < 0:
         raise DomainError("digit expansion is defined for x >= 0")
     if max_len < 1:
         raise DomainError("max_len must be at least 1")
-    digits: list[int] = []
-    quotient: int | Fraction = x
+    quotient, c = divide_step(p, level, r, x)
+    digits = [c]
     while quotient != 0 and len(digits) < max_len:
         quotient, c = divide_step(p, level, r, quotient)
         digits.append(c)
-    if not digits:
-        digits = [0]
     return DigitExpansion(tuple(digits), exact=quotient == 0)
 
 
@@ -421,9 +419,9 @@ def build_hs_rep(
         raise ValuationMismatchError("the base exponent must be at least 1")
     if cutoff < 0:
         raise DomainError("cutoff must be non-negative")
-    s = p**level
-    _along(Multiplier.of(s, p), f)  # the shift multiplies by s, so f lies over p
-    shift = _index_section(s, cutoff)
+    if f.p != p:
+        raise BasisMismatchError("function prime does not match")
+    shift = _index_section(p**level, cutoff)
     return shift, _ball_diagonal(shift.domain, f, range(cutoff + 1))
 
 

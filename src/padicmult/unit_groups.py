@@ -121,9 +121,9 @@ def unit_order_naive(p: int, level: int, r: int | MultiplierSpec) -> int:
 
     The walk lists every power, so U_level above QUOTIENT_MAX_SCAN units is refused.
     """
-    p = as_prime(p)
+    size = group_size(p, level)  # refuses a composite p and a level below 1
     residue = _unit_residue(r, p, level)
-    if group_size(p, level) > QUOTIENT_MAX_SCAN:
+    if size > QUOTIENT_MAX_SCAN:
         raise CapExceededError(f"U_{level} has more units than the listing limit {QUOTIENT_MAX_SCAN}")
     return len(oracles.power_walk(p, level, residue))
 
@@ -219,10 +219,10 @@ def subgroup(p: int, level: int, r: int | MultiplierSpec) -> CyclicSubgroup:
 
 def is_in_subgroup(p: int, level: int, r: int | MultiplierSpec, k: int) -> bool:
     """Whether k mod p^level lies in the subgroup generated by r."""
-    p = as_prime(p)
+    sub = subgroup(p, level, r)
     if k % p == 0:
         raise NotAUnitError(f"{k} is not a unit mod {p}")
-    return k in subgroup(p, level, r)
+    return k in sub
 
 
 @dataclass(frozen=True)

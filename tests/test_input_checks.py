@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from padicmult import (
+    CaseI,
+    CaseII,
+    CaseIII,
     Digits,
     Free,
     KGroupDescriptor,
@@ -15,23 +18,41 @@ from padicmult import (
     SupernaturalNumber,
     TeichProduct,
     TruncatedOp,
+    algebra_k_groups,
+    alpha_endo,
+    as_prime,
+    beta_endo,
     build_cyclic_rep,
     build_digit_rep,
     build_hs_rep,
     build_orbit_rep,
     canonical_words,
+    check_matrix_units,
+    classify,
     digit_expand,
     divide_step,
     find_nr,
     find_primitive_root,
+    function_from_doc,
     group_size,
+    ideal_k_groups,
     intertwiner,
+    is_in_subgroup,
+    multiplier_residue,
+    multiplier_valuation,
+    orbit_decompose,
     pi0_symbol,
     present_product,
+    primed_algebra_k_groups,
     quotient_group,
     subgroup,
+    supernatural_from_unit_order,
+    supernatural_order,
+    teichmuller,
     unit_groups,
     unit_order,
+    unit_order_naive,
+    valuation,
     window_shift,
     word_from_key,
 )
@@ -46,6 +67,7 @@ from padicmult.errors import (
     NotPrimeError,
     ParseError,
     ValuationMismatchError,
+    ZeroValuationError,
 )
 
 CONSTANT_3 = LocallyConstantFn.constant(3, 1)
@@ -145,6 +167,19 @@ CHECKS = {
     "representations/digit-expand-length": (
         lambda: digit_expand(3, 1, 6, 5, 0),
         DomainError, "domain-error", "max_len",
+    ),
+    # x = 0 takes a division step too, so its (level, r) is checked as for any x
+    "representations/digit-expand-zero-valuation": (
+        lambda: digit_expand(3, 2, 3, 0, 3),
+        ValuationMismatchError, "valuation-mismatch", "valuation mismatch",
+    ),
+    "representations/digit-expand-zero-unit": (
+        lambda: digit_expand(3, 1, 2, 0, 3),
+        ValuationMismatchError, "valuation-mismatch", "valuation mismatch",
+    ),
+    "representations/digit-expand-zero-zero": (
+        lambda: digit_expand(3, 1, 0, 0, 3),
+        ZeroValuationError, "zero-valuation", "infinite valuation",
     ),
     # sizes: every word basis has a word of length 1, and no window or cutoff is negative
     "representations/digit-rep-length": (
@@ -324,3 +359,109 @@ def test_trial_division_answers_a_prime_factor_above_the_bound(capsys):
     assert unit_groups.TRIAL_DIVISION_BOUND < 500000003
     assert main(["order", "-p", "1000000007", "-r", "3", "-N", "1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 500000003
+
+
+# --- every public entry checks its p and its multiplier ----------------------------
+
+# each call takes p = 9 and otherwise valid inputs, a function over 3 where one is
+# read; the x = 0 and K-group rows are paths where no callee would check p
+COMPOSITE_P = {
+    "as_prime": lambda p: as_prime(p),
+    "valuation": lambda p: valuation(p, 5),
+    "teichmuller": lambda p: teichmuller(p, 2, 3),
+    "divide_step": lambda p: divide_step(p, 1, p, 5),
+    "multiplier_residue": lambda p: multiplier_residue(2, p, 2),
+    "multiplier_valuation": lambda p: multiplier_valuation(2, p),
+    "PadicApprox": lambda p: PadicApprox(p, 1, 2),
+    "PadicApprox.from_int": lambda p: PadicApprox.from_int(p, 1, 2),
+    "LocallyConstantFn": lambda p: LocallyConstantFn(p, 0, (1,)),
+    "LocallyConstantFn.constant": lambda p: LocallyConstantFn.constant(p, 1),
+    "LocallyConstantFn.indicator": lambda p: LocallyConstantFn.indicator(p, 1, 2),
+    "function_from_doc": lambda p: function_from_doc({"p": p, "level": 0, "values": ["1/1"]}),
+    "group_size": lambda p: group_size(p, 2),
+    "unit_order": lambda p: unit_order(p, 2, 2),
+    "unit_order_naive": lambda p: unit_order_naive(p, 2, 2),
+    "find_primitive_root": lambda p: find_primitive_root(p, 2),
+    "find_nr": lambda p: find_nr(p, 2),
+    "subgroup": lambda p: subgroup(p, 2, 2),
+    "is_in_subgroup": lambda p: is_in_subgroup(p, 2, 2, 4),
+    "quotient_group": lambda p: quotient_group(p, 2),
+    "classify": lambda p: classify(p, 2),
+    "supernatural_from_unit_order": lambda p: supernatural_from_unit_order(6, p),
+    "supernatural_order": lambda p: supernatural_order(p, 2),
+    "algebra_k_groups-I": lambda p: algebra_k_groups(CaseI(2, 6), p),
+    "algebra_k_groups-II": lambda p: algebra_k_groups(CaseII(2), p),
+    "algebra_k_groups-III": lambda p: algebra_k_groups(CaseIII(1, 1, 6), p),
+    "primed_algebra_k_groups": lambda p: primed_algebra_k_groups(CaseII(2), p),
+    "ideal_k_groups": lambda p: ideal_k_groups(CaseII(2), p),
+    "orbit_decompose": lambda p: orbit_decompose(p, 2, 5),
+    "orbit_decompose-zero": lambda p: orbit_decompose(p, 2, 0),
+    "digit_expand": lambda p: digit_expand(p, 1, p, 5, 3),
+    "digit_expand-zero": lambda p: digit_expand(p, 1, p, 0, 3),
+    "build_orbit_rep": lambda p: build_orbit_rep(p, 2, 1, CONSTANT_3),
+    "build_cyclic_rep": lambda p: build_cyclic_rep(p, -1, 1, CONSTANT_3),
+    "build_digit_rep": lambda p: build_digit_rep(p, 1, p, CONSTANT_3, 2),
+    "build_hs_rep": lambda p: build_hs_rep(p, 1, CONSTANT_3, 4),
+    "intertwiner": lambda p: intertwiner(p, 1, p, 2),
+    "present_product": lambda p: present_product([], [], p, 2),
+    "check_matrix_units": lambda p: check_matrix_units(p, -1),
+}
+
+
+@pytest.mark.parametrize("call", COMPOSITE_P.values(), ids=list(COMPOSITE_P))
+def test_every_entry_refuses_a_composite_p(call):
+    with pytest.raises(NotPrimeError, match="odd prime") as info:
+        call(9)
+    assert info.value.code == "not-an-odd-prime"
+
+
+CONSTANT_5 = LocallyConstantFn.constant(5, 1)
+
+# each call takes a multiplier r over p = 5 and otherwise valid inputs
+MULTIPLIER_ENTRIES = {
+    "multiplier_residue": lambda r: multiplier_residue(r, 5, 1),
+    "multiplier_valuation": lambda r: multiplier_valuation(r, 5),
+    "alpha_endo": lambda r: alpha_endo(CONSTANT_5, r),
+    "beta_endo": lambda r: beta_endo(CONSTANT_5, r),
+    "find_nr": lambda r: find_nr(5, r),
+    "quotient_group": lambda r: quotient_group(5, r),
+    "classify": lambda r: classify(5, r),
+    "supernatural_order": lambda r: supernatural_order(5, r),
+    "orbit_decompose": lambda r: orbit_decompose(5, r, 3),
+    "recompose-I": lambda r: orbit_decompose(5, 7, 3, precision=4).recompose(r),
+    "recompose-II": lambda r: orbit_decompose(5, TeichProduct(2), 3, precision=4).recompose(r),
+    "build_orbit_rep": lambda r: build_orbit_rep(5, r, 1, CONSTANT_5),
+    "build_cyclic_rep": lambda r: build_cyclic_rep(5, r, 1, CONSTANT_5),
+    "build_digit_rep": lambda r: build_digit_rep(5, 1, r, CONSTANT_5, 2),
+    "intertwiner": lambda r: intertwiner(5, 1, r, 2),
+    "present_product": lambda r: present_product([], [], 5, r),
+    "check_matrix_units": lambda r: check_matrix_units(5, r),
+}
+
+# the unit-group primitives read a plain int as a residue (1 allowed), so only
+# the spec forms are multipliers there
+RESIDUE_ENTRIES = {
+    "unit_order": lambda r: unit_order(5, 2, r),
+    "unit_order_naive": lambda r: unit_order_naive(5, 2, r),
+    "subgroup": lambda r: subgroup(5, 2, r),
+    "is_in_subgroup": lambda r: is_in_subgroup(5, 2, r, 2),
+}
+
+EXCLUDED = {"0": 0, "1": 1, "-teich(4)": TeichProduct(4, -1), "digits:[1]": Digits((1,))}
+
+REFUSED_MULTIPLIERS = [
+    pytest.param(call, EXCLUDED[text], ExcludedMultiplierError, id=f"{name}-{text}")
+    for entries, forms in ((MULTIPLIER_ENTRIES, EXCLUDED), (RESIDUE_ENTRIES, ("-teich(4)", "digits:[1]")))
+    for name, call in entries.items()
+    for text in forms
+] + [
+    pytest.param(call, Digits((2, 5)), ParseError, id=f"{name}-digits:[2,5]")
+    for name, call in {**MULTIPLIER_ENTRIES, **RESIDUE_ENTRIES}.items()
+]
+
+
+@pytest.mark.parametrize("call, r, error", REFUSED_MULTIPLIERS)
+def test_every_entry_refuses_an_excluded_or_out_of_range_multiplier(call, r, error):
+    with pytest.raises(error) as info:
+        call(r)
+    assert type(info.value) is error

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, InsufficientPrecisionError
 from .padic import Multiplier, MultiplierSpec, as_prime
@@ -150,6 +151,13 @@ def supernatural_from_unit_order(order: int, p: int) -> SupernaturalNumber:
     p = as_prime(p)
     if order < 1:
         raise DomainError(f"{order} is not the order of a unit mod a power of {p}")
+    return _supernatural(order, p)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _supernatural(order: int, p: int) -> SupernaturalNumber:
+    """supernatural_from_unit_order past its checks on p and order < 1, once per
+    (order, p); typed, so a float or bool order never answers for an int one."""
     factors: dict[int, Exponent] = {}
     rest = order
     for q in (*_order_primes(p), p):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .classification import (
@@ -137,16 +138,29 @@ def descriptor(*atoms: Atom) -> KGroupDescriptor:
     return KGroupDescriptor(atoms)
 
 
+# the Case II pairs read nothing of the multiplier, so each is built once
+_CASE_II_ALGEBRA = descriptor(C0SeqZpZ(), Free(1)), descriptor(C0SeqZpZ(), Free(1))
+_CASE_II_IDEAL = descriptor(C0SeqZpZ()), descriptor(C0SeqZpZ())
+_CASE_II_PRIMED_IDEAL = descriptor(C0SeqZpZ()), ZERO_GROUP
+
+
+@lru_cache(maxsize=256, typed=True)
+def _case_one(order: int, p: int) -> tuple[tuple[KGroupDescriptor, KGroupDescriptor], ...]:
+    """The Case I (algebra, ideal) K-group pairs, once per (order, p) for a checked
+    prime p: both read r only through S, the supernatural number of its order."""
+    h = C0SeqH(supernatural_from_unit_order(order, p))
+    return (descriptor(h, Free(1)), descriptor(Free(1), C0SeqZ())), (descriptor(h), descriptor(C0SeqZ()))
+
+
 def algebra_k_groups(
     c: Classification, p: int
 ) -> tuple[KGroupDescriptor, KGroupDescriptor]:
     """K_0 and K_1 of the full multiplication algebra of a classified multiplier."""
     p = as_prime(p)
     if isinstance(c, CaseI):
-        s = supernatural_from_unit_order(c.order, p)
-        return descriptor(C0SeqH(s), Free(1)), descriptor(Free(1), C0SeqZ())
+        return _case_one(c.order, p)[0]
     if isinstance(c, CaseII):
-        return descriptor(C0SeqZpZ(), Free(1)), descriptor(C0SeqZpZ(), Free(1))
+        return _CASE_II_ALGEBRA
     return hs_k_groups(p**c.valuation)
 
 
@@ -170,12 +184,9 @@ def ideal_k_groups(
     if isinstance(c, CaseI):
         if primed:
             raise DomainError("the primed ideal is undefined outside Case II")
-        s = supernatural_from_unit_order(c.order, p)
-        return descriptor(C0SeqH(s)), descriptor(C0SeqZ())
+        return _case_one(c.order, p)[1]
     if isinstance(c, CaseII):
-        if primed:
-            return descriptor(C0SeqZpZ()), ZERO_GROUP
-        return descriptor(C0SeqZpZ()), descriptor(C0SeqZpZ())
+        return _CASE_II_PRIMED_IDEAL if primed else _CASE_II_IDEAL
     raise DomainError("ideal descriptors for the valuation case come from hs_k_groups")
 
 

@@ -223,6 +223,8 @@ class Multiplier:
                 raise ParseError(f"multiplier resolved for p={r.p}, used with p={p}")
             return r
         p = as_prime(p)
+        if type(r) is int and r not in (0, 1):  # 0, 1 and a bool take ExactInt's checks below
+            return cls(p, r)
         r = as_multiplier(r)
         if isinstance(r, ExactInt):
             return cls(p, r.n)

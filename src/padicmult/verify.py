@@ -158,15 +158,25 @@ _RANDOM_SCALARS = {
 }
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """rng.randint(lo, hi), drawn by its rule straight from getrandbits: n = hi - lo + 1
+    values take n.bit_length() bits, redrawn while they read n or more."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    while (draw := rng.getrandbits(k)) >= n:
+        pass
+    return lo + draw
+
+
 def random_scalar(rng: random.Random) -> Scalar:
-    draws = (rng.randint(-3, 3), rng.randint(1, 3))
+    draws = (_randint(rng, -3, 3), _randint(rng, 1, 3))
     if rng.random() < 0.3:
-        draws += (rng.randint(-2, 2), rng.randint(1, 2))
+        draws += (_randint(rng, -2, 2), _randint(rng, 1, 2))
     return _RANDOM_SCALARS[draws]
 
 
 def random_function(rng: random.Random, p: int, max_level: int) -> LocallyConstantFn:
-    level = rng.randint(0, max_level)
+    level = _randint(rng, 0, max_level)
     return LocallyConstantFn(p, level, tuple(random_scalar(rng) for _ in range(p**level)))
 
 

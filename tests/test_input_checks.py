@@ -9,6 +9,7 @@ from padicmult import (
     CaseI,
     CaseII,
     CaseIII,
+    CyclicSubgroup,
     Digits,
     Free,
     KGroupDescriptor,
@@ -299,6 +300,28 @@ CHECKS = {
         DomainError, "domain-error", "coset index 5 is outside 0..4",
     ),
     # the order is 1,000,008,000,021,000,018: refused before anything is listed
+    "unit_groups/cyclic-subgroup-level": (
+        lambda: CyclicSubgroup(3, 0, 2, 1),
+        InsufficientPrecisionError, "insufficient-precision", "level must be at least 1",
+    ),
+    # 2 in CyclicSubgroup(3, 2, 6, 1) would read False for its own generator
+    "unit_groups/cyclic-subgroup-generator": (
+        lambda: CyclicSubgroup(3, 2, 6, 1),
+        NotAUnitError, "not-a-unit", "6 is not a unit mod 3",
+    ),
+    # |U_2| = 6 for p = 3: an order 4, 0 or -6 names no subgroup
+    "unit_groups/cyclic-subgroup-order": (
+        lambda: CyclicSubgroup(3, 2, 2, 4),
+        DomainError, "domain-error", r"order 4 is not a positive divisor of \|U_2\| = 6",
+    ),
+    "unit_groups/cyclic-subgroup-order-zero": (
+        lambda: CyclicSubgroup(3, 2, 2, 0),
+        DomainError, "domain-error", "order 0 is not a positive divisor",
+    ),
+    "unit_groups/cyclic-subgroup-order-negative": (
+        lambda: CyclicSubgroup(3, 2, 2, -6),
+        DomainError, "domain-error", "order -6 is not a positive divisor",
+    ),
     "unit_groups/subgroup-listing": (
         lambda: subgroup(1000003, 3, 2).elements,
         CapExceededError, "cap-exceeded", "listing limit",
@@ -385,6 +408,7 @@ COMPOSITE_P = {
     "find_nr": lambda p: find_nr(p, 2),
     "subgroup": lambda p: subgroup(p, 2, 2),
     "is_in_subgroup": lambda p: is_in_subgroup(p, 2, 2, 4),
+    "CyclicSubgroup": lambda p: CyclicSubgroup(p, 2, 2, 6),
     "quotient_group": lambda p: quotient_group(p, 2),
     "classify": lambda p: classify(p, 2),
     "supernatural_from_unit_order": lambda p: supernatural_from_unit_order(6, p),

@@ -17,10 +17,11 @@ from padicmult import (
     hs_k_groups,
     ideal_k_groups,
     primed_algebra_k_groups,
+    supernatural_from_unit_order,
     supernatural_order,
 )
-from padicmult.errors import DomainError, ExcludedMultiplierError
-from padicmult.classification import CaseII
+from padicmult.errors import DomainError, ExcludedMultiplierError, NotPrimeError
+from padicmult.classification import CaseI, CaseII
 
 
 def test_printed_descriptors_match_the_pinned_grammar():
@@ -135,3 +136,52 @@ def test_a_descriptor_is_immutable_and_unequal_to_other_types():
     with pytest.raises(AttributeError, match="immutable"):
         group.atoms = ()
     assert group == descriptor(Free(2), C0SeqZ())
+
+
+# --- the (order, p) memos of classification and ktheory ----------------------------
+
+CASE_ONE_READS = {
+    "supernatural_from_unit_order": supernatural_from_unit_order,
+    "algebra_k_groups": lambda order, p: algebra_k_groups(CaseI(2, order), p),
+    "ideal_k_groups": lambda order, p: ideal_k_groups(CaseI(2, order), p),
+}
+
+
+@pytest.mark.parametrize("read", CASE_ONE_READS.values(), ids=list(CASE_ONE_READS))
+@pytest.mark.parametrize(
+    "order, p, error",
+    [
+        pytest.param(7, 5, DomainError, id="foreign-prime"),  # 7 divides no 4 * 5^k
+        pytest.param(0, 5, DomainError, id="order-zero"),
+        pytest.param(-4, 5, DomainError, id="order-negative"),
+        pytest.param(6, 9, NotPrimeError, id="composite-p"),
+        pytest.param(6.5, 7, DomainError, id="fractional-order"),
+        pytest.param(False, 7, DomainError, id="order-false"),
+        pytest.param(6, 7.0, NotPrimeError, id="float-p"),
+    ],
+)
+def test_memoised_case_one_reads_refuse_on_every_call(read, order, p, error):
+    # the valid (6, 7) and (4, 5) are read first, so a refusal next to a kept answer
+    for _ in range(2):
+        read(6, 7), read(4, 5)
+        with pytest.raises(error) as info:
+            read(order, p)
+        assert type(info.value) is error
+
+
+def test_float_and_bool_orders_read_as_their_integer():
+    # an integral float order and True factor as 6 and 1 do, before or after the int is kept
+    for order, text in ((6.0, "2*3*7^inf"), (6, "2*3*7^inf"), (True, "7^inf"), (1, "7^inf"), (6.0, "2*3*7^inf")):
+        assert str(supernatural_from_unit_order(order, 7)) == text
+        k0, k1 = algebra_k_groups(CaseI(2, order), 7)
+        assert (str(k0), str(k1)) == (f"c0(Z>=0, H({text})) (+) Z", "Z (+) c0(Z>=0, Z)")
+        assert tuple(map(str, ideal_k_groups(CaseI(2, order), 7))) == (f"c0(Z>=0, H({text}))", "c0(Z>=0, Z)")
+
+
+def test_multipliers_of_one_order_read_one_pair():
+    # 2 and 7 are 2 mod 5, of order 4 * 5 at their thresholds 2 and 3
+    ours, theirs = classify(5, 2), classify(5, 7)
+    assert ours.order == theirs.order and ours.threshold != theirs.threshold
+    assert algebra_k_groups(ours, 5) is algebra_k_groups(theirs, 5)
+    assert ideal_k_groups(ours, 5) is ideal_k_groups(theirs, 5)
+    assert supernatural_from_unit_order(20, 5) is supernatural_order(5, 2)

@@ -488,3 +488,15 @@ def test_the_three_forms_of_an_integer_agree(p):
         verdicts = {replace(classify(p, r, precision=12 - level), exact=True) for r in forms}
         assert len(verdicts) == 1
         assert isinstance(verdicts.pop(), CaseIII) == (level > 0)
+
+
+def test_a_plain_int_resolves_without_building_a_spec(monkeypatch):
+    # 0 and 1 keep ExactInt's refusal and message, and a bool or float takes its path
+    for r in (0, 1, False, True, 1.0):
+        with pytest.raises(ExcludedMultiplierError, match="^excluded multiplier: r must avoid 0 and 1$"):
+            Multiplier.of(r, 5)
+    with pytest.raises(NotPrimeError):
+        Multiplier.of(0, 9)
+    assert type(Multiplier.of(2.0, 5).value) is float
+    monkeypatch.setattr(padicmult.padic, "as_multiplier", lambda r: pytest.fail(f"{r!r} built a spec"))
+    assert Multiplier.of(7, 5) == Multiplier(5, 7) and Multiplier.of(-1, 3) == Multiplier(3, -1)

@@ -473,6 +473,59 @@ def test_a_quotient_past_the_scan_limit_is_refused_before_any_scan(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_kept_scans_match_a_fresh_scan_and_the_coset_oracle(p):
+    # a subgroup of every order of U_M, M <= 4, quotiented twice: the second quotient
+    # reads the kept scan, which must be the fresh scan's and the oracle's cosets
+    for level in range(1, 5):
+        size, modulus = group_size(p, level), p**level
+        g = find_primitive_root(p, level)
+        for order in (n for n in range(1, size + 1) if size % n == 0):
+            generator = pow(g, size // order, modulus)
+            sub = subgroup(p, level, generator)
+            first, kept = QuotientGroup.of(sub), QuotientGroup.of(sub)
+            reps, index = unit_groups._scan(p, *sub._modulus)
+            assert sub.order == order and (kept.coset_reps, kept._index) == (reps, index)
+            shared = first.coset_reps is kept.coset_reps and first._index is kept._index
+            assert shared == (len(reps) <= QUOTIENT_MAX_COSETS)
+            _check_against_the_coset_oracle(sub, generator)
+            if len(reps) <= QUOTIENT_MAX_COSETS:
+                oracle_reps, oracle_index, _ = _coset_oracle(p, level, generator)
+                fresh = QuotientGroup(p, level, sub, reps, index)
+                for a in {0, len(reps) // 2, len(reps) - 1}:
+                    row = tuple(oracle_index[oracle_reps[a] * b % modulus] for b in oracle_reps)
+                    assert kept.table[a] == fresh.table[a] == row
+
+
+def test_multipliers_of_one_order_share_one_scan():
+    # 1 + 3^8 and 1 - 3^8 both have order 3 at their threshold 9: one scan of 4374 cosets
+    ours, theirs = quotient_group(3, 1 + 3**8), quotient_group(3, 1 - 3**8)
+    assert ours.subgroup != theirs.subgroup and ours.subgroup.order == theirs.subgroup.order == 3
+    assert ours.coset_reps is theirs.coset_reps and ours._index is theirs._index
+    assert ours.subgroup.generator == 1 + 3**8 and theirs.subgroup.generator == 3**9 + 1 - 3**8
+    with pytest.raises(TypeError):
+        ours._index[1] = 5
+
+
+def test_a_scan_above_the_table_limit_is_not_kept():
+    # 1 + 3^9 leaves 13,122 cosets, above QUOTIENT_MAX_COSETS: scanned on every call
+    kept = unit_groups._kept_scan.cache_info().currsize
+    first, second = quotient_group(3, 1 + 3**9), quotient_group(3, 1 + 3**9)
+    assert first.order == 13122 > QUOTIENT_MAX_COSETS
+    assert first.coset_reps == second.coset_reps and first.coset_reps is not second.coset_reps
+    assert unit_groups._kept_scan.cache_info().currsize == kept
+
+
+def test_a_float_level_reads_no_kept_scan():
+    # CyclicSubgroup(3, 2.0, 2, 6) builds, and its quotient's range over a float step
+    # raises as before the scan was kept, also once the int step's scan is kept
+    QuotientGroup.of(subgroup(3, 2, 2))
+    sub = CyclicSubgroup(3, 2.0, 2, 6)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            QuotientGroup.of(sub)
+
+
 def _exact_valuation(p, x):
     v = 0
     while x % p == 0:

@@ -20,6 +20,7 @@ from padicmult.verify import (
     _pool,
     _reps_symbols,
     _reps_decompose,
+    random_function,
     random_scalar,
     run_suites,
     suite_orders,
@@ -90,6 +91,24 @@ def test_digits_suite_pinning():
         run_suites(["digits"], Bounds(p=3))
     with pytest.raises(DomainError):
         run_suites(["digits"], Bounds(p=5, r=TeichProduct(2)))
+
+
+def _randint_scalar(rng: random.Random) -> Scalar:
+    real = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Scalar(real, Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.3 else Fraction(0))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_draws_are_the_draws_of_randint(p):
+    # random_scalar and random_function read getrandbits by randint's rule, so every
+    # seed draws what randint drew and leaves the generator where randint left it
+    for seed in range(200):
+        rng, reference = random.Random(seed), random.Random(seed)
+        level = reference.randint(0, 2)
+        expected = LocallyConstantFn(p, level, tuple(_randint_scalar(reference) for _ in range(p**level)))
+        assert random_function(rng, p, 2) == expected
+        assert random_scalar(rng) == _randint_scalar(reference)
+        assert rng.getstate() == reference.getstate()
 
 
 def test_seed_changes_samples_but_not_health():

@@ -140,24 +140,20 @@ class SupernaturalNumber:
         return "*".join(parts)
 
 
+@lru_cache(maxsize=256, typed=True)
 def supernatural_from_unit_order(order: int, p: int) -> SupernaturalNumber:
     """The supernatural number with the factorization of ``order`` and p-part infinity.
 
     For a Case I multiplier the orders at levels past the threshold are
     order * p^k, so their least common multiple is exactly this number.  A
     unit order divides (p-1) * p^k, so it is factored over the primes of
-    p - 1 and p; one with any other prime factor raises DomainError.
+    p - 1 and p; one with any other prime factor raises DomainError.  Kept
+    once per (order, p), typed, so a float or bool order never answers for an
+    int one; a refusal raises and is never kept, so every refused call is checked.
     """
     p = as_prime(p)
     if order < 1:
         raise DomainError(f"{order} is not the order of a unit mod a power of {p}")
-    return _supernatural(order, p)
-
-
-@lru_cache(maxsize=256, typed=True)
-def _supernatural(order: int, p: int) -> SupernaturalNumber:
-    """supernatural_from_unit_order past its checks on p and order < 1, once per
-    (order, p); typed, so a float or bool order never answers for an int one."""
     factors: dict[int, Exponent] = {}
     rest = order
     for q in (*_order_primes(p), p):

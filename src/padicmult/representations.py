@@ -10,8 +10,7 @@ declared interiors where no information is lost to the truncation edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .classification import CaseI, CaseII, classify
 from .errors import (
@@ -34,7 +33,7 @@ from .padic import (
     valuation,
 )
 from .scalars import Scalar
-from .unit_groups import QUOTIENT_MAX_SCAN, CyclicSubgroup, QuotientGroup
+from .unit_groups import QUOTIENT_MAX_SCAN, CyclicSubgroup, QuotientGroup, _cached_up_to
 
 
 # --- orbit decompositions -------------------------------------------------------
@@ -131,35 +130,19 @@ def orbit_decompose(
 BASIS_CACHE_LABELS = 4096
 
 
-def _cached_up_to(size: Callable[..., int]):
-    """Memoise a basis or shift builder on the calls whose `size(*args)` is at most
-    BASIS_CACHE_LABELS, in a bounded cache of 32 calls."""
-
-    def decorate(build):
-        cached = lru_cache(maxsize=32)(build)
-
-        @wraps(build)
-        def get(*args):
-            return (cached if size(*args) <= BASIS_CACHE_LABELS else build)(*args)
-
-        return get
-
-    return decorate
-
-
-@_cached_up_to(lambda lo, hi: hi - lo + 1)
+@_cached_up_to(BASIS_CACHE_LABELS, lambda lo, hi: hi - lo + 1)
 def _window(lo: int, hi: int) -> _Basis:
     """The window {lo..hi} of the bilateral basis."""
     return _Basis(WinZ(k) for k in range(lo, hi + 1))
 
 
-@_cached_up_to(lambda size: size)
+@_cached_up_to(BASIS_CACHE_LABELS, lambda size: size)
 def _non_negative(size: int) -> _Basis:
     """The first `size` positions {0..size-1} of l^2(Z>=0)."""
     return _Basis(NonNeg(l) for l in range(size))
 
 
-@_cached_up_to(lambda s, max_len: s**max_len)
+@_cached_up_to(BASIS_CACHE_LABELS, lambda s, max_len: s**max_len)
 def _words(s: int, max_len: int) -> _Basis:
     return _Basis(canonical_words(s, max_len))
 
@@ -179,7 +162,7 @@ def _section(domain: _Basis, codomain: _Basis, targets: Iterable[int]) -> Trunca
 # The representations' shift sections, keyed on integers and gated on their codomain.
 
 
-@_cached_up_to(lambda window: 2 * window + 2)
+@_cached_up_to(BASIS_CACHE_LABELS, lambda window: 2 * window + 2)
 def _window_section(window: int) -> TruncatedOp:
     """The bilateral shift from the window {-K..K} into {-K..K+1}."""
     domain = _window(-window, window)
@@ -187,14 +170,14 @@ def _window_section(window: int) -> TruncatedOp:
     return _section(domain, _window(-window, window + 1), range(1, len(domain) + 1))
 
 
-@_cached_up_to(lambda n: n)
+@_cached_up_to(BASIS_CACHE_LABELS, lambda n: n)
 def _cycle(n: int) -> TruncatedOp:
     """The n-cycle k -> k + 1 mod n on l^2(Z/nZ)."""
     basis = _Basis(Cyc(k, n) for k in range(n))
     return _section(basis, basis, (*range(1, n), 0))
 
 
-@_cached_up_to(lambda s, max_len: s ** (max_len + 1))
+@_cached_up_to(BASIS_CACHE_LABELS, lambda s, max_len: s ** (max_len + 1))
 def _digit_section(s: int, max_len: int) -> TruncatedOp:
     """The digit shift from the words of length <= max_len into those of length <= max_len + 1."""
     domain = _words(s, max_len)
@@ -202,7 +185,7 @@ def _digit_section(s: int, max_len: int) -> TruncatedOp:
     return _section(domain, _words(s, max_len + 1), range(0, s * len(domain), s))
 
 
-@_cached_up_to(lambda s, cutoff: s * cutoff + 1)
+@_cached_up_to(BASIS_CACHE_LABELS, lambda s, cutoff: s * cutoff + 1)
 def _index_section(s: int, cutoff: int) -> TruncatedOp:
     """The index shift l -> s*l from {0..cutoff} into {0..s*cutoff}."""
     return _section(

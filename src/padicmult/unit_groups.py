@@ -14,9 +14,9 @@ mod p^(N - e), not mod p^N.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd
 from types import MappingProxyType
 
@@ -248,10 +248,43 @@ class _CyclicTable(Sequence):
         return tuple(map((self.exp * 2)[self.log[a] : self.log[a] + len(self)].__getitem__, self.log))
 
 
+def _cached_up_to(limit: int, size: Callable[..., int]):
+    """Memoise a builder on the calls whose `size(*args)` is at most `limit`, in a typed
+    cache of 32 calls (a float never answers for an int), whose `cache_info` and
+    `cache_clear` the wrapper carries; a larger call is built afresh and never kept."""
+
+    def decorate(build):
+        cached = lru_cache(maxsize=32, typed=True)(build)
+
+        @wraps(build)
+        def get(*args):
+            return (cached if size(*args) <= limit else build)(*args)
+
+        get.cache_info, get.cache_clear = cached.cache_info, cached.cache_clear
+        return get
+
+    return decorate
+
+
+def _cosets(p: int, d: int, step: int) -> int:
+    """|U_level| / (d * p^e), the cosets of a subgroup of order d * p^e, for step = p^(level - e)."""
+    return step // p * (p - 1) // d
+
+
+# The scan reads a subgroup only through (p, d, step), its order at its level, so every
+# multiplier of one order at one level shares one.  Scans of at most QUOTIENT_MAX_COSETS
+# cosets are kept; a larger one dies with its quotient.  One 4,374-coset scan (1 + 3^8)
+# holds 0.57 MB under tracemalloc, so a full cache of scans at that limit holds about 21 MB.
+@_cached_up_to(QUOTIENT_MAX_COSETS, _cosets)
 def _scan(p: int, d: int, step: int) -> tuple[tuple[int, ...], Mapping[int, int]]:
     """The least unit of each coset of the subgroup keyed k -> k^d mod step, in
-    increasing order, and the read-only map from coset key to coset index."""
-    cosets = step // p * (p - 1) // d  # |U_level| / (d * p^e), for step = p^(level - e)
+    increasing order, and the read-only map from coset key to coset index;
+    refused above QUOTIENT_MAX_SCAN cosets."""
+    cosets = _cosets(p, d, step)
+    if cosets > QUOTIENT_MAX_SCAN:
+        raise CapExceededError(
+            f"the quotient has {cosets} cosets, above the listing limit {QUOTIENT_MAX_SCAN}"
+        )
     # every coset has its least member below step, so the scan ends there at the latest
     least: dict[int, int] = {}  # coset key (CyclicSubgroup._key, inlined) -> least unit with that key
     for k in range(1, step):
@@ -260,14 +293,6 @@ def _scan(p: int, d: int, step: int) -> tuple[tuple[int, ...], Mapping[int, int]
             if len(least) == cosets:
                 break
     return tuple(least.values()), MappingProxyType({key: j for j, key in enumerate(least)})
-
-
-# The scan reads a subgroup only through (p, d, step), its order at its level, so every
-# multiplier of one order at one level shares one.  Scans of at most QUOTIENT_MAX_COSETS
-# cosets are kept, in a bounded cache of 32 calls; a larger one dies with its quotient.
-# One 4,374-coset scan (1 + 3^8) holds 0.57 MB under tracemalloc, so a full cache of
-# scans at that limit holds about 21 MB.  typed: a float step never answers for an int one.
-_kept_scan = lru_cache(maxsize=32, typed=True)(_scan)
 
 
 @dataclass(frozen=True)
@@ -294,14 +319,7 @@ class QuotientGroup:
     @classmethod
     def of(cls, sub: CyclicSubgroup) -> QuotientGroup:
         """The cosets of a subgroup, refused above QUOTIENT_MAX_SCAN of them."""
-        p, level = sub.p, sub.level
-        cosets = group_size(p, level) // sub.order
-        if cosets > QUOTIENT_MAX_SCAN:
-            raise CapExceededError(
-                f"the quotient has {cosets} cosets, above the listing limit {QUOTIENT_MAX_SCAN}"
-            )
-        scan = _kept_scan if cosets <= QUOTIENT_MAX_COSETS else _scan
-        return cls(p, level, sub, *scan(p, *sub._modulus))
+        return cls(sub.p, sub.level, sub, *_scan(sub.p, *sub._modulus))
 
     def __reduce__(self):
         # the shared index is a read-only view, which neither pickles nor copies; the

@@ -467,8 +467,8 @@ def _reps_matrix_units(bounds: Bounds) -> Checks:
 
 def _random_presentation(rng: random.Random, p: int, vanish: bool) -> list:
     terms = []
-    for _ in range(rng.randint(1, 3)):
-        n = rng.randint(-3, 3)
+    for _ in range(_randint(rng, 1, 3)):
+        n = _randint(rng, -3, 3)
         f = random_function(rng, p, 2)
         if vanish:
             values = list(f.values)
@@ -510,7 +510,7 @@ def _reps_decompose(bounds: Bounds) -> Checks:
         p, spec = configs[sample % len(configs)]
         if p > bounds.max_p:
             continue
-        x = rng.randint(1, 5000) * rng.choice((1, -1))
+        x = _randint(rng, 1, 5000) * rng.choice((1, -1))
         dec = orbit_decompose(p, spec, x, precision=precision)
         modulus = p ** (dec.p_exponent + precision)
         yield (roundtrip, dec.recompose(spec) % modulus == x % modulus,
@@ -557,7 +557,7 @@ def suite_digits(bounds: Bounds) -> Checks:
                 yield ("digit-shift-raises-kappa", kappa(shift_word(word)) == kappa(word) + 1,
                        f"grading fails at {word}")
         for _ in range(20):
-            x = rng.randint(0, 10**6)
+            x = _randint(rng, 0, 10**6)
             expansion = digit_expand(p, level, r, x, max_len)
             digits = expansion.digits
             ok = all(
@@ -624,7 +624,7 @@ def suite_ktheory(bounds: Bounds) -> Checks:
     s = supernatural_order(3, 2)
     atoms.append(C0SeqH(s))
     for _ in range(25):
-        chosen = [rng.choice(atoms) for _ in range(rng.randint(0, 5))]
+        chosen = [rng.choice(atoms) for _ in range(_randint(rng, 0, 5))]
         once = KGroupDescriptor(chosen)
         again = KGroupDescriptor(once.atoms)
         yield ("canonicalization-idempotent", again == once and str(again) == str(once),
@@ -632,13 +632,13 @@ def suite_ktheory(bounds: Bounds) -> Checks:
 
     h = HSubgroup(s)
     for _ in range(40):
-        a = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
-        b = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        a = Fraction(_randint(rng, -30, 30), _randint(rng, 1, 30))
+        b = Fraction(_randint(rng, -30, 30), _randint(rng, 1, 30))
         if h_contains(h, a) and h_contains(h, b):
             yield ("denominator-group-closure",
                    h_contains(h, a + b) and h_contains(h, a - b) and h_contains(h, -a),
                    f"closure fails at {a}, {b}")
-        yield ("denominator-group-closure", h_contains(h, rng.randint(-100, 100)),
+        yield ("denominator-group-closure", h_contains(h, _randint(rng, -100, 100)),
                "integers must belong")
 
 

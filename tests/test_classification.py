@@ -22,6 +22,7 @@ from padicmult.errors import (
     DomainError,
     ExcludedMultiplierError,
     InsufficientPrecisionError,
+    NotPrimeError,
 )
 
 
@@ -123,6 +124,26 @@ def test_supernatural_from_unit_order():
     for order in (3, 6, 5 * 7, 0, -4):  # a prime outside p - 1 and p, or no order
         with pytest.raises(DomainError):
             supernatural_from_unit_order(order, 5)
+
+
+def test_a_refused_supernatural_order_is_refused_on_every_call():
+    # each refusal follows an answer at the same prime, and is never kept to answer again
+    refusals = [
+        ((4, 5), (7, 5), DomainError),
+        ((6, 7), (0, 7), DomainError),
+        ((6, 7), (6, 9), NotPrimeError),
+        ((6, 7), (6.5, 7), DomainError),
+        ((6, 7), (6, 7.0), NotPrimeError),
+    ]
+    for answered, refused, error in refusals:
+        supernatural_from_unit_order(*answered)
+        for _ in range(2):
+            with pytest.raises(error):
+                supernatural_from_unit_order(*refused)
+    # a float or bool order answers for itself, as its own factoring gives
+    six = SupernaturalNumber.of({2: 1, 3: 1, 7: INF})
+    assert supernatural_from_unit_order(6.0, 7) == supernatural_from_unit_order(6, 7) == six
+    assert supernatural_from_unit_order(True, 7) == SupernaturalNumber.of({7: INF})
 
 
 def test_infinite_exponents_are_the_sentinel():

@@ -681,6 +681,47 @@ def test_a_shared_shift_still_validates_every_call():
         build_cyclic_rep(3, 2, 1, f)
 
 
+def test_a_float_size_gets_the_same_answer_on_a_cold_and_a_warm_cache():
+    # a float size is not an int one: it raises before its int shape is kept and after
+    f = LocallyConstantFn.constant(3, 1)
+    builders = [
+        (lambda window: build_orbit_rep(3, 2, 1, f, window=window), 8),
+        (window_shift, 8),
+        (lambda max_len: intertwiner(3, 1, 3, max_len), 2),
+        (lambda max_len: build_digit_rep(3, 1, 3, f, max_len), 3),
+    ]
+    for build, size in builders:
+        with pytest.raises(TypeError):
+            build(float(size))
+        build(size)
+        with pytest.raises(TypeError):
+            build(float(size))
+
+
+def test_every_kept_shape_reads_its_own_cache():
+    import padicmult.representations as representations
+
+    shapes = {
+        "_window": (-3, 3),
+        "_non_negative": (7,),
+        "_words": (3, 2),
+        "_window_section": (3,),
+        "_cycle": (4,),
+        "_digit_section": (3, 2),
+        "_index_section": (3, 4),
+    }
+    for name, args in shapes.items():
+        build = getattr(representations, name)
+        build(*args)
+        hits = build.cache_info().hits
+        assert build(*args) is build(*args)
+        assert build.cache_info().hits == hits + 2
+        # the bare builder builds afresh and leaves the cache as it was
+        info = build.cache_info()
+        assert build.__wrapped__(*args) is not build(*args)
+        assert build.cache_info() == info._replace(hits=info.hits + 1)
+
+
 def shift_sections():
     f = LocallyConstantFn.constant(5, 1)
     return [

@@ -484,7 +484,7 @@ def test_kept_scans_match_a_fresh_scan_and_the_coset_oracle(p):
             generator = pow(g, size // order, modulus)
             sub = subgroup(p, level, generator)
             first, kept = QuotientGroup.of(sub), QuotientGroup.of(sub)
-            reps, index = unit_groups._scan(p, *sub._modulus)
+            reps, index = unit_groups._scan.__wrapped__(p, *sub._modulus)
             assert sub.order == order and (kept.coset_reps, kept._index) == (reps, index)
             shared = first.coset_reps is kept.coset_reps and first._index is kept._index
             assert shared == (len(reps) <= QUOTIENT_MAX_COSETS)
@@ -509,11 +509,11 @@ def test_multipliers_of_one_order_share_one_scan():
 
 def test_a_scan_above_the_table_limit_is_not_kept():
     # 1 + 3^9 leaves 13,122 cosets, above QUOTIENT_MAX_COSETS: scanned on every call
-    kept = unit_groups._kept_scan.cache_info().currsize
+    kept = unit_groups._scan.cache_info().currsize
     first, second = quotient_group(3, 1 + 3**9), quotient_group(3, 1 + 3**9)
     assert first.order == 13122 > QUOTIENT_MAX_COSETS
     assert first.coset_reps == second.coset_reps and first.coset_reps is not second.coset_reps
-    assert unit_groups._kept_scan.cache_info().currsize == kept
+    assert unit_groups._scan.cache_info().currsize == kept
 
 
 def test_a_float_level_reads_no_kept_scan():
